@@ -55,9 +55,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod
@@ -146,12 +143,10 @@ def parameter(values) -> Tensor:
     return Tensor(np.array(values, dtype=DTYPE, copy=True), requires_grad=True)
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape: tuple[int, ...] | None = None) -> Tensor:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     """Glorot-uniform initialized parameter; deterministic given `rng`."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    target = shape if shape is not None else (fan_in, fan_out)
-    return parameter(rng.uniform(-limit, limit, size=target))
+    return parameter(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
 
 
 def zeros(shape: int | tuple[int, ...]) -> Tensor:
@@ -227,8 +222,8 @@ def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     # Split by sign to avoid overflow in exp.
     x = a.values
-    values = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    values = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * values * (1.0 - values))
@@ -244,15 +239,6 @@ def exp(a: Tensor) -> Tensor:
         a._accumulate(g * values)
 
     return Tensor._result(values, (a,), backward)
-
-
-def log1p(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate(g / (1.0 + a.values))
-
-    return Tensor._result(np.log1p(a.values), (a,), backward)
 
 
 def square(a: Tensor) -> Tensor:
@@ -351,9 +337,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"cross_entropy: label out of range [0, {k})")
     shifted = logits.values - logits.values.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    nll = logz - shifted[np.arange(b), labels]
-    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    weights = np.exp(shifted)
+    norm = weights.sum(axis=1, keepdims=True)
+    nll = np.log(norm[:, 0]) - shifted[np.arange(b), labels]
+    probs = weights / norm
 
     def backward(g: np.ndarray) -> None:
         delta = probs.copy()

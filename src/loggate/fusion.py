@@ -24,23 +24,7 @@ class FusionError(ValueError):
     pass
 
 
-@dataclass
-class StatProjection:
-    """Affine map from the statistics latent space into d_model."""
-
-    weight: Tensor
-    bias: Tensor
-
-    @classmethod
-    def create(cls, rng: np.random.Generator, latent_dim: int,
-               d_model: int) -> "StatProjection":
-        return cls(ad.glorot(rng, latent_dim, d_model), ad.zeros(d_model))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
-
-
-def project_stats(proj: StatProjection, stat_embedding: np.ndarray) -> Tensor:
+def project_stats(proj: InfoProjection, stat_embedding: np.ndarray) -> Tensor:
     """Statistics row in the information space, shape (1, d_model)."""
     vec = np.asarray(stat_embedding, dtype=np.float64).reshape(1, -1)
     if vec.shape[1] != proj.weight.shape[0]:
@@ -48,11 +32,6 @@ def project_stats(proj: StatProjection, stat_embedding: np.ndarray) -> Tensor:
             f"project_stats: embedding dim {vec.shape[1]} != "
             f"projection input {proj.weight.shape[0]}")
     return ad.matmul(Tensor(vec), proj.weight) + proj.bias
-
-
-def gate_value(alpha: float, epsilon: float) -> float:
-    """Scalar gate: pass alpha inside the closed band around 0.5, else 0."""
-    return alpha if abs(alpha - 0.5) <= epsilon else 0.0
 
 
 def ada_sem_gate(info_map: Tensor, confidence: Tensor, stat_info: Tensor,
@@ -131,7 +110,7 @@ class DiagnosisModel:
 
     encoder: AttentionEncoder
     info: InfoProjection
-    stats: StatProjection
+    stats: InfoProjection
     head: ClassifierHead
     m_fixed: int
     latent_dim: int
@@ -158,8 +137,8 @@ def build_model(vocab_size: int, n_labels: int, d_model: int, latent_dim: int,
     if not 0.0 <= epsilon <= 0.5:
         raise FusionError(f"epsilon must lie in [0, 0.5], got {epsilon}")
     encoder = AttentionEncoder(vocab_size, d_model, rng)
-    info = InfoProjection.create(rng, d_model)
-    stats = StatProjection.create(rng, latent_dim, d_model)
+    info = InfoProjection.create(rng, d_model, d_model)
+    stats = InfoProjection.create(rng, latent_dim, d_model)
     head = ClassifierHead.create(rng, d_model, n_labels)
     return DiagnosisModel(encoder, info, stats, head, m_fixed, latent_dim,
                           n_labels, epsilon, mode)

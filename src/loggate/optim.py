@@ -6,6 +6,10 @@ import numpy as np
 
 from .autodiff import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Standard Adam over a named parameter table.
@@ -16,47 +20,29 @@ class Adam:
     all-zero gradient since the moments stay zero) are left untouched.
     """
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
 
     def step(self) -> None:
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
+        c1 = 1.0 - BETA1 ** self.step_count
+        c2 = 1.0 - BETA2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Moment buffers keyed for checkpointing."""
-        out: dict[str, np.ndarray] = {}
-        for name in self.params:
-            out[f"adam.m.{name}"] = self.m[name]
-            out[f"adam.v.{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], step: int) -> None:
-        self.step_count = step
-        for name in self.params:
-            self.m[name] = arrays[f"adam.m.{name}"].copy()
-            self.v[name] = arrays[f"adam.v.{name}"].copy()

@@ -7,6 +7,7 @@ shifts another's randomness.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
 from dataclasses import dataclass, fields, replace
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fusion, statvae
-from .autodiff import Tensor
 from .corpus import (FIRST_WORD_ID, LogDataset, SplitSpec, load_dataset,
                      train_split_hash)
 from .fusion import MODES, DiagnosisModel
@@ -137,7 +137,7 @@ class PreprocessResult:
     dataset: LogDataset
     stats: StatDictionary
     vae: statvae.StatVae
-    embeddings: dict[int, np.ndarray]
+    embeddings: np.ndarray  # (N, latent_dim), row i is message id i
     dict_hash: str
     run_dir: Path
 
@@ -149,8 +149,19 @@ class TrainResult:
     dataset: LogDataset
     stats: StatDictionary
     vae: statvae.StatVae
-    embeddings: dict[int, np.ndarray]
+    embeddings: np.ndarray
     run_dir: Path
+
+
+@contextlib.contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as a StageError named `name`."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
 
 
 def _stat_vectors(stats: StatDictionary, records, m_fixed: int) -> np.ndarray:
@@ -158,19 +169,14 @@ def _stat_vectors(stats: StatDictionary, records, m_fixed: int) -> np.ndarray:
                      for rec in records])
 
 
-def _forward_record(model: DiagnosisModel, dataset: LogDataset, record,
-                    embeddings: dict[int, np.ndarray]) -> Tensor:
-    return fusion.forward(model, dataset.token_ids(record.tokens),
-                          embeddings.get(record.message_id))
-
-
 def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
-                   embeddings: dict[int, np.ndarray]) -> np.ndarray:
+                   embeddings: np.ndarray) -> np.ndarray:
     """(N, n_labels) logits, one row per record, evaluation mode."""
     if not records:
         return np.zeros((0, model.n_labels))
     return np.concatenate([
-        _forward_record(model, dataset, rec, embeddings).values
+        fusion.forward(model, dataset.token_ids(rec.tokens),
+                       embeddings[rec.message_id]).values
         for rec in records])
 
 
@@ -195,42 +201,42 @@ def _load_stage_dataset(config: RunConfig) -> LogDataset:
     return load_dataset(config.dataset, split_spec=spec)
 
 
-def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
-    """Load the dataset and persist its statistics dictionary only."""
-    config.validate()
-    run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    stage = "load-dataset"
-    try:
+def _dictionary_stages(config: RunConfig,
+                       run_dir: Path) -> tuple[LogDataset, StatDictionary, Path]:
+    """Load the dataset, then build and save its statistics dictionary."""
+    with _stage("load-dataset"):
         dataset = _load_stage_dataset(config)
-        stage = "stat-dictionary"
+    with _stage("stat-dictionary"):
         stats = build_stat_dictionary(dataset)
         dict_path = run_dir / "stat_dict.tsv"
         save_stat_dictionary(stats, dict_path)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
-    return dict_path
+    return dataset, stats, dict_path
+
+
+def _make_run_dir(config: RunConfig, out_dir: str | Path) -> Path:
+    config.validate()
+    run_dir = Path(out_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    return run_dir
+
+
+def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
+    """Load the dataset and persist its statistics dictionary only."""
+    return _dictionary_stages(config, _make_run_dir(config, out_dir))[2]
 
 
 def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
-    """Stages ahead of the classifier: dataset, dictionary, VAE, cache."""
-    config.validate()
-    run_dir = Path(out_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    """Stages ahead of the classifier: dataset, dictionary, VAE, cache.
+
+    A non-finite VAE loss or embedding stops the run before the VAE
+    checkpoint or the embedding cache is written.
+    """
+    run_dir = _make_run_dir(config, out_dir)
     save_config(config, run_dir / "run.cfg")
-    stage = "load-dataset"
-    try:
-        dataset = _load_stage_dataset(config)
+    dataset, stats, dict_path = _dictionary_stages(config, run_dir)
+    dict_hash = _file_digest(dict_path)
 
-        stage = "stat-dictionary"
-        stats = build_stat_dictionary(dataset)
-        dict_path = run_dir / "stat_dict.tsv"
-        save_stat_dictionary(stats, dict_path)
-        dict_hash = _file_digest(dict_path)
-
-        stage = "vae-pretrain"
+    with _stage("vae-pretrain"):
         train_records = dataset.split_records("train")
         vae_config = statvae.VaeConfig(
             latent_dim=config.latent_dim, epochs=config.vae_epochs,
@@ -242,17 +248,16 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
         _write_rows(run_dir / "vae_log.tsv", ("step", "loss"),
                     [(i, repr(v)) for i, v in enumerate(curve)])
 
-        stage = "embed-statistics"
+    with _stage("embed-statistics"):
+        # records are numbered 0..N-1 in file order, so row i is message i
         all_vectors = _stat_vectors(stats, dataset.records, config.m_fixed)
-        embedded = statvae.embed_statistics(vae, all_vectors)
-        ids = np.array([rec.message_id for rec in dataset.records], dtype=np.int64)
-        statvae.save_embedding_cache(run_dir / "embeddings.tbl", ids, embedded,
+        embeddings = statvae.embed_statistics(vae, all_vectors)
+        bad = int((~np.isfinite(embeddings)).any(axis=1).sum())
+        if bad:
+            raise FloatingPointError(
+                f"{bad} of {len(embeddings)} embeddings are non-finite")
+        statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings,
                                      dict_hash)
-        embeddings = {int(i): embedded[k] for k, i in enumerate(ids)}
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
     return PreprocessResult(dataset, stats, vae, embeddings, dict_hash, run_dir)
 
 
@@ -266,31 +271,26 @@ def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
     started = time.perf_counter()
     pre = preprocess(config, out_dir)
     dataset, embeddings, run_dir = pre.dataset, pre.embeddings, pre.run_dir
-    stage = "train-classifier"
-    try:
+    with _stage("train-classifier"):
         model, log_rows = _train_classifier(config, dataset, embeddings)
         _write_rows(run_dir / "train_log.tsv",
                     ("epoch", "mean_loss", "dev_macro_f1", "selected"), log_rows)
         fusion.save_model(model, run_dir / "model.ckpt", extra_meta={
             "dict_hash": pre.dict_hash, "train_hash": train_split_hash(dataset)})
 
-        stage = "evaluate-test"
+    with _stage("evaluate-test"):
         report = _split_report(model, dataset, dataset.split_records("test"),
                                embeddings, config,
                                time.perf_counter() - started)
         write_metrics(report, run_dir / "metrics.tsv")
         (run_dir / "metrics.txt").write_text(format_metrics(report) + "\n",
                                              encoding="utf-8")
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
     return TrainResult(model, report, dataset, pre.stats, pre.vae,
                        embeddings, run_dir)
 
 
 def _train_classifier(config: RunConfig, dataset: LogDataset,
-                      embeddings: dict[int, np.ndarray]):
+                      embeddings: np.ndarray):
     vocab_size = FIRST_WORD_ID + len(dataset.vocab)
     init_rng = _child_rng(config.seed, 2)
     model = fusion.build_model(
@@ -307,18 +307,22 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
     for epoch in range(config.classifier_epochs):
         order = shuffle_rng.permutation(len(train_records))
         losses = []
-        for start in range(0, len(order), config.batch_size):
+        for step, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [train_records[i] for i in order[start:start + config.batch_size]]
             rows = [fusion.forward(model, dataset.token_ids(rec.tokens),
-                                   embeddings.get(rec.message_id))
+                                   embeddings[rec.message_id])
                     for rec in batch]
             loss = ad.cross_entropy(
                 ad.concat_rows(rows),
                 np.array([rec.label_id for rec in batch], dtype=np.int64))
+            value = float(loss.values)
+            if not np.isfinite(value):
+                raise FloatingPointError(
+                    f"non-finite loss {value!r} at epoch {epoch} step {step}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            losses.append(float(loss.values))
+            losses.append(value)
         if dev_records:
             dev_true = np.array([r.label_id for r in dev_records], dtype=np.int64)
             dev_pred = _predict(model, dataset, dev_records, embeddings)
@@ -352,38 +356,30 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     checkpoint digests disagree (stale artifacts).
     """
     run_dir = Path(run_dir)
-    stage = "load-artifacts"
-    try:
+    with _stage("load-artifacts"):
         config = load_config(run_dir / "run.cfg")
-        spec = SplitSpec(config.train_ratio, config.dev_ratio,
-                         config.test_ratio, config.seed)
-        dataset = load_dataset(config.dataset, split_spec=spec)
+        dataset = _load_stage_dataset(config)
         load_stat_dictionary(run_dir / "stat_dict.tsv")
         dict_hash = _file_digest(run_dir / "stat_dict.tsv")
         embeddings, cached_hash = statvae.load_embedding_cache(
             run_dir / "embeddings.tbl")
         model, meta = fusion.load_model(run_dir / "model.ckpt")
 
-        stage = "staleness-check"
+    with _stage("staleness-check"):
         if cached_hash != dict_hash:
-            raise StageError(stage, "embedding cache was built from a different "
-                                    "statistics dictionary; rerun preprocessing")
+            raise ValueError("embedding cache was built from a different "
+                             "statistics dictionary; rerun preprocessing")
         if meta.get("dict_hash") != dict_hash:
-            raise StageError(stage, "checkpoint was trained against a different "
-                                    "statistics dictionary; retrain")
+            raise ValueError("checkpoint was trained against a different "
+                             "statistics dictionary; retrain")
         if meta.get("train_hash") != train_split_hash(dataset):
-            raise StageError(stage, "dataset train split changed since training; "
-                                    "retrain")
+            raise ValueError("dataset train split changed since training; retrain")
 
-        stage = f"evaluate-{split}"
+    with _stage(f"evaluate-{split}"):
         started = time.perf_counter()
         records = dataset.split_records(split)
         return _split_report(model, dataset, records, embeddings, config,
                              time.perf_counter() - started)
-    except StageError:
-        raise
-    except Exception as exc:
-        raise StageError(stage, str(exc)) from exc
 
 
 def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsReport]:

@@ -1,14 +1,13 @@
 """Semantic side of the model: token encoder and information projection.
 
-The encoder is pluggable: anything that maps (token ids, mask) to an
-m x d feature map can stand in for the default trainable one. The
-projection maps that feature map into the shared information space and
-scores each entry's confidence.
+The encoder maps a padded message (token ids, mask) to an m x d feature
+map. The projection maps that feature map into the shared information
+space and scores each entry's confidence. The statistics side of the
+fusion reuses the same affine projection class.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,23 +48,7 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
-class SemanticEncoder(abc.ABC):
-    """Interface: padded token ids + mask in, m x d feature map out."""
-
-    @property
-    @abc.abstractmethod
-    def feature_dim(self) -> int:
-        ...
-
-    @abc.abstractmethod
-    def encode(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
-        ...
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
-
-
-class AttentionEncoder(SemanticEncoder):
+class AttentionEncoder:
     """Trainable embeddings + positions + one attention and one FFN block.
 
     Scaled dot-product self-attention (1/sqrt(d)) over non-pad keys,
@@ -114,7 +97,7 @@ class AttentionEncoder(SemanticEncoder):
         return x + ad.matmul(hidden, p["ffn_w2"]) + p["ffn_b2"]
 
 
-def encode_message(encoder: SemanticEncoder, token_ids,
+def encode_message(encoder: AttentionEncoder, token_ids,
                    m_fixed: int) -> tuple[Tensor, np.ndarray]:
     """Feature map for one message: (m_fixed, d) tensor plus its mask."""
     ids, mask = pad_tokens(token_ids, m_fixed)
@@ -128,19 +111,19 @@ def encode_message(encoder: SemanticEncoder, token_ids,
 
 @dataclass
 class InfoProjection:
-    """Square affine map into the information space (keeps d_model)."""
+    """Affine map into the information space, d_model wide.
+
+    Holds both projections of the fusion: the square one over the token
+    features and the one from the statistics latent space.
+    """
 
     weight: Tensor
     bias: Tensor
 
     @classmethod
-    def create(cls, rng: np.random.Generator, d_model: int) -> "InfoProjection":
-        return cls(ad.glorot(rng, d_model, d_model), ad.zeros(d_model))
-
-    @classmethod
-    def identity(cls, d_model: int) -> "InfoProjection":
-        """Fixed identity map: projected features equal the input exactly."""
-        return cls(ad.parameter(np.eye(d_model)), ad.zeros(d_model))
+    def create(cls, rng: np.random.Generator, fan_in: int,
+               d_model: int) -> "InfoProjection":
+        return cls(ad.glorot(rng, fan_in, d_model), ad.zeros(d_model))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
@@ -149,7 +132,8 @@ class InfoProjection:
 def project_info(proj: InfoProjection, feats: Tensor) -> tuple[Tensor, Tensor]:
     """Affine map per token row, plus sigmoid confidence of each entry.
 
-    Returns (info_map, confidence), both shaped like `feats`.
+    `proj` is square; its weight applies transposed. Returns (info_map,
+    confidence), both shaped like `feats`.
     """
     d = proj.weight.shape[0]
     if feats.shape[-1] != d:

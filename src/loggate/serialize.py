@@ -31,6 +31,9 @@ def save_table(path: str | Path, arrays: dict[str, np.ndarray],
             raise ValueError(f"invalid meta entry: {key!r}")
         buf.write(f"meta {key}={value}\n".encode())
     for name, arr in arrays.items():
+        # the header is space separated, so a name must be one non-empty word
+        if not name or name.split() != [name]:
+            raise TableFormatError(f"invalid tensor name {name!r}")
         if arr.dtype == np.float64:
             code = "f8"
         elif arr.dtype == np.int64:
@@ -54,16 +57,27 @@ def load_table(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]
         end = raw.find(b"\n", pos)
         if end < 0:
             raise TableFormatError(f"{path}: truncated header line")
-        line = raw[pos:end].decode()
+        try:
+            line = raw[pos:end].decode()
+        except UnicodeDecodeError:
+            raise TableFormatError(f"{path}: header line is not UTF-8") from None
         pos = end + 1
         if line.startswith("meta "):
             key, _, value = line[5:].partition("=")
+            if key in meta:
+                raise TableFormatError(f"{path}: duplicate meta key {key!r}")
             meta[key] = value
         elif line.startswith("tensor "):
-            _, name, code, dims = line.split(" ")
+            try:
+                _, name, code, dims = line.split(" ")
+                shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+            except ValueError:
+                raise TableFormatError(
+                    f"{path}: malformed header line {line!r}") from None
+            if name in arrays:
+                raise TableFormatError(f"{path}: duplicate tensor name {name!r}")
             if code not in _DTYPES:
                 raise TableFormatError(f"{path}: unknown dtype code {code!r}")
-            shape = tuple(int(d) for d in dims.split(",")) if dims else ()
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             nbytes = count * 8
             if len(raw) - pos < nbytes:

@@ -29,7 +29,6 @@ class VaeConfig:
     epochs: int = 30
     batch_size: int = 32
     learning_rate: float = 1e-3
-    kl_weight: float = 1.0
     seed: int = 7
 
 
@@ -128,13 +127,11 @@ def kl_divergence(code: LatentCode) -> Tensor:
     return ad.total(body) * (-0.5 / rows)
 
 
-def elbo_loss(x: np.ndarray, code: LatentCode, reconstruction: Tensor,
-              kl_weight: float = 1.0) -> Tensor:
+def elbo_loss(x: np.ndarray, code: LatentCode, reconstruction: Tensor) -> Tensor:
     """Negated evidence bound: KL plus Gaussian reconstruction error.
 
     The reconstruction term is 1/2 squared error per row (unit-variance
-    Gaussian observation model, constants dropped), batch mean. A
-    kl_weight of zero leaves a plain autoencoder loss.
+    Gaussian observation model, constants dropped), batch mean.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if reconstruction.values.shape != x.shape:
@@ -142,9 +139,7 @@ def elbo_loss(x: np.ndarray, code: LatentCode, reconstruction: Tensor,
             f"reconstruction shape {reconstruction.values.shape} != input {x.shape}")
     rows = x.shape[0]
     recon = ad.total(ad.square(reconstruction - Tensor(x))) * (0.5 / rows)
-    if kl_weight == 0.0:
-        return recon
-    return recon + kl_divergence(code) * kl_weight
+    return recon + kl_divergence(code)
 
 
 def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[float]]:
@@ -152,6 +147,8 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
 
     Deterministic for a given (vectors, config): initialization, shuffle
     order and reparameterization noise all come from one seeded stream.
+    A non-finite step loss stops training with a VaeError naming the
+    epoch and the step within it.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vectors.size == 0:
@@ -166,19 +163,22 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     optimizer = Adam(vae.params, lr=config.learning_rate)
     losses: list[float] = []
     n = vectors.shape[0]
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
+        for step, start in enumerate(range(0, n, config.batch_size)):
             batch = vectors[order[start:start + config.batch_size]]
             noise = rng.standard_normal((batch.shape[0], config.latent_dim))
             code = encode(vae, batch, noise=noise)
             target = _standardize(vae, batch)
             recon = decode(vae, code.sample)
-            loss = elbo_loss(target, code, recon, kl_weight=config.kl_weight)
+            loss = elbo_loss(target, code, recon)
+            value = float(loss.values)
+            if not np.isfinite(value):
+                raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
-            losses.append(float(loss.values))
+            losses.append(value)
     return vae, losses
 
 
@@ -209,18 +209,23 @@ def load_stat_vae(path: str | Path) -> StatVae:
     return StatVae(params, in_mean, in_std, int(meta["latent_dim"]))
 
 
-def save_embedding_cache(path: str | Path, message_ids: np.ndarray,
-                         embeddings: np.ndarray, dict_hash: str) -> None:
-    """Per-message embedding table keyed by the dictionary digest."""
+def save_embedding_cache(path: str | Path, embeddings: np.ndarray,
+                         dict_hash: str) -> None:
+    """Per-message embedding table keyed by the dictionary digest.
+
+    Row i belongs to message id i; the ids are stored alongside.
+    """
     save_table(path, {
-        "message_ids": np.asarray(message_ids, dtype=np.int64),
+        "message_ids": np.arange(len(embeddings), dtype=np.int64),
         "embeddings": np.asarray(embeddings, dtype=np.float64),
     }, meta={"dict_hash": dict_hash})
 
 
-def load_embedding_cache(path: str | Path) -> tuple[dict[int, np.ndarray], str]:
+def load_embedding_cache(path: str | Path) -> tuple[np.ndarray, str]:
+    """(N, latent_dim) embeddings indexed by message id, and the digest."""
     arrays, meta = load_table(path)
     ids = arrays["message_ids"]
     vecs = arrays["embeddings"]
-    table = {int(i): vecs[k] for k, i in enumerate(ids)}
-    return table, meta.get("dict_hash", "")
+    if not np.array_equal(ids, np.arange(len(vecs))):
+        raise VaeError(f"{path}: message ids are not 0..{len(vecs) - 1} in order")
+    return vecs, meta.get("dict_hash", "")

@@ -34,9 +34,6 @@ class StatDictionary:
             return np.zeros(self.label_vocab.size, dtype=np.int64)
         return vec.copy()
 
-    def total_tokens(self) -> int:
-        return int(sum(int(v.sum()) for v in self.counts.values()))
-
 
 def build_stat_dictionary(dataset: LogDataset) -> StatDictionary:
     """Count token occurrences per label over the training split.

@@ -15,9 +15,8 @@ import pytest
 from loggate import autodiff as ad
 from loggate.autodiff import Tensor
 from loggate.corpus import SplitSpec, load_dataset, profile_corpus
-from loggate.fusion import (StatProjection, ada_sem_gate, build_model,
-                            forward, gate_value, global_attention,
-                            project_stats)
+from loggate.fusion import (ada_sem_gate, build_model, forward,
+                            global_attention, project_stats)
 from loggate.pipeline import RunConfig, collect_logits, train
 from loggate.semantic import InfoProjection, project_info
 from loggate.statvae import LatentCode, VaeConfig, kl_divergence, pretrain
@@ -26,8 +25,8 @@ from loggate.synth import generate_synthetic, make_default_spec, make_joint_spec
 from loggate.wordstats import build_stat_dictionary, message_stats
 
 from helpers import (brute_force_profile, brute_force_stat_counts,
-                     check_gradients, fused_attention_oracle, monte_carlo_kl,
-                     op_cases)
+                     check_gradients, fused_attention_oracle, gate_value,
+                     identity_projection, monte_carlo_kl, op_cases)
 
 MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
 
@@ -110,7 +109,7 @@ def test_criterion_3_zero_band_reduction(tmp_path):
     for _ in range(20):
         m, d = int(rng.integers(1, 8)), int(rng.integers(2, 8))
         feats_np = np.abs(rng.standard_normal((m, d))) + 0.05
-        info_map, _ = project_info(InfoProjection.identity(d), Tensor(feats_np))
+        info_map, _ = project_info(identity_projection(d), Tensor(feats_np))
         attended = global_attention(ad.relu(info_map), Tensor(feats_np),
                                     np.ones(m, dtype=bool)).values
         scores = feats_np @ feats_np.T
@@ -260,7 +259,7 @@ def test_criterion_9_entrywise_oracle():
         mask = rng.random(m) < 0.7
         mask[int(rng.integers(0, m))] = True
         epsilon = float(rng.uniform(0.0, 0.5))
-        proj = StatProjection(ad.parameter(weight), ad.parameter(bias))
+        proj = InfoProjection(ad.parameter(weight), ad.parameter(bias))
         fused = ada_sem_gate(Tensor(info), Tensor(conf),
                              project_stats(proj, emb), epsilon)
         out = global_attention(fused, Tensor(feats), mask).values

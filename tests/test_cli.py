@@ -1,6 +1,7 @@
 """CLI argument handling, exit codes and delegation onto the pipeline."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +71,20 @@ def test_bad_override_reports_error(tmp_path, capsys):
     assert main(["train", "--set", "no_such_key=1",
                  "--out-dir", str(tmp_path)]) == 1
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_diverged_training_fails_loudly(tmp_path, capsys):
+    # lr 1e6 drives the VAE loss to NaN within the first epoch; the run must
+    # stop there, name the stage, and leave no checkpoint or cache behind
+    corpus = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
+    code = main(["train", "--set", f"dataset={corpus}", "--set", "learning_rate=1e6",
+                 "--set", "vae_epochs=2", "--set", "classifier_epochs=1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "[vae-pretrain] non-finite loss" in err and "epoch 0 step" in err
+    for name in ("vae.ckpt", "embeddings.tbl", "model.ckpt"):
+        assert not (tmp_path / name).exists(), name
 
 
 def test_evaluate_without_run_reports_error(tmp_path, capsys):

@@ -6,12 +6,13 @@ import pytest
 from loggate import autodiff as ad
 from loggate.autodiff import ShapeError, Tensor
 from loggate.fusion import (MODES, ClassifierHead, DiagnosisModel, FusionError,
-                            StatProjection, ada_sem_gate, build_model,
-                            classify, forward, gate_value, global_attention,
-                            load_model, project_stats, save_model)
+                            ada_sem_gate, build_model, classify, forward,
+                            global_attention, load_model, project_stats,
+                            save_model)
 from loggate.semantic import InfoProjection, project_info
 
-from helpers import check_gradients, fused_attention_oracle
+from helpers import (check_gradients, fused_attention_oracle, gate_value,
+                     identity_projection)
 
 
 # -- scalar gate ---------------------------------------------------------------
@@ -108,7 +109,7 @@ def test_fused_attention_matches_scalar_oracle():
         mask = rng.random(m) < 0.7
         mask[int(rng.integers(0, m))] = True  # at least one real position
         epsilon = float(rng.uniform(0.0, 0.5))
-        proj = StatProjection(ad.parameter(weight), ad.parameter(bias))
+        proj = InfoProjection(ad.parameter(weight), ad.parameter(bias))
         stat_info = project_stats(proj, emb)
         fused = ada_sem_gate(Tensor(info), Tensor(conf), stat_info, epsilon)
         out = global_attention(fused, Tensor(feats), mask).values
@@ -124,7 +125,7 @@ def test_gate_gradients_inside_band():
     feats = Tensor(rng.standard_normal((4, 3)))
     info_proj = InfoProjection(ad.parameter(rng.standard_normal((3, 3)) * 0.3),
                                ad.parameter(rng.standard_normal(3) * 0.1))
-    stat_proj = StatProjection(ad.parameter(rng.standard_normal((2, 3))),
+    stat_proj = InfoProjection(ad.parameter(rng.standard_normal((2, 3))),
                                ad.parameter(rng.standard_normal(3)))
     emb = rng.standard_normal(2)
     probe = Tensor(rng.standard_normal((4, 3)))
@@ -192,7 +193,7 @@ def test_identity_projection_reduces_to_self_attention():
     rng = np.random.Generator(np.random.PCG64(52))
     feats_np = np.abs(rng.standard_normal((5, 4))) + 0.1
     feats = Tensor(feats_np)
-    info_map, _ = project_info(InfoProjection.identity(4), feats)
+    info_map, _ = project_info(identity_projection(4), feats)
     fused = ad.relu(info_map)
     mask = np.ones(5, dtype=bool)
     out = global_attention(fused, feats, mask).values

@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from loggate import fusion, statvae
+from loggate.autodiff import Tensor
 from loggate.corpus import load_dataset, SplitSpec
 from loggate.pipeline import (ConfigError, RunConfig, StageError,
                               apply_overrides, build_stats, evaluate,
@@ -13,6 +15,8 @@ from loggate.pipeline import (ConfigError, RunConfig, StageError,
 from loggate.fusion import MODES
 from loggate.synth import LabelSpec, SynthSpec, generate_synthetic, word_bank
 from loggate.wordstats import load_stat_dictionary
+
+from helpers import total_tokens
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +107,7 @@ def test_build_stats_writes_dictionary(base_config, tmp_path):
     dict_path = build_stats(base_config, tmp_path)
     stats = load_stat_dictionary(dict_path)
     assert sorted(stats.label_vocab.labels) == ["la", "lb"]
-    assert stats.total_tokens() > 0
+    assert total_tokens(stats) > 0
 
 
 def test_preprocess_artifacts(base_config, tmp_path):
@@ -111,8 +115,9 @@ def test_preprocess_artifacts(base_config, tmp_path):
     for name in ("run.cfg", "stat_dict.tsv", "vae.ckpt", "vae_log.tsv",
                  "embeddings.tbl"):
         assert (tmp_path / name).exists(), name
-    assert set(result.embeddings) == {r.message_id for r in result.dataset.records}
-    assert all(v.shape == (3,) for v in result.embeddings.values())
+    assert result.embeddings.shape == (len(result.dataset.records), 3)
+    assert [r.message_id for r in result.dataset.records] == \
+        list(range(len(result.dataset.records)))
     log = (tmp_path / "vae_log.tsv").read_text(encoding="utf-8").splitlines()
     assert log[0] == "step\tloss"
     assert len(log) > 1
@@ -152,6 +157,31 @@ def test_missing_dataset_fails_in_stage(tmp_path):
         train(RunConfig(dataset=str(tmp_path / "nope.tsv")), tmp_path)
     with pytest.raises(StageError, match="dataset"):
         train(RunConfig(), tmp_path)
+
+
+def test_non_finite_embeddings_stop_before_cache(base_config, tmp_path, monkeypatch):
+    real = statvae.embed_statistics
+
+    def poisoned(vae, x):
+        out = real(vae, x)
+        out[3, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(statvae, "embed_statistics", poisoned)
+    with pytest.raises(StageError, match=r"\[embed-statistics\] 1 of \d+ embeddings"):
+        preprocess(base_config, tmp_path)
+    assert not (tmp_path / "embeddings.tbl").exists()
+
+
+def test_non_finite_classifier_loss_stops_before_checkpoint(base_config, tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setattr(fusion, "forward",
+                        lambda model, token_ids, stat_embedding:
+                        Tensor(np.full((1, model.n_labels), np.nan)))
+    with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss "
+                                         r"nan at epoch 0 step 0"):
+        train(base_config, tmp_path)
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 # -- evaluate ------------------------------------------------------------------

@@ -6,11 +6,10 @@ import pytest
 from loggate import autodiff as ad
 from loggate.autodiff import ShapeError, Tensor
 from loggate.corpus import PAD_ID
-from loggate.semantic import (AttentionEncoder, InfoProjection, SemanticEncoder,
-                              encode_message, pad_tokens, project_info,
-                              sinusoidal_positions)
+from loggate.semantic import (AttentionEncoder, InfoProjection, encode_message,
+                              pad_tokens, project_info, sinusoidal_positions)
 
-from helpers import check_gradients
+from helpers import check_gradients, identity_projection
 
 
 # -- padding -----------------------------------------------------------------
@@ -122,7 +121,7 @@ def test_encode_message_returns_mask_and_checks_shape():
     assert feats.shape == (4, enc.feature_dim)
     assert mask.tolist() == [True, True, False, False]
 
-    class Broken(SemanticEncoder):
+    class Broken:
         feature_dim = 6
 
         def encode(self, ids, mask):
@@ -137,7 +136,7 @@ def test_encode_message_returns_mask_and_checks_shape():
 
 def test_identity_projection_passes_features_through():
     feats = Tensor(np.random.Generator(np.random.PCG64(31)).standard_normal((4, 5)))
-    info, conf = project_info(InfoProjection.identity(5), feats)
+    info, conf = project_info(identity_projection(5), feats)
     np.testing.assert_allclose(info.values, feats.values, rtol=0, atol=1e-15)
     expect = 1.0 / (1.0 + np.exp(-feats.values))
     np.testing.assert_allclose(conf.values, expect, rtol=1e-15, atol=0)
@@ -145,21 +144,21 @@ def test_identity_projection_passes_features_through():
 
 def test_projection_confidence_in_unit_interval():
     rng = np.random.Generator(np.random.PCG64(32))
-    proj = InfoProjection.create(rng, 6)
+    proj = InfoProjection.create(rng, 6, 6)
     feats = Tensor(rng.standard_normal((8, 6)) * 4.0)
     _, conf = project_info(proj, feats)
     assert ((conf.values > 0.0) & (conf.values < 1.0)).all()
 
 
 def test_projection_rejects_dim_mismatch():
-    proj = InfoProjection.identity(5)
+    proj = identity_projection(5)
     with pytest.raises(ShapeError, match="project_info"):
         project_info(proj, Tensor(np.zeros((3, 4))))
 
 
 def test_projection_gradients():
     rng = np.random.Generator(np.random.PCG64(33))
-    proj = InfoProjection.create(rng, 4)
+    proj = InfoProjection.create(rng, 4, 4)
     feats = Tensor(rng.standard_normal((3, 4)))
     probe = Tensor(rng.standard_normal((3, 4)))
 

@@ -65,6 +65,51 @@ def test_meta_with_newline_rejected(tmp_path):
         save_table(tmp_path / "m.tbl", {}, meta={"k": "a\nb"})
 
 
+@pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", " a"])
+def test_unreadable_tensor_name_rejected_at_save(tmp_path, name):
+    path = tmp_path / "n.tbl"
+    with pytest.raises(TableFormatError, match="tensor name"):
+        save_table(path, {name: np.ones(2)})
+    assert not path.exists()
+
+
+def _raw_table(path, *lines):
+    """A table file from raw header lines, each tensor followed by one f8."""
+    blob = bytearray(MAGIC)
+    for line in lines:
+        blob += line.encode() + b"\n"
+        if line.startswith("tensor "):
+            blob += np.ones(1).tobytes()
+    path.write_bytes(bytes(blob))
+    return path
+
+
+def test_duplicate_tensor_name_rejected_at_load(tmp_path):
+    path = _raw_table(tmp_path / "d.tbl", "tensor x f8 1", "tensor x f8 1")
+    with pytest.raises(TableFormatError, match="duplicate tensor name 'x'"):
+        load_table(path)
+
+
+def test_duplicate_meta_key_rejected_at_load(tmp_path):
+    path = _raw_table(tmp_path / "d.tbl", "meta k=1", "meta k=2")
+    with pytest.raises(TableFormatError, match="duplicate meta key 'k'"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("line", ["tensor a b f8 1", "tensor x f8", "tensor x f8 1,y"])
+def test_malformed_tensor_header_rejected(tmp_path, line):
+    path = _raw_table(tmp_path / "h.tbl", line)
+    with pytest.raises(TableFormatError, match="malformed header line"):
+        load_table(path)
+
+
+def test_undecodable_header_rejected(tmp_path):
+    path = tmp_path / "u.tbl"
+    path.write_bytes(MAGIC + b"tensor \xff f8 1\n" + np.ones(1).tobytes())
+    with pytest.raises(TableFormatError, match="not UTF-8"):
+        load_table(path)
+
+
 def test_magic_constant_is_stable():
     # Pinned: changing it silently would orphan existing artifacts.
     assert MAGIC == b"LOGGATE-TABLE-1\n"

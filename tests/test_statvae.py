@@ -5,6 +5,7 @@ import pytest
 
 from loggate import autodiff as ad
 from loggate.autodiff import Tensor
+from loggate.serialize import load_table, save_table
 from loggate.statvae import (LatentCode, VaeConfig, VaeError, decode,
                              elbo_loss, embed_statistics, encode,
                              init_stat_vae, kl_divergence,
@@ -67,8 +68,8 @@ def test_kl_matches_monte_carlo_sampling():
 def test_elbo_reconstruction_only():
     x = np.array([[1.0, 2.0], [0.0, -1.0]])
     recon = Tensor(np.array([[1.5, 2.0], [0.0, 0.0]]))
-    code = code_from([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])
-    loss = elbo_loss(x, code, recon, kl_weight=0.0)
+    code = code_from([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]])  # KL = 0
+    loss = elbo_loss(x, code, recon)
     # 1/2 * (0.25 + 1.0) / 2 rows
     assert float(loss.values) == pytest.approx(0.3125, abs=1e-15)
 
@@ -76,11 +77,8 @@ def test_elbo_reconstruction_only():
 def test_elbo_adds_weighted_kl():
     x = np.array([[1.0, 2.0]])
     recon = Tensor(np.array([[1.0, 2.0]]))
-    code = code_from([[1.0, 0.0]], [[0.0, 0.0]])  # KL = 0.5
-    assert float(elbo_loss(x, code, recon, kl_weight=1.0).values) == \
-        pytest.approx(0.5, abs=1e-15)
-    assert float(elbo_loss(x, code, recon, kl_weight=2.0).values) == \
-        pytest.approx(1.0, abs=1e-15)
+    code = code_from([[1.0, 0.0]], [[0.0, 0.0]])  # KL = 0.5, unit weight
+    assert float(elbo_loss(x, code, recon).values) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_elbo_rejects_shape_mismatch():
@@ -132,7 +130,7 @@ def test_vae_loss_gradients_with_frozen_noise():
     def build_loss():
         code = encode(vae, x, noise=noise)
         recon = decode(vae, code.sample)
-        return elbo_loss(x, code, recon, kl_weight=1.0)
+        return elbo_loss(x, code, recon)
 
     worst = check_gradients(vae.params, build_loss, eps=1e-6,
                             max_coords=5, rng=np.random.Generator(np.random.PCG64(19)))
@@ -179,6 +177,14 @@ def test_pretrain_standardization_floor():
 def test_pretrain_rejects_empty():
     with pytest.raises(VaeError, match="empty"):
         pretrain(np.zeros((0, 4)), VaeConfig())
+
+
+def test_pretrain_stops_at_first_non_finite_loss():
+    vectors = training_vectors(40, 5)
+    vectors[7, 1] = np.nan  # poisons the standardization, so step 0 is NaN
+    config = VaeConfig(latent_dim=2, hidden_dim=8, epochs=2, batch_size=16, seed=4)
+    with pytest.raises(VaeError, match=r"non-finite loss nan at epoch 0 step 0"):
+        pretrain(vectors, config)
 
 
 # -- embeddings --------------------------------------------------------------
@@ -231,11 +237,20 @@ def test_vae_save_byte_stable(tmp_path):
 
 
 def test_embedding_cache_roundtrip(tmp_path):
-    ids = np.array([3, 11, 7])
     vecs = np.arange(9, dtype=np.float64).reshape(3, 3)
     path = tmp_path / "cache.table"
-    save_embedding_cache(path, ids, vecs, dict_hash="abc123")
+    save_embedding_cache(path, vecs, dict_hash="abc123")
+    arrays, _ = load_table(path)
+    np.testing.assert_array_equal(arrays["message_ids"], [0, 1, 2])
     table, digest = load_embedding_cache(path)
     assert digest == "abc123"
-    assert sorted(table) == [3, 7, 11]
-    np.testing.assert_array_equal(table[11], vecs[1])
+    np.testing.assert_array_equal(table, vecs)
+
+
+@pytest.mark.parametrize("ids", [[3, 11, 7], [0, 2, 1], [0, 1]])
+def test_embedding_cache_refuses_ids_other_than_0_to_n(tmp_path, ids):
+    path = tmp_path / "cache.table"
+    save_table(path, {"message_ids": np.array(ids, dtype=np.int64),
+                      "embeddings": np.zeros((3, 2))}, meta={"dict_hash": "x"})
+    with pytest.raises(VaeError, match="message ids"):
+        load_embedding_cache(path)

@@ -8,7 +8,7 @@ from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
                                load_stat_dictionary, message_stats,
                                save_stat_dictionary)
 
-from helpers import brute_force_stat_counts
+from helpers import brute_force_stat_counts, total_tokens
 
 
 def make_dataset(rows, labels):
@@ -82,7 +82,7 @@ def test_counts_conservation():
     ds = make_dataset(rows, ["A", "B"])
     stats = build_stat_dictionary(ds)
     train_tokens = sum(len(r.tokens) for r in ds.split_records("train"))
-    assert stats.total_tokens() == train_tokens
+    assert total_tokens(stats) == train_tokens
 
 
 def test_counts_match_brute_force():

@@ -4,6 +4,10 @@ Small, CPU-only, float64 engine: just enough operations for the
 statistics VAE, the token encoder and the gated classifier. Every value
 is a row-major numpy array; gradients are accumulated by walking the
 recorded graph in reverse topological order.
+
+`matmul`, `transpose`, `softmax_rows` and `embedding` treat leading axes
+as batch axes, so a batch of messages is one graph; a parameter shared
+across a batch gets its gradient summed over the batch.
 """
 
 from __future__ import annotations
@@ -186,26 +190,36 @@ def mul(a: Tensor, b) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+    if min(a.values.ndim, b.values.ndim) < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    values = a.values @ b.values
+    values = np.matmul(a.values, b.values)
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g @ b.values.T)
-        b._accumulate(a.values.T @ g)
+        a._accumulate(_unbroadcast(g @ np.swapaxes(b.values, -1, -2), a.values.shape))
+        b._accumulate(_unbroadcast(np.swapaxes(a.values, -1, -2) @ g, b.values.shape))
 
     return Tensor._result(values, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d tensor, got shape {a.shape}")
+    if a.values.ndim < 2:
+        raise ShapeError(f"transpose: expected at least 2 axes, got shape {a.shape}")
 
     def backward(g: np.ndarray) -> None:
-        a._accumulate(g.T)
+        a._accumulate(np.swapaxes(g, -1, -2))
 
-    return Tensor._result(a.values.T.copy(), (a,), backward)
+    return Tensor._result(np.swapaxes(a.values, -1, -2).copy(), (a,), backward)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries in row-major order under a new shape."""
+    a = _as_tensor(a)
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate(g.reshape(a.values.shape))
+
+    return Tensor._result(a.values.reshape(shape), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -277,10 +291,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of `table`; backward scatter-adds into the table."""
+    """Rows of `table` at `ids` of any shape; backward scatter-adds."""
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"embedding: ids must be 1-d, got shape {ids.shape}")
 
     def backward(g: np.ndarray) -> None:
         acc = np.zeros_like(table.values)
@@ -291,32 +303,32 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def softmax_rows(x: Tensor, valid: np.ndarray | None = None) -> Tensor:
-    """Row softmax with max-shift for stability.
+    """Softmax over the last axis with max-shift for stability.
 
-    `valid` is an optional boolean column mask; masked-out columns get
-    exactly zero probability and each row renormalizes over the valid
-    columns. A row with no valid column is rejected.
+    `valid` is an optional boolean column mask that broadcasts to the
+    scores, e.g. (m,) for one message or (B, 1, m) for a batch;
+    masked-out columns get exactly zero probability and each row
+    renormalizes over its valid columns. A row with no valid column is
+    rejected.
     """
     x = _as_tensor(x)
-    if x.values.ndim != 2:
-        raise ShapeError(f"softmax_rows: expected 2-d tensor, got shape {x.shape}")
-    if valid is None:
-        keep = np.ones(x.shape[1], dtype=bool)
-    else:
-        keep = np.asarray(valid, dtype=bool).reshape(-1)
-        if keep.shape[0] != x.shape[1]:
-            raise ShapeError(
-                f"softmax_rows: mask length {keep.shape[0]} != columns {x.shape[1]}")
-        if not keep.any():
-            raise ShapeError("softmax_rows: mask excludes every column")
-    shifted = x.values - x.values[:, keep].max(axis=1, keepdims=True)
     # exponentiate valid columns only: a masked-out score may exceed the
     # valid max by enough to overflow exp
-    weights = np.exp(np.where(keep, shifted, -np.inf))
-    values = weights / weights.sum(axis=1, keepdims=True)
+    scores = x.values
+    if valid is not None:
+        try:
+            keep = np.broadcast_to(np.asarray(valid, dtype=bool), x.shape)
+        except ValueError:
+            raise ShapeError(f"softmax_rows: mask shape {np.shape(valid)} "
+                             f"does not fit scores {x.shape}") from None
+        if not keep.any(axis=-1).all():
+            raise ShapeError("softmax_rows: mask excludes every column of a row")
+        scores = np.where(keep, scores, -np.inf)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    values = weights / weights.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
-        inner = (g * values).sum(axis=1, keepdims=True)
+        inner = (g * values).sum(axis=-1, keepdims=True)
         x._accumulate(values * (g - inner))
 
     return Tensor._result(values, (x,), backward)

@@ -14,7 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .semantic import AttentionEncoder, InfoProjection, encode_message, project_info
+# encode_message stays importable here: perfbench traces it under this name.
+from .semantic import (AttentionEncoder, InfoProjection, encode_message,  # noqa: F401
+                       pad_tokens, project_info)
 from .serialize import load_table, save_table
 
 MODES = ("full", "stats_only", "semantic_only", "no_gate")
@@ -25,11 +27,12 @@ class FusionError(ValueError):
 
 
 def project_stats(proj: InfoProjection, stat_embedding: np.ndarray) -> Tensor:
-    """Statistics row in the information space, shape (1, d_model)."""
-    vec = np.asarray(stat_embedding, dtype=np.float64).reshape(1, -1)
-    if vec.shape[1] != proj.weight.shape[0]:
+    """Statistics row(s) in the information space: (1, d_model) for a
+    (latent,) embedding, (B, 1, d_model) for a (B, latent) batch."""
+    vec = np.asarray(stat_embedding, dtype=np.float64)[..., None, :]
+    if vec.shape[-1] != proj.weight.shape[0]:
         raise ShapeError(
-            f"project_stats: embedding dim {vec.shape[1]} != "
+            f"project_stats: embedding dim {vec.shape[-1]} != "
             f"projection input {proj.weight.shape[0]}")
     return ad.matmul(Tensor(vec), proj.weight) + proj.bias
 
@@ -60,7 +63,7 @@ def global_attention(fused: Tensor, feats: Tensor,
         raise ShapeError(
             f"global_attention: fused {fused.shape} != features {feats.shape}")
     scores = ad.matmul(fused, feats.T)
-    weights = ad.softmax_rows(scores, valid=mask)
+    weights = ad.softmax_rows(scores, valid=np.asarray(mask)[..., None, :])
     return ad.matmul(weights, feats)
 
 
@@ -85,16 +88,17 @@ class ClassifierHead:
 
 def classify(head: ClassifierHead, attended: Tensor,
              mask: np.ndarray) -> Tensor:
-    """Logits (1, n_labels) from a masked mean over token positions."""
-    mask = np.asarray(mask, dtype=np.float64).reshape(1, -1)
-    if mask.shape[1] != attended.shape[0]:
+    """Logits (B, n_labels) from a masked mean over token positions."""
+    mask = np.asarray(mask, dtype=np.float64)[..., None, :]
+    if mask.shape[-1] != attended.shape[-2]:
         raise ShapeError(
-            f"classify: mask length {mask.shape[1]} != rows {attended.shape[0]}")
-    pooled = ad.matmul(Tensor(mask / mask.sum()), attended)
+            f"classify: mask length {mask.shape[-1]} != rows {attended.shape[-2]}")
+    pooled = ad.matmul(Tensor(mask / mask.sum(axis=-1, keepdims=True)), attended)
     return _head_logits(head, pooled)
 
 
 def _head_logits(head: ClassifierHead, pooled: Tensor) -> Tensor:
+    pooled = ad.reshape(pooled, (-1, pooled.shape[-1]))
     hidden = ad.relu(ad.matmul(pooled, head.w1) + head.b1)
     return ad.matmul(hidden, head.w2) + head.b2
 
@@ -146,15 +150,23 @@ def build_model(vocab_size: int, n_labels: int, d_model: int, latent_dim: int,
 
 def forward(model: DiagnosisModel, token_ids,
             stat_embedding: np.ndarray | None) -> Tensor:
-    """Logits (1, n_labels) for one message under the model's mode."""
-    needs_stats = model.mode != "semantic_only"
-    if needs_stats and stat_embedding is None:
+    """Logits (B, n_labels) for a batch of B messages under the model's mode.
+
+    `token_ids` is a sequence of B id lists, each padded or truncated to
+    `m_fixed` by `pad_tokens`; `stat_embedding` is (B, latent_dim), or
+    None in `semantic_only` mode. The batch is one autodiff graph.
+    """
+    expected = (len(token_ids), model.latent_dim)
+    if model.mode != "semantic_only" and np.shape(stat_embedding) != expected:
         raise FusionError(
-            "no statistics embedding for this message; run preprocessing "
-            "(statistics dictionary + VAE embedding cache) before the classifier")
+            f"no statistics embeddings of shape {expected} for this batch (got "
+            f"{np.shape(stat_embedding)}); run preprocessing (statistics "
+            "dictionary + VAE embedding cache) before the classifier")
     if model.mode == "stats_only":
         return _head_logits(model.head, project_stats(model.stats, stat_embedding))
-    feats, mask = encode_message(model.encoder, token_ids, model.m_fixed)
+    ids, mask = (np.stack(parts) for parts in
+                 zip(*(pad_tokens(t, model.m_fixed) for t in token_ids)))
+    feats = model.encoder.encode(ids, mask)
     info_map, confidence = project_info(model.info, feats)
     if model.mode == "semantic_only":
         fused = ad.relu(info_map)

@@ -26,6 +26,9 @@ from .wordstats import (StatDictionary, build_stat_dictionary, load_stat_diction
                         message_stats, save_stat_dictionary)
 
 
+EVAL_CHUNK = 32  # records per forward pass when scoring: one default training batch
+
+
 class StageError(RuntimeError):
     """A pipeline stage failed; carries the stage name for diagnostics."""
 
@@ -164,31 +167,26 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _stat_vectors(stats: StatDictionary, records, m_fixed: int) -> np.ndarray:
-    return np.stack([message_stats(stats, rec, m_fixed).normalized
-                     for rec in records])
+def _batch_logits(model: DiagnosisModel, dataset: LogDataset, records,
+                  embeddings: np.ndarray) -> ad.Tensor:
+    """(len(records), n_labels) logits from one forward pass."""
+    return fusion.forward(model, [dataset.token_ids(rec.tokens) for rec in records],
+                          embeddings[[rec.message_id for rec in records]])
 
 
 def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
                    embeddings: np.ndarray) -> np.ndarray:
-    """(N, n_labels) logits, one row per record, evaluation mode."""
-    if not records:
-        return np.zeros((0, model.n_labels))
-    return np.concatenate([
-        fusion.forward(model, dataset.token_ids(rec.tokens),
-                       embeddings[rec.message_id]).values
-        for rec in records])
-
-
-def _predict(model, dataset, records, embeddings) -> np.ndarray:
-    logits = collect_logits(model, dataset, records, embeddings)
-    return logits.argmax(axis=1) if len(records) else np.zeros(0, dtype=np.int64)
+    """(N, n_labels) logits, one row per record, in chunks of EVAL_CHUNK."""
+    chunks = [_batch_logits(model, dataset, records[start:start + EVAL_CHUNK],
+                            embeddings).values
+              for start in range(0, len(records), EVAL_CHUNK)]
+    return np.concatenate(chunks) if chunks else np.zeros((0, model.n_labels))
 
 
 def _split_report(model, dataset, records, embeddings, config,
                   wall_clock: float) -> MetricsReport:
     true_ids = np.array([rec.label_id for rec in records], dtype=np.int64)
-    preds = _predict(model, dataset, records, embeddings)
+    preds = collect_logits(model, dataset, records, embeddings).argmax(axis=1)
     return compute_metrics(true_ids, preds, dataset.label_vocab.labels,
                            config=_config_snapshot(config), wall_clock=wall_clock)
 
@@ -237,20 +235,20 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     dict_hash = _file_digest(dict_path)
 
     with _stage("vae-pretrain"):
-        train_records = dataset.split_records("train")
+        # records are numbered 0..N-1 in file order, so row i is message i
+        all_vectors = np.stack([message_stats(stats, rec, config.m_fixed).normalized
+                                for rec in dataset.records])
+        train_ids = [rec.message_id for rec in dataset.split_records("train")]
         vae_config = statvae.VaeConfig(
             latent_dim=config.latent_dim, epochs=config.vae_epochs,
             batch_size=config.batch_size, learning_rate=config.learning_rate,
             seed=int(_child_rng(config.seed, 1).integers(2 ** 31)))
-        vae, curve = statvae.pretrain(
-            _stat_vectors(stats, train_records, config.m_fixed), vae_config)
+        vae, curve = statvae.pretrain(all_vectors[train_ids], vae_config)
         statvae.save_stat_vae(vae, run_dir / "vae.ckpt")
         _write_rows(run_dir / "vae_log.tsv", ("step", "loss"),
                     [(i, repr(v)) for i, v in enumerate(curve)])
 
     with _stage("embed-statistics"):
-        # records are numbered 0..N-1 in file order, so row i is message i
-        all_vectors = _stat_vectors(stats, dataset.records, config.m_fixed)
         embeddings = statvae.embed_statistics(vae, all_vectors)
         bad = int((~np.isfinite(embeddings)).any(axis=1).sum())
         if bad:
@@ -309,11 +307,8 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             batch = [train_records[i] for i in order[start:start + config.batch_size]]
-            rows = [fusion.forward(model, dataset.token_ids(rec.tokens),
-                                   embeddings[rec.message_id])
-                    for rec in batch]
             loss = ad.cross_entropy(
-                ad.concat_rows(rows),
+                _batch_logits(model, dataset, batch, embeddings),
                 np.array([rec.label_id for rec in batch], dtype=np.int64))
             value = float(loss.values)
             if not np.isfinite(value):
@@ -323,18 +318,12 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
             loss.backward()
             optimizer.step()
             losses.append(value)
-        if dev_records:
-            dev_true = np.array([r.label_id for r in dev_records], dtype=np.int64)
-            dev_pred = _predict(model, dataset, dev_records, embeddings)
-            dev_f1 = compute_metrics(dev_true, dev_pred,
-                                     dataset.label_vocab.labels).macro_f1
-            selected = dev_f1 > best_f1
-            if selected:
-                best_f1 = dev_f1
-                best_values = {name: t.values.copy() for name, t in params.items()}
-        else:
-            # No dev split: keep the final parameters.
-            dev_f1, selected = float("nan"), True
+        dev_f1 = (_split_report(model, dataset, dev_records, embeddings, config, 0.0)
+                  .macro_f1 if dev_records else float("nan"))
+        # No dev split: every epoch is selected, so the final parameters stay.
+        selected = not dev_records or dev_f1 > best_f1
+        if selected:
+            best_f1 = dev_f1
             best_values = {name: t.values.copy() for name, t in params.items()}
         log_rows.append((epoch, repr(float(np.mean(losses))) if losses else "nan",
                          repr(dev_f1), int(selected)))

@@ -82,15 +82,16 @@ class AttentionEncoder:
         return dict(self.params)
 
     def encode(self, ids: np.ndarray, mask: np.ndarray) -> Tensor:
+        """(..., m, d) features for (..., m) ids and their key mask."""
         p = self.params
-        m = ids.shape[0]
+        m = ids.shape[-1]
         x = ad.embedding(p["tok_emb"], ids) + Tensor(
             sinusoidal_positions(m, self.d_model))
         q = ad.matmul(x, p["wq"]) + p["bq"]
         k = ad.matmul(x, p["wk"]) + p["bk"]
         v = ad.matmul(x, p["wv"]) + p["bv"]
         scores = ad.matmul(q, k.T) * (1.0 / np.sqrt(self.d_model))
-        weights = ad.softmax_rows(scores, valid=mask)
+        weights = ad.softmax_rows(scores, valid=mask[..., None, :])
         attended = ad.matmul(ad.matmul(weights, v), p["wo"]) + p["bo"]
         x = x + attended
         hidden = ad.relu(ad.matmul(x, p["ffn_w1"]) + p["ffn_b1"])

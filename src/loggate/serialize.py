@@ -28,7 +28,7 @@ def save_table(path: str | Path, arrays: dict[str, np.ndarray],
     buf.write(MAGIC)
     for key, value in (meta or {}).items():
         if "\n" in key or "\n" in str(value) or "=" in key:
-            raise ValueError(f"invalid meta entry: {key!r}")
+            raise TableFormatError(f"invalid meta entry: {key!r}")
         buf.write(f"meta {key}={value}\n".encode())
     for name, arr in arrays.items():
         # the header is space separated, so a name must be one non-empty word

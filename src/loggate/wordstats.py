@@ -89,7 +89,15 @@ def message_stats(stats: StatDictionary, record: LogRecord,
 
 
 def save_stat_dictionary(stats: StatDictionary, path: str | Path) -> None:
-    """Sorted word-keyed table; byte-identical for identical inputs."""
+    """Sorted word-keyed table; byte-identical for identical inputs.
+
+    Labels are stored comma-joined on one line, so a label holding a
+    comma or a line break is refused rather than read back split.
+    """
+    for label in stats.label_vocab.labels:
+        if "," in label or label.splitlines() not in ([label], []):
+            raise StatError(f"label {label!r} cannot be stored: it holds "
+                            "a comma or a line break")
     lines = [
         "# labels: " + ",".join(stats.label_vocab.labels),
         "# train_hash: " + stats.built_from,
@@ -112,4 +120,7 @@ def load_stat_dictionary(path: str | Path) -> StatDictionary:
             continue
         word, _, rest = line.partition("\t")
         counts[word] = np.array([int(c) for c in rest.split(",")], dtype=np.int64)
+        if counts[word].size != len(labels):
+            raise StatError(f"{path}: word {word!r} has {counts[word].size} "
+                            f"counts for {len(labels)} labels")
     return StatDictionary(LabelVocab(labels), counts, built_from)

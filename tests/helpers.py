@@ -15,7 +15,9 @@ import numpy as np
 
 from loggate import autodiff as ad
 from loggate.autodiff import Tensor
-from loggate.semantic import InfoProjection
+from loggate.fusion import (DiagnosisModel, ada_sem_gate, classify,
+                            global_attention, project_stats)
+from loggate.semantic import InfoProjection, encode_message, project_info
 from loggate.wordstats import StatDictionary
 
 
@@ -86,9 +88,22 @@ def op_cases(rng: np.random.Generator):
     cases.append(("matmul", {"e": e, "f": f},
                   scaled(lambda: ad.matmul(e, f), shape=(3, 2))))
 
+    e3 = ad.parameter(rng.standard_normal((2, 3, 4)))
+    f3 = ad.parameter(rng.standard_normal((4, 2)))
+    cases.append(("matmul-batched", {"e3": e3, "f3": f3},
+                  scaled(lambda: ad.matmul(e3, f3), shape=(2, 3, 2))))
+
     g = ad.parameter(rng.standard_normal((2, 5)))
     cases.append(("transpose", {"g": g},
                   scaled(lambda: ad.transpose(g), shape=(5, 2))))
+
+    g3 = ad.parameter(rng.standard_normal((2, 3, 5)))
+    cases.append(("transpose-batched", {"g3": g3},
+                  scaled(lambda: ad.transpose(g3), shape=(2, 5, 3))))
+
+    k = ad.parameter(rng.standard_normal((2, 1, 3)))
+    cases.append(("reshape", {"k": k},
+                  scaled(lambda: ad.reshape(k, (-1, 3)), shape=(2, 3))))
 
     h = ad.parameter(_away_from_kink(rng, (4, 3)))
     cases.append(("relu", {"h": h}, scaled(lambda: ad.relu(h), shape=(4, 3))))
@@ -116,12 +131,21 @@ def op_cases(rng: np.random.Generator):
     ids[1] = ids[0]  # force a repeated row: backward must scatter-add
     cases.append(("embedding", {"table": table},
                   scaled(lambda: ad.embedding(table, ids), shape=(6, 4))))
+    ids2 = ids.reshape(2, 3)
+    cases.append(("embedding-2d", {"table": table},
+                  scaled(lambda: ad.embedding(table, ids2), shape=(2, 3, 4))))
 
     o = ad.parameter(rng.standard_normal((3, 5)))
     valid = np.ones(5, dtype=bool)
     valid[rng.integers(0, 5)] = False
     cases.append(("softmax-masked", {"o": o},
                   scaled(lambda: ad.softmax_rows(o, valid=valid), shape=(3, 5))))
+
+    o3 = ad.parameter(rng.standard_normal((2, 3, 5)))
+    valid3 = rng.random((2, 1, 5)) < 0.6
+    valid3[:, 0, rng.integers(0, 5)] = True  # every row keeps a column
+    cases.append(("softmax-batch-mask", {"o3": o3},
+                  scaled(lambda: ad.softmax_rows(o3, valid=valid3), shape=(2, 3, 5))))
 
     p = ad.parameter(rng.standard_normal((3, 5)))
     cases.append(("softmax", {"p": p},
@@ -138,6 +162,38 @@ def op_cases(rng: np.random.Generator):
                   lambda: ad.total(ad.square(ad.sigmoid(ad.matmul(r, s)) - 0.3))))
 
     return cases
+
+
+def per_message_forward(model: DiagnosisModel, token_ids,
+                        stat_embedding: np.ndarray | None) -> Tensor:
+    """Logits (1, n_labels) for one message, built block by block.
+
+    This is the one-message forward pass that the batched
+    `fusion.forward` replaced; stacking its rows is the oracle for a
+    batch.
+    """
+    if model.mode == "stats_only":
+        head = model.head
+        stat_info = project_stats(model.stats, stat_embedding)
+        hidden = ad.relu(ad.matmul(stat_info, head.w1) + head.b1)
+        return ad.matmul(hidden, head.w2) + head.b2
+    feats, mask = encode_message(model.encoder, token_ids, model.m_fixed)
+    info_map, confidence = project_info(model.info, feats)
+    if model.mode == "semantic_only":
+        fused = ad.relu(info_map)
+    elif model.mode == "no_gate":
+        fused = ad.relu(info_map) + project_stats(model.stats, stat_embedding)
+    else:
+        stat_info = project_stats(model.stats, stat_embedding)
+        fused = ada_sem_gate(info_map, confidence, stat_info, model.epsilon)
+    return classify(model.head, global_attention(fused, feats, mask), mask)
+
+
+def random_text(rng: np.random.Generator, alphabet: str, low: int,
+                high: int) -> str:
+    """`low` to `high` characters drawn uniformly from `alphabet`."""
+    size = int(rng.integers(low, high + 1))
+    return "".join(rng.choice(list(alphabet), size=size))
 
 
 def gate_value(alpha: float, epsilon: float) -> float:

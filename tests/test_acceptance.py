@@ -48,18 +48,21 @@ def test_criterion_1_gradient_suite():
         for name, params, build_loss in op_cases(rng):
             err = check_gradients(params, build_loss, eps=1e-6)
             worst = max(worst, err)
-    # full forward path: encoder, projections, gate, attention, classifier
+    # full forward path: encoder, projections, gate, attention, classifier,
+    # on batches of 2-4 messages that mix lengths
     for instance in range(20):
         rng = np.random.Generator(np.random.PCG64([200, instance]))
         model = build_model(vocab_size=9, n_labels=3, d_model=4, latent_dim=2,
                             m_fixed=4, epsilon=float(rng.uniform(0.05, 0.45)),
                             mode="full", rng=rng)
-        ids = rng.integers(2, 9, size=int(rng.integers(1, 5))).tolist()
-        emb = rng.standard_normal(2)
-        label = np.array([int(rng.integers(0, 3))])
+        lengths = rng.integers(0, 7, size=int(rng.integers(2, 5)))
+        lengths[:2] = 0, 6  # an empty message and one longer than m_fixed
+        batch = [rng.integers(2, 9, size=n).tolist() for n in lengths]
+        emb = rng.standard_normal((len(batch), 2))
+        labels = rng.integers(0, 3, size=len(batch))
 
         def build_loss():
-            return ad.cross_entropy(forward(model, ids, emb), label)
+            return ad.cross_entropy(forward(model, batch, emb), labels)
 
         err = check_gradients(model.parameters(), build_loss, eps=1e-6,
                               max_coords=3, rng=rng)

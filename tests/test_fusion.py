@@ -12,7 +12,7 @@ from loggate.fusion import (MODES, ClassifierHead, DiagnosisModel, FusionError,
 from loggate.semantic import InfoProjection, project_info
 
 from helpers import (check_gradients, fused_attention_oracle, gate_value,
-                     identity_projection)
+                     identity_projection, per_message_forward)
 
 
 # -- scalar gate ---------------------------------------------------------------
@@ -275,8 +275,8 @@ def test_forward_requires_stats_when_mode_uses_them():
     for mode in ("full", "stats_only", "no_gate"):
         model = make_model(mode=mode)
         with pytest.raises(FusionError, match="no statistics embedding"):
-            forward(model, [1, 2], None)
-    out = forward(make_model(mode="semantic_only"), [1, 2], None)
+            forward(model, [[1, 2]], None)
+    out = forward(make_model(mode="semantic_only"), [[1, 2]], None)
     assert out.values.shape == (1, 3)
 
 
@@ -287,8 +287,8 @@ def test_zero_band_equals_semantic_only():
     for _ in range(10):
         ids = rng.integers(0, 11, size=int(rng.integers(1, 5))).tolist()
         emb = rng.standard_normal(2)
-        a = forward(full, ids, emb).values
-        b = forward(sem, ids, None).values
+        a = forward(full, [ids], emb[None]).values
+        b = forward(sem, [ids], None).values
         assert np.abs(a - b).max() < 1e-9
 
 
@@ -296,8 +296,8 @@ def test_stats_only_ignores_tokens():
     model = make_model(mode="stats_only", seed=64)
     rng = np.random.Generator(np.random.PCG64(65))
     emb = rng.standard_normal(2)
-    a = forward(model, [1, 2, 3], emb).values
-    b = forward(model, [9, 9], emb).values
+    a = forward(model, [[1, 2, 3]], emb[None]).values
+    b = forward(model, [[9, 9]], emb[None]).values
     np.testing.assert_array_equal(a, b)
     stat_info = emb @ model.stats.weight.values + model.stats.bias.values
     hidden = np.maximum(stat_info @ model.head.w1.values + model.head.b1.values, 0.0)
@@ -313,8 +313,8 @@ def test_no_gate_adds_raw_stat_row():
     rng = np.random.Generator(np.random.PCG64(67))
     ids = [3, 8, 1]
     emb = rng.standard_normal(2)
-    a = forward(ng, ids, emb).values
-    b = forward(full, ids, emb).values
+    a = forward(ng, [ids], emb[None]).values
+    b = forward(full, [ids], emb[None]).values
     assert not np.allclose(a, b)
 
 
@@ -325,17 +325,62 @@ def test_forward_full_gradients():
     label = np.array([1])
 
     def build_loss():
-        return ad.cross_entropy(forward(model, ids, emb), label)
+        return ad.cross_entropy(forward(model, [ids], emb[None]), label)
 
     worst = check_gradients(model.parameters(), build_loss, eps=1e-6,
                             max_coords=3, rng=np.random.Generator(np.random.PCG64(70)))
     assert worst < 1e-4
 
 
+def _grads(model, loss):
+    for tensor in model.parameters().values():
+        tensor.zero_grad()
+    loss.backward()
+    return {name: np.zeros_like(t.values) if t.grad is None else t.grad
+            for name, t in model.parameters().items()}
+
+
+def test_batched_forward_matches_per_message_oracle():
+    # batches of 1..n messages, one empty and one longer than m_fixed,
+    # against the rows of the one-message forward pass stacked by concat_rows
+    rng = np.random.Generator(np.random.PCG64(74))
+    n = 7
+    messages = [rng.integers(0, 11, size=int(rng.integers(1, 5))).tolist()
+                for _ in range(n)]
+    messages[1] = []
+    messages[4] = rng.integers(0, 11, size=9).tolist()  # m_fixed is 5
+    embs = rng.standard_normal((n, 2))
+    labels = rng.integers(0, 3, size=n)
+    for mode in MODES:
+        model = make_model(mode=mode, epsilon=0.3, seed=75)
+        for size in range(1, n + 1):
+            batch, emb = messages[:size], embs[:size]
+            batched = forward(model, batch, emb)
+            oracle = ad.concat_rows([per_message_forward(model, ids, row)
+                                     for ids, row in zip(batch, emb)])
+            assert batched.shape == (size, 3)
+            gap = np.abs(batched.values - oracle.values).max()
+            assert gap <= 1e-12, f"{mode} batch {size}: logit gap {gap:.2e}"
+            got = _grads(model, ad.cross_entropy(batched, labels[:size]))
+            want = _grads(model, ad.cross_entropy(oracle, labels[:size]))
+            # relative to the largest gradient entry: some true gradients
+            # (the key bias's) are exactly zero and hold only roundoff
+            scale = max(np.abs(g).max() for g in want.values())
+            err = max(np.abs(got[k] - want[k]).max() for k in want) / scale
+            assert err <= 1e-12, f"{mode} batch {size}: gradient rel err {err:.2e}"
+
+
+def test_forward_rejects_embeddings_that_do_not_match_the_batch():
+    model = make_model(mode="full")
+    for emb in (np.zeros((1, 2)), np.zeros(2), np.zeros((2, 3))):
+        with pytest.raises(FusionError, match=r"shape \(2, 2\) for this batch"):
+            forward(model, [[1], [2]], emb)
+
+
 def test_model_save_load_roundtrip(tmp_path):
     model = make_model(mode="full", epsilon=0.25, seed=71)
     emb = np.random.Generator(np.random.PCG64(72)).standard_normal(2)
-    before = forward(model, [1, 5, 2], emb).values
+    before = forward(model, [[1, 5, 2]], emb[None]).values
     path = tmp_path / "model.table"
     save_model(model, path, extra_meta={"note": "x"})
     loaded, meta = load_model(path)
@@ -343,7 +388,7 @@ def test_model_save_load_roundtrip(tmp_path):
     assert meta["note"] == "x"
     assert loaded.epsilon == 0.25
     assert loaded.m_fixed == model.m_fixed
-    after = forward(loaded, [1, 5, 2], emb).values
+    after = forward(loaded, [[1, 5, 2]], emb[None]).values
     np.testing.assert_array_equal(after, before)
 
 

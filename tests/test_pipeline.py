@@ -177,7 +177,7 @@ def test_non_finite_classifier_loss_stops_before_checkpoint(base_config, tmp_pat
                                                            monkeypatch):
     monkeypatch.setattr(fusion, "forward",
                         lambda model, token_ids, stat_embedding:
-                        Tensor(np.full((1, model.n_labels), np.nan)))
+                        Tensor(np.full((len(token_ids), model.n_labels), np.nan)))
     with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss "
                                          r"nan at epoch 0 step 0"):
         train(base_config, tmp_path)

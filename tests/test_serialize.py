@@ -5,6 +5,14 @@ import pytest
 
 from loggate.serialize import MAGIC, TableFormatError, load_table, save_table
 
+from helpers import random_text
+
+# Legal characters: a tensor name is one word; a meta key may hold
+# whitespace but no "=" or newline; a meta value may hold "=" too.
+NAME_CHARS = "abcXYZ0189_.-/:,#\u00e9\u20ac"
+KEY_CHARS = NAME_CHARS + " \t"
+VALUE_CHARS = KEY_CHARS + "="
+
 
 def test_roundtrip_preserves_values_dtypes_and_meta(tmp_path):
     rng = np.random.default_rng(2)
@@ -63,6 +71,45 @@ def test_truncated_payload_rejected(tmp_path):
 def test_meta_with_newline_rejected(tmp_path):
     with pytest.raises(ValueError):
         save_table(tmp_path / "m.tbl", {}, meta={"k": "a\nb"})
+
+
+@pytest.mark.parametrize("meta", [{"k": "a\nb"}, {"a\nb": "v"}, {"a=b": "v"}])
+def test_bad_meta_entry_is_a_table_format_error(tmp_path, meta):
+    with pytest.raises(TableFormatError, match="invalid meta entry"):
+        save_table(tmp_path / "m.tbl", {}, meta=meta)
+
+
+def _random_array(rng):
+    shape = tuple(int(n) for n in rng.integers(0, 4, size=int(rng.integers(0, 4))))
+    if rng.random() < 0.5:
+        arr = np.asarray(rng.standard_normal(shape))
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324])
+        arr[rng.random(shape) < 0.2] = rng.choice(specials)
+        return arr
+    info = np.iinfo(np.int64)
+    return np.asarray(rng.integers(info.min, info.max, size=shape, dtype=np.int64))
+
+
+def test_random_tables_round_trip(tmp_path):
+    # shapes include 0-d and zero-size arrays; meta keys include whitespace
+    rng = np.random.Generator(np.random.PCG64(120))
+    path = tmp_path / "r.tbl"
+    for trial in range(300):
+        arrays = {random_text(rng, NAME_CHARS, 1, 8): _random_array(rng)
+                  for _ in range(int(rng.integers(0, 5)))}
+        meta = {random_text(rng, KEY_CHARS, 0, 8): random_text(rng, VALUE_CHARS, 0, 12)
+                for _ in range(int(rng.integers(0, 4)))}
+        save_table(path, arrays, meta=meta)
+        blob = path.read_bytes()
+        loaded, loaded_meta = load_table(path)
+        assert loaded_meta == meta, f"trial {trial}"
+        assert list(loaded) == list(arrays), f"trial {trial}"
+        for name, arr in arrays.items():
+            got = loaded[name]
+            assert (got.dtype, got.shape) == (arr.dtype, arr.shape), f"trial {trial}"
+            assert got.tobytes() == arr.tobytes(), f"trial {trial} {name!r}"
+        save_table(path, loaded, meta=loaded_meta)
+        assert path.read_bytes() == blob, f"trial {trial}"
 
 
 @pytest.mark.parametrize("name", ["", "a b", "a\tb", "a\nb", " a"])

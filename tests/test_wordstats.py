@@ -8,7 +8,7 @@ from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
                                load_stat_dictionary, message_stats,
                                save_stat_dictionary)
 
-from helpers import brute_force_stat_counts, total_tokens
+from helpers import brute_force_stat_counts, random_text, total_tokens
 
 
 def make_dataset(rows, labels):
@@ -202,3 +202,49 @@ def test_load_rejects_foreign_file(tmp_path):
     path.write_text("word\t1,2\n", encoding="utf-8")
     with pytest.raises(StatError, match="not a statistics dictionary"):
         load_stat_dictionary(path)
+
+
+def test_save_refuses_labels_that_do_not_round_trip(tmp_path):
+    # "disk,full" would load back as two labels
+    for label in ("disk,full", "disk\nfull", "disk\r", "a\u2028b"):
+        stats = StatDictionary(LabelVocab([label, "net"]),
+                               {"w": np.array([1, 0])}, "h")
+        with pytest.raises(StatError, match="cannot be stored"):
+            save_stat_dictionary(stats, tmp_path / "stats.tsv")
+
+
+def test_load_rejects_count_rows_of_the_wrong_width(tmp_path):
+    path = tmp_path / "stats.tsv"
+    path.write_text("# labels: disk,full,net\n# train_hash: h\nw\t1,0\n",
+                    encoding="utf-8")
+    with pytest.raises(StatError, match="2 counts for 3 labels"):
+        load_stat_dictionary(path)
+
+
+# Legal characters: a word is one token (no whitespace); a label may hold
+# whitespace but no comma or line break.
+WORD_CHARS = "abcxyz019<>_-.:,#\u00e9\u20ac"
+LABEL_CHARS = "abcXYZ019_-.:# \t\u00e9"
+
+
+def test_random_dictionaries_round_trip(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(121))
+    path = tmp_path / "stats.tsv"
+    for trial in range(200):
+        labels = list(dict.fromkeys(random_text(rng, LABEL_CHARS, 0, 6)
+                                    for _ in range(int(rng.integers(1, 5)))))
+        counts = {random_text(rng, WORD_CHARS, 1, 8):
+                  rng.integers(0, 10 ** 12, size=len(labels))
+                  for _ in range(int(rng.integers(0, 20)))}
+        built_from = bytes(rng.integers(0, 256, size=8, dtype=np.uint8)).hex()
+        stats = StatDictionary(LabelVocab(labels), counts, built_from)
+        save_stat_dictionary(stats, path)
+        blob = path.read_bytes()
+        loaded = load_stat_dictionary(path)
+        assert loaded.label_vocab.labels == labels, f"trial {trial}"
+        assert loaded.built_from == built_from, f"trial {trial}"
+        assert list(loaded.counts) == sorted(counts), f"trial {trial}"
+        for word, vec in counts.items():
+            assert loaded.counts[word].tolist() == vec.tolist(), f"trial {trial}"
+        save_stat_dictionary(loaded, path)
+        assert path.read_bytes() == blob, f"trial {trial}"

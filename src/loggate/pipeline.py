@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import shutil
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -72,6 +73,10 @@ class RunConfig:
         total = self.train_ratio + self.dev_ratio + self.test_ratio
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios sum to {total}, expected 1")
+        # `load_config` reads one stripped line per key.
+        if self.dataset != self.dataset.strip() or len(self.dataset.splitlines()) > 1:
+            raise ConfigError("dataset must not hold a line break or surrounding "
+                              f"whitespace, got {self.dataset!r}")
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -106,6 +111,8 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
+    """Write a valid `config` as `key=value` lines `load_config` reads back."""
+    config.validate()
     lines = [f"{f.name}={getattr(config, f.name)}" for f in fields(RunConfig)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -267,7 +274,14 @@ def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
     selection, evaluate on test.
     """
     started = time.perf_counter()
-    pre = preprocess(config, out_dir)
+    return _fit(config, preprocess(config, out_dir), started)
+
+
+def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResult:
+    """Train the classifier on `pre`, save it and score the test split.
+
+    The report's wall clock runs from `started`.
+    """
     dataset, embeddings, run_dir = pre.dataset, pre.embeddings, pre.run_dir
     with _stage("train-classifier"):
         model, log_rows = _train_classifier(config, dataset, embeddings)
@@ -371,13 +385,47 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
                              time.perf_counter() - started)
 
 
+_SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
+
+
+def _train_sharing_preprocess(runs) -> list[MetricsReport]:
+    """Train every `(config, run_dir)` pair on one preprocessing pass.
+
+    The configs may differ only in fields `preprocess` does not read
+    (`mode`, `epsilon`, `d_model`). Every config is validated before any
+    work. Each later run gets its own `run.cfg` and a byte copy of the
+    first run's preprocessing artifacts, so every run directory equals
+    what `train` alone would leave.
+    """
+    for config, _ in runs:
+        config.validate()
+    reports, pre = [], None
+    for config, run_dir in runs:
+        started = time.perf_counter()
+        if pre is None:
+            pre = preprocess(config, run_dir)
+            source = pre.run_dir
+        else:
+            run_dir = _make_run_dir(config, run_dir)
+            save_config(config, run_dir / "run.cfg")
+            for name in _SHARED_ARTIFACTS:
+                shutil.copyfile(source / name, run_dir / name)
+            pre = replace(pre, run_dir=run_dir)
+        reports.append(_fit(config, pre, started).report)
+    return reports
+
+
 def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsReport]:
-    """Full model plus the three ablations, identical settings and seed."""
+    """Full model plus the three ablations, identical settings and seed.
+
+    The modes share one preprocessing pass; `<out_dir>/<mode>` holds the
+    files `train` would write there. The `full` report's wall clock
+    covers preprocessing and its classifier; each other mode's covers
+    copying the artifacts and its own classifier.
+    """
     out_dir = Path(out_dir)
-    reports = {}
-    for mode in MODES:
-        result = train(replace(config, mode=mode), out_dir / mode)
-        reports[mode] = result.report
+    reports = dict(zip(MODES, _train_sharing_preprocess(
+        [(replace(config, mode=mode), out_dir / mode) for mode in MODES])))
     _write_rows(out_dir / "ablation.tsv", ("mode", "macro_f1", "micro_f1"),
                 [(mode, repr(rep.macro_f1), repr(rep.micro_f1))
                  for mode, rep in reports.items()])
@@ -389,21 +437,27 @@ SWEEP_AXES = {"hidden_dim": "d_model", "epsilon": "epsilon"}
 
 def run_sweep(config: RunConfig, axis: str, grid,
               out_dir: str | Path) -> list[tuple[float, MetricsReport]]:
-    """One full training run per grid value on the chosen axis."""
+    """One training run per grid value on the chosen axis.
+
+    Every point is cast and validated, and duplicates are refused,
+    before any work. The points share one preprocessing pass: the first
+    point's wall clock covers preprocessing and its classifier; each
+    later point's covers copying the artifacts and its own classifier.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
-    grid = list(grid)
-    if not grid:
-        raise ConfigError("sweep grid is empty")
     field_name = SWEEP_AXES[axis]
-    caster = _CASTERS[_CONFIG_TYPES[field_name]]
+    values = [_cast_field(field_name, value) for value in grid]
+    if not values:
+        raise ConfigError("sweep grid is empty")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"sweep grid repeats {axis} value(s) {repeated}")
     out_dir = Path(out_dir)
-    results = []
-    for value in grid:
-        value = caster(value)
-        point = replace(config, **{field_name: value})
-        result = train(point, out_dir / f"{axis}={value}")
-        results.append((value, result.report))
+    reports = _train_sharing_preprocess(
+        [(replace(config, **{field_name: value}), out_dir / f"{axis}={value}")
+         for value in values])
+    results = list(zip(values, reports))
     _write_rows(out_dir / "sweep.tsv",
                 (axis, "macro_f1", "micro_f1", "wall_clock"),
                 [(value, repr(rep.macro_f1), repr(rep.micro_f1),

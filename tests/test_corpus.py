@@ -11,7 +11,7 @@ from loggate.corpus import (CorpusError, CorpusProfile, LabelVocab, SplitSpec,
                             train_split_hash, write_profile, NUM_TOKEN,
                             PAD_ID, UNK_ID, FIRST_WORD_ID)
 
-from helpers import brute_force_profile
+from helpers import brute_force_profile, random_text
 
 
 # -- tokenize --------------------------------------------------------------
@@ -46,6 +46,26 @@ def test_tokenize_idempotent_on_own_output():
         once = tokenize(line)
         assert tokenize(" ".join(once)) == once
 
+
+
+# Pieces of a random log line: ASCII and non-ASCII letters (with case),
+# ASCII and Arabic-Indic digits, punctuation, blanks and the sentinel.
+LINE_PIECES = ["aZ", "\u00e9\u00c9\u00df", "\u0436\u0416", "\u6f22", "\u0130",
+               "0123456789", "\u0663", ".,:;=/_-()[]<>", " \t", NUM_TOKEN,
+               NUM_TOKEN.upper()]
+
+
+def test_tokenize_random_lines_are_idempotent_and_digit_free():
+    rng = np.random.Generator(np.random.PCG64(77))
+    for trial in range(500):
+        pieces = [LINE_PIECES[int(i)] for i in rng.integers(0, len(LINE_PIECES), 12)]
+        line = "".join(piece if piece.upper() == NUM_TOKEN.upper()
+                       else random_text(rng, piece, 0, 4) for piece in pieces)
+        once = tokenize(line)
+        assert tokenize(" ".join(once)) == once, f"trial {trial}: {line!r}"
+        for token in once:
+            assert token == NUM_TOKEN or not any(ch.isdecimal() for ch in token), \
+                f"trial {trial}: {token!r} from {line!r}"
 
 # -- split spec ------------------------------------------------------------
 

@@ -16,7 +16,7 @@ from loggate.fusion import MODES
 from loggate.synth import LabelSpec, SynthSpec, generate_synthetic, word_bank
 from loggate.wordstats import load_stat_dictionary
 
-from helpers import total_tokens
+from helpers import random_text, total_tokens
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +99,50 @@ def test_apply_overrides(base_config):
     with pytest.raises(ConfigError, match="epsilon"):
         apply_overrides(base_config, ["epsilon=0.9"])
 
+
+
+@pytest.mark.parametrize("dataset", [" a.tsv", "a.tsv ", "\ta.tsv", "a\nseed=99",
+                                     "a\r\nb", "a\u2028b", "a\x0bb"])
+def test_save_config_refuses_values_that_do_not_round_trip(tmp_path, dataset):
+    path = tmp_path / "run.cfg"
+    with pytest.raises(ConfigError, match="dataset must not hold a line break"):
+        save_config(RunConfig(dataset=dataset), path)
+    assert not path.exists()
+    with pytest.raises(ConfigError, match="dataset must not hold a line break"):
+        train(RunConfig(dataset=dataset), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
+
+
+# A dataset path may hold inner blanks, "=", "#" and non-ASCII letters.
+PATH_CHARS = "abzAZ09_-./=#\u00e9\u6f22 "
+
+
+def test_random_configs_round_trip(tmp_path):
+    rng = np.random.Generator(np.random.PCG64(303))
+    path = tmp_path / "run.cfg"
+    for trial in range(300):
+        train_ratio = float(rng.uniform(0.1, 0.9))
+        dev_ratio = float(rng.uniform(0.0, 1.0 - train_ratio))
+        config = RunConfig(
+            dataset="x" + random_text(rng, PATH_CHARS, 0, 20) + "y",
+            train_ratio=train_ratio, dev_ratio=dev_ratio,
+            test_ratio=1.0 - train_ratio - dev_ratio,
+            m_fixed=int(rng.integers(1, 10 ** 6)),
+            d_model=int(rng.integers(1, 512)),
+            latent_dim=int(rng.integers(1, 64)),
+            epsilon=float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)])),
+            learning_rate=float(rng.choice([1e-3, 3e-7, 10 ** rng.uniform(-8, 1)])),
+            batch_size=int(rng.integers(1, 1024)),
+            vae_epochs=int(rng.integers(0, 100)),
+            classifier_epochs=int(rng.integers(0, 100)),
+            seed=int(rng.integers(-2 ** 62, 2 ** 62)),
+            mode=str(rng.choice(MODES)))
+        config.validate()
+        save_config(config, path)
+        blob = path.read_bytes()
+        assert load_config(path) == config, f"trial {trial}"
+        save_config(load_config(path), path)
+        assert path.read_bytes() == blob, f"trial {trial}"
 
 # -- stages -----------------------------------------------------------------
 
@@ -255,3 +299,69 @@ def test_sweep_validates_axis_and_grid(base_config, tmp_path):
         run_sweep(base_config, "latent", [1], tmp_path)
     with pytest.raises(ConfigError, match="grid is empty"):
         run_sweep(base_config, "epsilon", [], tmp_path)
+
+
+def test_sweep_validates_every_point_before_training(base_config, tmp_path):
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match="epsilon"):
+        run_sweep(base_config, "epsilon", ["0.1", "0.9"], out)
+    assert not out.exists()
+
+
+def test_sweep_refuses_points_that_cast_to_the_same_value(base_config, tmp_path):
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match=r"repeats epsilon value\(s\) \[0.1\]"):
+        run_sweep(base_config, "epsilon", ["0.1", "0.10"], out)
+    assert not out.exists()
+
+
+# Every file a run leaves that carries no wall clock.
+RUN_FILES = ("run.cfg", "stat_dict.tsv", "vae.ckpt", "vae_log.tsv",
+             "embeddings.tbl", "model.ckpt", "train_log.tsv", "metrics.tsv")
+
+
+def assert_same_run_files(shared_dir, alone_dir):
+    for name in RUN_FILES:
+        assert (shared_dir / name).read_bytes() == (alone_dir / name).read_bytes(), \
+            f"{shared_dir.name}/{name}"
+
+
+@pytest.fixture(scope="module")
+def ablated(base_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ablation")
+    return out, run_ablation(base_config, out)
+
+
+def test_ablation_equals_independent_train_runs(ablated, base_config, tmp_path):
+    out, reports = ablated
+    alone = {mode: train(replace(base_config, mode=mode), tmp_path / mode).report
+             for mode in MODES}
+    for mode in MODES:
+        assert_same_run_files(out / mode, tmp_path / mode)
+    expected = "mode\tmacro_f1\tmicro_f1\n" + "".join(
+        f"{mode}\t{alone[mode].macro_f1!r}\t{alone[mode].micro_f1!r}\n"
+        for mode in MODES)
+    assert (out / "ablation.tsv").read_text(encoding="utf-8") == expected
+    assert [reports[mode].macro_f1 for mode in MODES] == \
+        [alone[mode].macro_f1 for mode in MODES]
+
+
+def test_evaluate_reads_every_ablation_mode(ablated):
+    out, reports = ablated
+    for mode in MODES:
+        report = evaluate(out / mode)
+        assert report.macro_f1 == reports[mode].macro_f1, mode
+        assert report.confusion.tolist() == reports[mode].confusion.tolist(), mode
+
+
+@pytest.mark.parametrize("axis,field,grid", [("hidden_dim", "d_model", [4, 12]),
+                                             ("epsilon", "epsilon", [0.0, 0.35])])
+def test_sweep_equals_independent_train_runs(base_config, tmp_path, axis, field,
+                                             grid):
+    results = run_sweep(base_config, axis, grid, tmp_path / "sweep")
+    assert [value for value, _ in results] == grid
+    for value, report in results:
+        point = f"{axis}={value}"
+        alone = train(replace(base_config, **{field: value}), tmp_path / point)
+        assert_same_run_files(tmp_path / "sweep" / point, tmp_path / point)
+        assert report.macro_f1 == alone.report.macro_f1, point

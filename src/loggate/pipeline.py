@@ -70,7 +70,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        total = self.train_ratio + self.dev_ratio + self.test_ratio
+        ratios = (self.train_ratio, self.dev_ratio, self.test_ratio)
+        if not all(r >= 0.0 for r in ratios):
+            raise ConfigError(f"split ratios must be non-negative, got {ratios}")
+        total = sum(ratios)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"split ratios sum to {total}, expected 1")
         # `load_config` reads one stripped line per key.
@@ -83,15 +86,19 @@ _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _CASTERS = {"str": str, "int": int, "float": float}
 
 
-def _cast_field(key: str, raw: str):
+def _cast_field(key: str, raw):
+    """`raw` as the field's type: a string, or a value from the API."""
     if key not in _CONFIG_TYPES:
         raise ConfigError(
             f"unknown config key {key!r}; valid keys: {', '.join(sorted(_CONFIG_TYPES))}")
     caster = _CASTERS[_CONFIG_TYPES[key]]
     try:
-        return caster(raw)
-    except ValueError:
+        value = caster(raw)
+        if caster is int and not isinstance(raw, str) and value != raw:
+            raise ValueError  # int() truncates a non-integral number
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r} expects {_CONFIG_TYPES[key]}, got {raw!r}")
+    return value
 
 
 def load_config(path: str | Path) -> RunConfig:

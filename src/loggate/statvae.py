@@ -2,7 +2,11 @@
 
 Pretrained unsupervised on the train split, independent of the
 classifier. The posterior mean is the message's statistical embedding;
-sampling happens only while pretraining.
+sampling happens only while pretraining. Pretraining builds no autodiff
+graph: each step computes the negated ELBO and its closed-form gradient
+in plain numpy (reparameterized sample, analytic Gaussian KL; Kingma &
+Welling 2014, arXiv 1312.6114). The tests check it bit for bit against
+the same loss built on the autodiff graph.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ class StatVae:
 class LatentCode:
     mu: Tensor
     log_var: Tensor
-    sample: Tensor | None = None
 
     @property
     def mean_values(self) -> np.ndarray:
@@ -85,61 +88,73 @@ def _standardize(vae: StatVae, x: np.ndarray) -> np.ndarray:
     return (x - vae.in_mean) / vae.in_std
 
 
-def encode(vae: StatVae, x: np.ndarray,
-           noise: np.ndarray | None = None) -> LatentCode:
+def _encoder(p: dict[str, np.ndarray], x: np.ndarray):
+    """Hidden-unit mask, hidden layer, posterior mean and log-variance.
+
+    `x` is a standardized (b, n) batch and `p` the parameter arrays.
+    """
+    pre = x @ p["enc_w"] + p["enc_b"]
+    mask = pre > 0
+    hidden = np.where(mask, pre, 0.0)
+    return mask, hidden, hidden @ p["mu_w"] + p["mu_b"], \
+        hidden @ p["logvar_w"] + p["logvar_b"]
+
+
+def encode(vae: StatVae, x: np.ndarray) -> LatentCode:
     """Posterior parameters for a batch of statistics vectors.
 
-    `x` is (b, n) or (n,). When `noise` is given (standard-normal,
-    shaped like the posterior mean) the reparameterized sample is
-    attached; inference passes no noise and uses the mean only.
+    `x` is (b, n) or (n,). The returned tensors are constants.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != vae.input_dim:
         raise VaeError(
             f"expected statistics dimension {vae.input_dim}, got {x.shape[1]}")
-    p = vae.params
-    inputs = Tensor(_standardize(vae, x))
-    hidden = ad.relu(ad.matmul(inputs, p["enc_w"]) + p["enc_b"])
-    mu = ad.matmul(hidden, p["mu_w"]) + p["mu_b"]
-    log_var = ad.matmul(hidden, p["logvar_w"]) + p["logvar_b"]
-    sample = None
-    if noise is not None:
-        if noise.shape != mu.values.shape:
-            raise VaeError(f"noise shape {noise.shape} != posterior {mu.values.shape}")
-        sample = mu + ad.exp(log_var * 0.5) * Tensor(noise)
-    return LatentCode(mu, log_var, sample)
+    p = {name: t.values for name, t in vae.params.items()}
+    _, _, mu, log_var = _encoder(p, _standardize(vae, x))
+    return LatentCode(Tensor(mu), Tensor(log_var))
 
 
-def decode(vae: StatVae, latent: Tensor) -> Tensor:
-    p = vae.params
-    hidden = ad.relu(ad.matmul(latent, p["dec_w"]) + p["dec_b"])
-    return ad.matmul(hidden, p["out_w"]) + p["out_b"]
+def _elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float:
+    """Negated ELBO of one batch; a finite loss also sets every `.grad`.
 
-
-def kl_divergence(code: LatentCode) -> Tensor:
-    """Closed-form KL against the standard normal prior, batch mean.
-
-    Per row: -1/2 * sum(1 + log s^2 - mu^2 - s^2). Always >= 0, zero
-    exactly at mu=0, s=1.
+    The loss is the batch mean of 1/2 squared reconstruction error of the
+    standardized batch plus the closed-form KL(q || N(0, I)), decoded
+    from the sample mu + exp(log_var / 2) * noise. Every expression
+    repeats the autodiff engine's float operations in its order, and the
+    three gradients reaching `log_var` are summed in the engine's order
+    (the sample's, the KL's 1 + log_var, then its exp(log_var)), so the
+    loss and gradients are bit-equal to the graph-built loss.
     """
-    rows = code.mu.values.shape[0]
-    body = 1.0 + code.log_var - ad.square(code.mu) - ad.exp(code.log_var)
-    return ad.total(body) * (-0.5 / rows)
-
-
-def elbo_loss(x: np.ndarray, code: LatentCode, reconstruction: Tensor) -> Tensor:
-    """Negated evidence bound: KL plus Gaussian reconstruction error.
-
-    The reconstruction term is 1/2 squared error per row (unit-variance
-    Gaussian observation model, constants dropped), batch mean.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if reconstruction.values.shape != x.shape:
-        raise VaeError(
-            f"reconstruction shape {reconstruction.values.shape} != input {x.shape}")
-    rows = x.shape[0]
-    recon = ad.total(ad.square(reconstruction - Tensor(x))) * (0.5 / rows)
-    return recon + kl_divergence(code)
+    p = {name: t.values for name, t in vae.params.items()}
+    rows = batch.shape[0]
+    x = _standardize(vae, batch)
+    enc_mask, hidden, mu, log_var = _encoder(p, x)
+    std = np.exp(log_var * 0.5)
+    var = np.exp(log_var)
+    sample = mu + std * noise
+    dec_pre = sample @ p["dec_w"] + p["dec_b"]
+    dec_mask = dec_pre > 0
+    dec_hidden = np.where(dec_mask, dec_pre, 0.0)
+    diff = dec_hidden @ p["out_w"] + p["out_b"] + x * -1.0
+    kl_body = log_var + 1.0 + mu ** 2 * -1.0 + var * -1.0
+    loss = float((diff ** 2).sum() * (0.5 / rows) + kl_body.sum() * (-0.5 / rows))
+    if not np.isfinite(loss):
+        return loss
+    g_out = 0.5 / rows * 2.0 * diff
+    g_dec = g_out @ p["out_w"].T * dec_mask
+    g_sample = g_dec @ p["dec_w"].T
+    kl_grad = -0.5 / rows * -1.0
+    g_mu = g_sample + kl_grad * 2.0 * mu
+    g_log_var = g_sample * noise * std * 0.5 + -0.5 / rows + kl_grad * var
+    g_enc = (g_mu @ p["mu_w"].T + g_log_var @ p["logvar_w"].T) * enc_mask
+    grads = {"enc_w": x.T @ g_enc, "enc_b": g_enc.sum(axis=0),
+             "mu_w": hidden.T @ g_mu, "mu_b": g_mu.sum(axis=0),
+             "logvar_w": hidden.T @ g_log_var, "logvar_b": g_log_var.sum(axis=0),
+             "dec_w": sample.T @ g_dec, "dec_b": g_dec.sum(axis=0),
+             "out_w": dec_hidden.T @ g_out, "out_b": g_out.sum(axis=0)}
+    for name, t in vae.params.items():
+        t.grad = grads[name]
+    return loss
 
 
 def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[float]]:
@@ -159,7 +174,7 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     std = vectors.std(axis=0)
     vae.in_mean = mean
     vae.in_std = np.where(std < 1e-6, 1.0, std)
-    # Standardization happens inside encode(); train on the raw vectors.
+    # Standardization happens inside each step; train on the raw vectors.
     optimizer = Adam(vae.params, lr=config.learning_rate)
     losses: list[float] = []
     n = vectors.shape[0]
@@ -168,15 +183,9 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
         for step, start in enumerate(range(0, n, config.batch_size)):
             batch = vectors[order[start:start + config.batch_size]]
             noise = rng.standard_normal((batch.shape[0], config.latent_dim))
-            code = encode(vae, batch, noise=noise)
-            target = _standardize(vae, batch)
-            recon = decode(vae, code.sample)
-            loss = elbo_loss(target, code, recon)
-            value = float(loss.values)
+            value = _elbo_step(vae, batch, noise)
             if not np.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
-            optimizer.zero_grad()
-            loss.backward()
             optimizer.step()
             losses.append(value)
     return vae, losses

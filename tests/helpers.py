@@ -18,6 +18,7 @@ from loggate.autodiff import Tensor
 from loggate.fusion import (DiagnosisModel, ada_sem_gate, classify,
                             global_attention, project_stats)
 from loggate.semantic import InfoProjection, encode_message, project_info
+from loggate.statvae import LatentCode, StatVae, VaeError
 from loggate.wordstats import StatDictionary
 
 
@@ -187,6 +188,77 @@ def per_message_forward(model: DiagnosisModel, token_ids,
         stat_info = project_stats(model.stats, stat_embedding)
         fused = ada_sem_gate(info_map, confidence, stat_info, model.epsilon)
     return classify(model.head, global_attention(fused, feats, mask), mask)
+
+
+def graph_encode(vae: StatVae, x: np.ndarray, noise: np.ndarray | None = None
+                 ) -> tuple[LatentCode, Tensor | None]:
+    """Posterior of a batch on the autodiff graph, and with `noise` the
+    reparameterized sample mu + exp(log_var / 2) * noise.
+
+    This and `decode`, `kl_divergence` and `elbo_loss` are the VAE loss
+    as the graph builds it; `graph_elbo_step` runs it in place of the
+    closed-form step of `statvae.pretrain`.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    p = vae.params
+    inputs = Tensor((x - vae.in_mean) / vae.in_std)
+    hidden = ad.relu(ad.matmul(inputs, p["enc_w"]) + p["enc_b"])
+    mu = ad.matmul(hidden, p["mu_w"]) + p["mu_b"]
+    log_var = ad.matmul(hidden, p["logvar_w"]) + p["logvar_b"]
+    sample = None
+    if noise is not None:
+        if noise.shape != mu.values.shape:
+            raise VaeError(f"noise shape {noise.shape} != posterior {mu.values.shape}")
+        sample = mu + ad.exp(log_var * 0.5) * Tensor(noise)
+    return LatentCode(mu, log_var), sample
+
+
+def decode(vae: StatVae, latent: Tensor) -> Tensor:
+    p = vae.params
+    hidden = ad.relu(ad.matmul(latent, p["dec_w"]) + p["dec_b"])
+    return ad.matmul(hidden, p["out_w"]) + p["out_b"]
+
+
+def kl_divergence(code: LatentCode) -> Tensor:
+    """Closed-form KL against the standard normal prior, batch mean.
+
+    Per row: -1/2 * sum(1 + log s^2 - mu^2 - s^2). Always >= 0, zero
+    exactly at mu=0, s=1.
+    """
+    rows = code.mu.values.shape[0]
+    body = 1.0 + code.log_var - ad.square(code.mu) - ad.exp(code.log_var)
+    return ad.total(body) * (-0.5 / rows)
+
+
+def elbo_loss(x: np.ndarray, code: LatentCode, reconstruction: Tensor) -> Tensor:
+    """Negated evidence bound: KL plus Gaussian reconstruction error.
+
+    The reconstruction term is 1/2 squared error per row (unit-variance
+    Gaussian observation model, constants dropped), batch mean.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if reconstruction.values.shape != x.shape:
+        raise VaeError(
+            f"reconstruction shape {reconstruction.values.shape} != input {x.shape}")
+    rows = x.shape[0]
+    recon = ad.total(ad.square(reconstruction - Tensor(x))) * (0.5 / rows)
+    return recon + kl_divergence(code)
+
+
+def graph_elbo(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> Tensor:
+    """Negated ELBO of one raw batch under frozen noise, as a graph."""
+    code, sample = graph_encode(vae, batch, noise=noise)
+    target = (batch - vae.in_mean) / vae.in_std
+    return elbo_loss(target, code, decode(vae, sample))
+
+
+def graph_elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float:
+    """The closed-form step's contract on the graph: loss, and every `.grad`."""
+    for t in vae.params.values():
+        t.zero_grad()
+    loss = graph_elbo(vae, batch, noise)
+    loss.backward()
+    return float(loss.values)
 
 
 def random_text(rng: np.random.Generator, alphabet: str, low: int,

@@ -19,14 +19,15 @@ from loggate.fusion import (ada_sem_gate, build_model, forward,
                             global_attention, project_stats)
 from loggate.pipeline import RunConfig, collect_logits, train
 from loggate.semantic import InfoProjection, project_info
-from loggate.statvae import LatentCode, VaeConfig, kl_divergence, pretrain
+from loggate.statvae import LatentCode, VaeConfig, pretrain
 from loggate.synth import generate_synthetic, make_default_spec, make_joint_spec, \
     make_stats_spec
 from loggate.wordstats import build_stat_dictionary, message_stats
 
 from helpers import (brute_force_profile, brute_force_stat_counts,
                      check_gradients, fused_attention_oracle, gate_value,
-                     identity_projection, monte_carlo_kl, op_cases)
+                     identity_projection, kl_divergence, monte_carlo_kl,
+                     op_cases)
 
 MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
 

@@ -101,15 +101,23 @@ def test_apply_overrides(base_config):
 
 
 
-@pytest.mark.parametrize("dataset", [" a.tsv", "a.tsv ", "\ta.tsv", "a\nseed=99",
-                                     "a\r\nb", "a\u2028b", "a\x0bb"])
-def test_save_config_refuses_values_that_do_not_round_trip(tmp_path, dataset):
+@pytest.mark.parametrize("fields,message", [
+    *[pytest.param(dict(dataset=dataset), "dataset must not hold a line break",
+                   id=dataset)
+      for dataset in [" a.tsv", "a.tsv ", "\ta.tsv", "a\nseed=99", "a\r\nb",
+                      "a\u2028b", "a\x0bb"]],
+    # sums to 1, so only the sign check refuses it before `SplitSpec` would
+    pytest.param(dict(dataset="a.tsv", train_ratio=1.2, dev_ratio=-0.2,
+                      test_ratio=0.0),
+                 "split ratios must be non-negative", id="negative-ratio"),
+])
+def test_save_config_refuses_values_that_do_not_round_trip(tmp_path, fields, message):
     path = tmp_path / "run.cfg"
-    with pytest.raises(ConfigError, match="dataset must not hold a line break"):
-        save_config(RunConfig(dataset=dataset), path)
+    with pytest.raises(ConfigError, match=message):
+        save_config(RunConfig(**fields), path)
     assert not path.exists()
-    with pytest.raises(ConfigError, match="dataset must not hold a line break"):
-        train(RunConfig(dataset=dataset), tmp_path / "run")
+    with pytest.raises(ConfigError, match=message):
+        train(RunConfig(**fields), tmp_path / "run")
     assert not (tmp_path / "run").exists()
 
 
@@ -305,6 +313,14 @@ def test_sweep_validates_every_point_before_training(base_config, tmp_path):
     out = tmp_path / "sweep"
     with pytest.raises(ConfigError, match="epsilon"):
         run_sweep(base_config, "epsilon", ["0.1", "0.9"], out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [4.5, float("inf"), None])
+def test_sweep_refuses_values_an_int_axis_cannot_hold(base_config, tmp_path, value):
+    out = tmp_path / "sweep"
+    with pytest.raises(ConfigError, match="'d_model' expects int"):
+        run_sweep(base_config, "hidden_dim", [4, value], out)
     assert not out.exists()
 
 

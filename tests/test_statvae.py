@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from loggate import autodiff as ad
+from loggate import statvae
 from loggate.autodiff import Tensor
 from loggate.serialize import load_table, save_table
-from loggate.statvae import (LatentCode, VaeConfig, VaeError, decode,
-                             elbo_loss, embed_statistics, encode,
-                             init_stat_vae, kl_divergence,
+from loggate.statvae import (LatentCode, VaeConfig, VaeError, _elbo_step,
+                             embed_statistics, encode, init_stat_vae,
                              load_embedding_cache, load_stat_vae, pretrain,
                              save_embedding_cache, save_stat_vae)
 
-from helpers import check_gradients, monte_carlo_kl
+from helpers import (check_gradients, elbo_loss, graph_elbo, graph_elbo_step,
+                     graph_encode, kl_divergence, monte_carlo_kl, rel_err)
 
 
 def code_from(mu, log_var):
@@ -102,11 +103,14 @@ def test_encode_shapes_and_sample_formula():
     rng = np.random.Generator(np.random.PCG64(4))
     x = rng.uniform(0.0, 3.0, (4, 5))
     noise = rng.standard_normal((4, 3))
-    code = encode(vae, x, noise=noise)
+    code = encode(vae, x)
     assert code.mu.values.shape == (4, 3)
     assert code.log_var.values.shape == (4, 3)
+    graph_code, sample = graph_encode(vae, x, noise=noise)
+    np.testing.assert_array_equal(code.mu.values, graph_code.mu.values)
+    np.testing.assert_array_equal(code.log_var.values, graph_code.log_var.values)
     expect = code.mu.values + np.exp(0.5 * code.log_var.values) * noise
-    np.testing.assert_allclose(code.sample.values, expect, rtol=0, atol=0)
+    np.testing.assert_allclose(sample.values, expect, rtol=0, atol=0)
 
 
 def test_encode_rejects_wrong_width():
@@ -118,7 +122,7 @@ def test_encode_rejects_wrong_width():
 def test_encode_rejects_wrong_noise_shape():
     vae = small_vae()
     with pytest.raises(VaeError, match="noise shape"):
-        encode(vae, np.ones((2, 5)), noise=np.zeros((2, 2)))
+        graph_encode(vae, np.ones((2, 5)), noise=np.zeros((2, 2)))
 
 
 def test_vae_loss_gradients_with_frozen_noise():
@@ -128,12 +132,65 @@ def test_vae_loss_gradients_with_frozen_noise():
     noise = rng.standard_normal((3, 3))
 
     def build_loss():
-        code = encode(vae, x, noise=noise)
-        recon = decode(vae, code.sample)
-        return elbo_loss(x, code, recon)
+        return graph_elbo(vae, x, noise)
 
     worst = check_gradients(vae.params, build_loss, eps=1e-6,
                             max_coords=5, rng=np.random.Generator(np.random.PCG64(19)))
+    assert worst < 1e-4
+
+
+# -- the closed-form training step --------------------------------------------
+
+
+def standardized_vae(n_rows=40, seed=23):
+    """An untrained VAE standardized like `pretrain` does, with its vectors.
+
+    Column 2 never varies, so its `in_std` is floored to 1.
+    """
+    vectors = training_vectors(n_rows, 5, seed=seed)
+    vectors[:, 2] = 1.75
+    vae, _ = pretrain(vectors, VaeConfig(latent_dim=3, hidden_dim=8, epochs=0,
+                                         seed=seed))
+    assert vae.in_std[2] == 1.0
+    return vae, vectors
+
+
+@pytest.mark.parametrize("rows", [1, 7, 32])
+def test_closed_form_step_is_bit_equal_to_the_graph(rows):
+    for seed in range(5):
+        vae, vectors = standardized_vae(seed=30 + seed)
+        rng = np.random.Generator(np.random.PCG64([rows, seed]))
+        batch = vectors[rng.permutation(len(vectors))[:rows]]
+        noise = rng.standard_normal((rows, vae.latent_dim))
+        loss = _elbo_step(vae, batch, noise)
+        grads = {name: t.grad for name, t in vae.params.items()}
+        assert graph_elbo_step(vae, batch, noise) == loss
+        assert len(grads) == 10
+        for name, t in vae.params.items():
+            assert np.array_equal(grads[name], t.grad), (seed, name)
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_closed_form_step_matches_finite_differences(rows):
+    vae, vectors = standardized_vae()
+    rng = np.random.Generator(np.random.PCG64(rows))
+    batch = vectors[rng.permutation(len(vectors))[:rows]]
+    noise = rng.standard_normal((rows, vae.latent_dim))
+    _elbo_step(vae, batch, noise)
+    grads = {name: t.grad.copy() for name, t in vae.params.items()}
+    eps = 1e-6
+    worst = 0.0
+    for name, t in vae.params.items():
+        flat = t.values.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            plus = _elbo_step(vae, batch, noise)
+            flat[i] = orig - eps
+            minus = _elbo_step(vae, batch, noise)
+            flat[i] = orig
+            numeric = (plus - minus) / (2 * eps)
+            worst = max(worst, rel_err(grads[name].reshape(-1)[i], numeric))
     assert worst < 1e-4
 
 
@@ -172,6 +229,18 @@ def test_pretrain_standardization_floor():
     assert vae.in_std[2] == 1.0
     assert vae.in_mean[2] == pytest.approx(1.75)
     assert np.isfinite(losses).all()
+
+
+def test_pretrain_on_the_graph_step_is_identical(monkeypatch):
+    vectors = training_vectors(40, 5)
+    vectors[:, 3] = 0.5
+    config = VaeConfig(latent_dim=3, hidden_dim=8, epochs=3, batch_size=16, seed=8)
+    vae, losses = pretrain(vectors, config)
+    monkeypatch.setattr(statvae, "_elbo_step", graph_elbo_step)
+    graph_vae, graph_losses = pretrain(vectors, config)
+    assert losses == graph_losses
+    for name, t in vae.params.items():
+        np.testing.assert_array_equal(t.values, graph_vae.params[name].values)
 
 
 def test_pretrain_rejects_empty():

@@ -27,13 +27,15 @@ class CorpusError(ValueError):
 def tokenize(line: str) -> list[str]:
     """Lowercase, split on non-alphanumeric boundaries, collapse digit runs.
 
-    Every maximal digit run becomes the sentinel token so volatile
-    parameters (ports, offsets, counters) share one vocabulary entry.
+    Every maximal run of decimal digits (`\\d`) becomes the sentinel
+    token so volatile parameters (ports, offsets, counters) share one
+    vocabulary entry. Other digit-like characters, such as superscripts,
+    are letters of the word they stand in.
     Blank or punctuation-only lines yield an empty list.
     """
     out = []
     for tok in _TOKEN_RE.findall(line.lower()):
-        out.append(NUM_TOKEN if tok[0].isdigit() else tok)
+        out.append(NUM_TOKEN if tok[0].isdecimal() else tok)
     return out
 
 

@@ -23,8 +23,10 @@ from .corpus import (FIRST_WORD_ID, LogDataset, SplitSpec, load_dataset,
 from .fusion import MODES, DiagnosisModel
 from .metrics import MetricsReport, compute_metrics, format_metrics, write_metrics
 from .optim import Adam
-from .wordstats import (StatDictionary, build_stat_dictionary, load_stat_dictionary,
-                        message_stats, save_stat_dictionary)
+# message_stats stays importable here: perfbench traces it under this name.
+from .wordstats import (StatDictionary, build_stat_dictionary,  # noqa: F401
+                        load_stat_dictionary, message_stats, pooled_stats,
+                        save_stat_dictionary)
 
 
 EVAL_CHUNK = 32  # records per forward pass when scoring: one default training batch
@@ -250,8 +252,7 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
 
     with _stage("vae-pretrain"):
         # records are numbered 0..N-1 in file order, so row i is message i
-        all_vectors = np.stack([message_stats(stats, rec, config.m_fixed).normalized
-                                for rec in dataset.records])
+        all_vectors = pooled_stats(stats, dataset.records, config.m_fixed)
         train_ids = [rec.message_id for rec in dataset.split_records("train")]
         vae_config = statvae.VaeConfig(
             latent_dim=config.latent_dim, epochs=config.vae_epochs,

@@ -76,6 +76,9 @@ def load_table(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]
                     f"{path}: malformed header line {line!r}") from None
             if name in arrays:
                 raise TableFormatError(f"{path}: duplicate tensor name {name!r}")
+            if any(d < 0 for d in shape):
+                raise TableFormatError(
+                    f"{path}: tensor {name!r} has a negative dimension in {dims!r}")
             if code not in _DTYPES:
                 raise TableFormatError(f"{path}: unknown dtype code {code!r}")
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1

@@ -88,6 +88,33 @@ def message_stats(stats: StatDictionary, record: LogRecord,
     return MessageStats(matrix, mask, pooled, np.log1p(pooled.astype(np.float64)))
 
 
+def pooled_stats(stats: StatDictionary, records: list[LogRecord],
+                 m_fixed: int) -> np.ndarray:
+    """(len(records), n) `message_stats(...).normalized` rows, in one pass.
+
+    Each record's first `m_fixed` tokens become rows of a count table
+    (row 0 for out-of-vocabulary words); the rows are summed per record,
+    one label column at a time, then log1p is applied. The per-column
+    sums are of integers far below 2**53, so they are exact and every
+    row equals `message_stats`'s bit for bit.
+    """
+    if m_fixed < 1:
+        raise StatError(f"m_fixed must be >= 1, got {m_fixed}")
+    rows = {word: i for i, word in enumerate(stats.counts, 1)}
+    table = np.vstack([np.zeros(stats.label_vocab.size, dtype=np.int64),
+                       *stats.counts.values()])
+    lengths = np.fromiter((min(len(rec.tokens), m_fixed) for rec in records),
+                          dtype=np.int64)
+    flat = np.fromiter((rows.get(token, 0) for rec in records
+                        for token in rec.tokens[:m_fixed]), dtype=np.int64)
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    pooled = np.empty((len(lengths), table.shape[1]))
+    for j in range(table.shape[1]):
+        pooled[:, j] = np.bincount(owner, weights=table[flat, j],
+                                   minlength=len(lengths))
+    return np.log1p(pooled)
+
+
 def save_stat_dictionary(stats: StatDictionary, path: str | Path) -> None:
     """Sorted word-keyed table; byte-identical for identical inputs.
 

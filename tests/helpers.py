@@ -17,9 +17,10 @@ from loggate import autodiff as ad
 from loggate.autodiff import Tensor
 from loggate.fusion import (DiagnosisModel, ada_sem_gate, classify,
                             global_attention, project_stats)
+from loggate.optim import BETA1, BETA2, EPS
 from loggate.semantic import InfoProjection, encode_message, project_info
 from loggate.statvae import LatentCode, StatVae, VaeError
-from loggate.wordstats import StatDictionary
+from loggate.wordstats import StatDictionary, message_stats
 
 
 def rel_err(analytic: float, numeric: float) -> float:
@@ -366,3 +367,44 @@ def brute_force_stat_counts(records, n_labels: int) -> dict[str, list[int]]:
         for token in record.tokens:
             counts.setdefault(token, [0] * n_labels)[record.label_id] += 1
     return counts
+
+
+class ReferenceAdam:
+    """The per-parameter Adam loop, one parameter's moments at a time.
+
+    Same contract as `optim.Adam`; its moments are kept per parameter
+    in `m[name]` and `v[name]`.
+    """
+
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
+        self.params = params
+        self.lr = lr
+        self.step_count = 0
+        self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+
+    def step(self) -> None:
+        self.step_count += 1
+        c1 = 1.0 - BETA1 ** self.step_count
+        c2 = 1.0 - BETA2 ** self.step_count
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m = self.m[name]
+            v = self.v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+
+    def zero_grad(self) -> None:
+        for p in self.params.values():
+            p.zero_grad()
+
+
+def reference_pooled_stats(stats: StatDictionary, records, m_fixed: int) -> np.ndarray:
+    """`pooled_stats` as one `message_stats` call per record."""
+    return np.stack([message_stats(stats, rec, m_fixed).normalized
+                     for rec in records])

@@ -36,6 +36,14 @@ def test_tokenize_digit_runs_collapse():
     assert tokenize("0 007 123456789") == [NUM_TOKEN] * 3
 
 
+def test_tokenize_keeps_words_led_by_non_decimal_digits():
+    # Superscripts and circled digits pass str.isdigit but are not \d:
+    # they are letters of a word wherever they stand in it.
+    assert tokenize("\u00b2abc a\u00b2b \u2460x x\u00b3") == [
+        "\u00b2abc", "a\u00b2b", "\u2460x", "x\u00b3"]
+    assert tokenize("\u0663\u0664 \u00b9") == [NUM_TOKEN, "\u00b9"]
+
+
 def test_tokenize_idempotent_on_own_output():
     lines = [
         "Error 404 on node-7",

@@ -1,11 +1,12 @@
 """Config handling and the staged train/evaluate/ablation/sweep pipeline."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from loggate import fusion, statvae
+from loggate import fusion, pipeline, statvae
 from loggate.autodiff import Tensor
 from loggate.corpus import load_dataset, SplitSpec
 from loggate.pipeline import (ConfigError, RunConfig, StageError,
@@ -16,7 +17,9 @@ from loggate.fusion import MODES
 from loggate.synth import LabelSpec, SynthSpec, generate_synthetic, word_bank
 from loggate.wordstats import load_stat_dictionary
 
-from helpers import random_text, total_tokens
+from helpers import ReferenceAdam, random_text, reference_pooled_stats, total_tokens
+
+MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +384,17 @@ def test_sweep_equals_independent_train_runs(base_config, tmp_path, axis, field,
         alone = train(replace(base_config, **{field: value}), tmp_path / point)
         assert_same_run_files(tmp_path / "sweep" / point, tmp_path / point)
         assert report.macro_f1 == alone.report.macro_f1, point
+
+
+def test_train_is_byte_identical_to_the_loop_references(tmp_path, monkeypatch):
+    # The flat-buffer Adam and the one-pass pooling change no float
+    # operation, so the run must match the per-parameter Adam loop and
+    # one message_stats call per record, byte for byte.
+    config = RunConfig(dataset=str(MINI_CORPUS), m_fixed=10, d_model=16,
+                       latent_dim=4, vae_epochs=3, classifier_epochs=2, seed=7)
+    train(config, tmp_path / "fast")
+    monkeypatch.setattr(statvae, "Adam", ReferenceAdam)
+    monkeypatch.setattr(pipeline, "Adam", ReferenceAdam)
+    monkeypatch.setattr(pipeline, "pooled_stats", reference_pooled_stats)
+    train(config, tmp_path / "loop")
+    assert_same_run_files(tmp_path / "fast", tmp_path / "loop")

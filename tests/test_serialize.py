@@ -150,6 +150,13 @@ def test_malformed_tensor_header_rejected(tmp_path, line):
         load_table(path)
 
 
+@pytest.mark.parametrize("dims", ["-1", "-2,-3", "-1,-1", "-1,0"])
+def test_negative_dimension_rejected(tmp_path, dims):
+    path = _raw_table(tmp_path / "n.tbl", f"tensor b f8 {dims}")
+    with pytest.raises(TableFormatError, match=f"n.tbl.*tensor 'b'.*negative"):
+        load_table(path)
+
+
 def test_undecodable_header_rejected(tmp_path):
     path = tmp_path / "u.tbl"
     path.write_bytes(MAGIC + b"tensor \xff f8 1\n" + np.ones(1).tobytes())

@@ -5,10 +5,11 @@ import pytest
 
 from loggate.corpus import LabelVocab, LogDataset, LogRecord, tokenize
 from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
-                               load_stat_dictionary, message_stats,
+                               load_stat_dictionary, message_stats, pooled_stats,
                                save_stat_dictionary)
 
-from helpers import brute_force_stat_counts, random_text, total_tokens
+from helpers import (brute_force_stat_counts, random_text, reference_pooled_stats,
+                     total_tokens)
 
 
 def make_dataset(rows, labels):
@@ -172,6 +173,25 @@ def test_message_stats_rejects_bad_width():
     stats, _ = fixture_stats()
     with pytest.raises(StatError, match="m_fixed"):
         message_stats(stats, LogRecord(0, "-", ["send"], 0), m_fixed=0)
+    with pytest.raises(StatError, match="m_fixed"):
+        pooled_stats(stats, [LogRecord(0, "-", ["send"], 0)], m_fixed=0)
+
+
+def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
+    rng = np.random.Generator(np.random.PCG64(5))
+    stats, _ = fixture_stats()
+    words = list(stats.counts) + ["oov1x", "oov2x"]
+    for trial in range(30):
+        records = []
+        for i in range(int(rng.integers(0, 12))):
+            picks = rng.integers(0, len(words), int(rng.integers(0, 9)))
+            records.append(LogRecord(i, "-", [words[int(j)] for j in picks], 0))
+        m_fixed = int(rng.integers(1, 7))
+        got = pooled_stats(stats, records, m_fixed)
+        assert got.shape == (len(records), 2), f"trial {trial}"
+        if records:
+            assert np.array_equal(
+                got, reference_pooled_stats(stats, records, m_fixed)), f"trial {trial}"
 
 
 # -- persistence -------------------------------------------------------------

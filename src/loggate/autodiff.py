@@ -1,9 +1,16 @@
 """Dense tensors with reverse-mode gradients.
 
-Small, CPU-only, float64 engine: just enough operations for the
-statistics VAE, the token encoder and the gated classifier. Every value
-is a row-major numpy array; gradients are accumulated by walking the
-recorded graph in reverse topological order.
+Small, CPU-only engine: just enough operations for the statistics VAE,
+the token encoder and the gated classifier. Every value is a row-major
+numpy array; gradients are accumulated by walking the recorded graph in
+reverse topological order.
+
+The dtype follows the operands. A tensor keeps a floating array's dtype
+and holds anything else as float64; parameters are always float64. A
+Python or NumPy scalar operand of `add` or `mul` takes the other
+operand's dtype, so a float32 forward pass stays float32 under either
+NumPy promotion scheme (NEP 50 made NumPy scalars strong in NumPy 2).
+Array operands of mixed dtypes promote as NumPy promotes them.
 
 `matmul`, `transpose`, `softmax_rows` and `embedding` treat leading axes
 as batch axes, so a batch of messages is one graph; a parameter shared
@@ -15,8 +22,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-
-DTYPE = np.float64
 
 
 class ShapeError(ValueError):
@@ -42,7 +47,8 @@ class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.asarray(values, dtype=DTYPE)
+        values = np.asarray(values)
+        self.values = values if values.dtype.kind == "f" else values.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -72,7 +78,12 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = grad.astype(DTYPE, copy=True)
+            # Backward closures hand over fresh arrays or views; only a
+            # view needs a copy, which keeps its memory layout. `add` may
+            # hand one array to both operands, so a `.grad` is never
+            # written in place.
+            owned = grad.flags.owndata and grad.flags.writeable
+            self.grad = grad if owned else grad.astype(grad.dtype, copy=True)
         else:
             self.grad = self.grad + grad
 
@@ -122,7 +133,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), -1.0))
+        return add(self, mul(_operand(other, self), -1.0))
 
     def __mul__(self, other):
         return mul(self, other)
@@ -139,12 +150,27 @@ class Tensor:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=DTYPE))
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _operand(x, other: Tensor) -> Tensor:
+    """`x` as a tensor; a scalar takes `other`'s dtype."""
+    if not isinstance(x, Tensor) and np.ndim(x) == 0:
+        return Tensor(np.asarray(x, dtype=other.values.dtype))
+    return _as_tensor(x)
+
+
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands of a binary op as tensors, see `_operand`."""
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return _operand(a, b), b
+    a = _as_tensor(a)
+    return a, _operand(b, a)
 
 
 def parameter(values) -> Tensor:
     """Wrap `values` as a tracked (trainable) tensor."""
-    return Tensor(np.array(values, dtype=DTYPE, copy=True), requires_grad=True)
+    return Tensor(np.array(values, dtype=np.float64, copy=True), requires_grad=True)
 
 
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
@@ -154,14 +180,14 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
 
 
 def zeros(shape: int | tuple[int, ...]) -> Tensor:
-    return parameter(np.zeros(shape, dtype=DTYPE))
+    return parameter(np.zeros(shape))
 
 
 # -- elementwise and linear ops ----------------------------------------------
 
 
 def add(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     try:
         values = a.values + b.values
     except ValueError:
@@ -175,7 +201,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     try:
         values = a.values * b.values
     except ValueError:
@@ -229,7 +255,8 @@ def relu(a: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate(g * mask)
 
-    return Tensor._result(np.where(mask, a.values, 0.0), (a,), backward)
+    zero = a.values.dtype.type(0)
+    return Tensor._result(np.where(mask, a.values, zero), (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -7,6 +7,7 @@ band around 0.5, attended over token positions, pooled and classified.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +29,9 @@ class FusionError(ValueError):
 
 def project_stats(proj: InfoProjection, stat_embedding: np.ndarray) -> Tensor:
     """Statistics row(s) in the information space: (1, d_model) for a
-    (latent,) embedding, (B, 1, d_model) for a (B, latent) batch."""
-    vec = np.asarray(stat_embedding, dtype=np.float64)[..., None, :]
+    (latent,) embedding, (B, 1, d_model) for a (B, latent) batch, in the
+    projection's dtype."""
+    vec = np.asarray(stat_embedding, dtype=proj.weight.values.dtype)[..., None, :]
     if vec.shape[-1] != proj.weight.shape[0]:
         raise ShapeError(
             f"project_stats: embedding dim {vec.shape[-1]} != "
@@ -48,7 +50,7 @@ def ada_sem_gate(info_map: Tensor, confidence: Tensor, stat_info: Tensor,
     if confidence.shape != info_map.shape:
         raise ShapeError(
             f"ada_sem_gate: confidence {confidence.shape} != map {info_map.shape}")
-    band = (np.abs(confidence.values - 0.5) <= epsilon).astype(np.float64)
+    band = (np.abs(confidence.values - 0.5) <= epsilon).astype(confidence.values.dtype)
     return ad.relu(info_map) + confidence * Tensor(band) * stat_info
 
 
@@ -93,7 +95,8 @@ def classify(head: ClassifierHead, attended: Tensor,
     if mask.shape[-1] != attended.shape[-2]:
         raise ShapeError(
             f"classify: mask length {mask.shape[-1]} != rows {attended.shape[-2]}")
-    pooled = ad.matmul(Tensor(mask / mask.sum(axis=-1, keepdims=True)), attended)
+    pool = mask / mask.sum(axis=-1, keepdims=True)
+    pooled = ad.matmul(Tensor(pool.astype(attended.values.dtype, copy=False)), attended)
     return _head_logits(head, pooled)
 
 
@@ -146,6 +149,19 @@ def build_model(vocab_size: int, n_labels: int, d_model: int, latent_dim: int,
     head = ClassifierHead.create(rng, d_model, n_labels)
     return DiagnosisModel(encoder, info, stats, head, m_fixed, latent_dim,
                           n_labels, epsilon, mode)
+
+
+def constant_copy(model: DiagnosisModel, dtype) -> DiagnosisModel:
+    """A copy of `model` whose parameters are `dtype` constants.
+
+    No parameter of the copy requires grad, so a forward pass through it
+    records no graph. `model` itself is not touched.
+    """
+    # deepcopy puts whatever its memo already maps an object to in place
+    # of that object
+    memo = {id(t): Tensor(t.values.astype(dtype))
+            for t in model.parameters().values()}
+    return copy.deepcopy(model, memo)
 
 
 def forward(model: DiagnosisModel, token_ids,

@@ -85,8 +85,9 @@ class AttentionEncoder:
         """(..., m, d) features for (..., m) ids and their key mask."""
         p = self.params
         m = ids.shape[-1]
-        x = ad.embedding(p["tok_emb"], ids) + Tensor(
-            sinusoidal_positions(m, self.d_model))
+        tokens = ad.embedding(p["tok_emb"], ids)
+        x = tokens + Tensor(sinusoidal_positions(m, self.d_model).astype(
+            tokens.values.dtype, copy=False))
         q = ad.matmul(x, p["wq"]) + p["bq"]
         k = ad.matmul(x, p["wk"]) + p["bk"]
         v = ad.matmul(x, p["wv"]) + p["bv"]

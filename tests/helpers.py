@@ -408,3 +408,11 @@ def reference_pooled_stats(stats: StatDictionary, records, m_fixed: int) -> np.n
     """`pooled_stats` as one `message_stats` call per record."""
     return np.stack([message_stats(stats, rec, m_fixed).normalized
                      for rec in records])
+
+
+def reference_accumulate(self: Tensor, grad: np.ndarray) -> None:
+    """`Tensor._accumulate` copying every first gradient into a float64 array."""
+    if self.grad is None:
+        self.grad = grad.astype(np.float64, copy=True)
+    else:
+        self.grad = self.grad + grad

@@ -31,6 +31,55 @@ class TestTensorBasics:
         assert a.values.shape == (10, 20)
 
 
+class TestDtypeFollowsOperands:
+    def test_floating_values_keep_their_dtype(self):
+        assert Tensor(np.ones(2, dtype=np.float32)).values.dtype == np.float32
+        assert Tensor(np.float32(1.5)).values.dtype == np.float32
+        assert Tensor(np.ones(2, dtype=bool)).values.dtype == np.float64
+
+    def test_parameters_are_float64(self):
+        assert ad.parameter(np.ones(2, dtype=np.float32)).values.dtype == np.float64
+        assert ad.zeros(3).values.dtype == np.float64
+
+    def test_scalar_operands_take_the_tensor_dtype(self):
+        # NumPy 2 promotes float32 with a NumPy float64 scalar to float64
+        for dtype in (np.float32, np.float64):
+            t = Tensor(np.ones((2, 2), dtype=dtype))
+            for scalar in (3, 0.5, np.float64(0.5), np.float32(0.5), np.int64(3)):
+                outs = [t + scalar, t - scalar, t * scalar, ad.add(scalar, t),
+                        ad.mul(scalar, t)]
+                if not isinstance(scalar, np.generic):
+                    outs += [scalar + t, scalar * t]
+                assert all(out.values.dtype == dtype for out in outs), (dtype, scalar)
+
+    def test_every_op_case_stays_float32_on_float32_operands(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        for name, params, build in op_cases(rng):
+            # cast every leaf of the graph, parameters and constants alike
+            stack, leaves = [build()], []
+            while stack:
+                node = stack.pop()
+                stack.extend(node._parents)
+                if not node._parents:
+                    leaves.append(node)
+            for leaf in leaves:
+                leaf.values = leaf.values.astype(np.float32)
+            made = []
+            record = Tensor._result
+            monkeypatch.setattr(Tensor, "_result", staticmethod(
+                lambda values, parents, backward: made.append(values.dtype)
+                or record(values, parents, backward)))
+            loss = build()
+            monkeypatch.undo()
+            assert made and set(made) == {np.dtype(np.float32)}, (name, set(made))
+            assert loss.values.dtype == np.float32, name
+
+    def test_a_view_gradient_is_copied_in_its_own_layout(self):
+        p = ad.parameter(np.arange(6.0).reshape(2, 3))
+        ad.total(ad.mul(ad.transpose(p), Tensor(np.ones((3, 2))))).backward()
+        assert p.grad.flags.owndata and p.grad.flags.f_contiguous
+
+
 class TestElementwiseExamples:
     def test_sigmoid_at_zero(self):
         assert float(ad.sigmoid(Tensor(0.0)).values) == 0.5

@@ -92,6 +92,21 @@ def test_evaluate_without_run_reports_error(tmp_path, capsys):
     assert "load-artifacts" in capsys.readouterr().err
 
 
+def test_evaluate_on_an_empty_split_fails_loudly(tmp_path, capsys):
+    # with dev_ratio=0 the dev split has no record: scoring it must not
+    # report a macro-F1 of 0
+    corpus = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
+    assert main(["train", "--set", f"dataset={corpus}", "--set", "train_ratio=0.9",
+                 "--set", "dev_ratio=0", "--set", "m_fixed=6", "--set", "d_model=8",
+                 "--set", "latent_dim=3", "--set", "vae_epochs=1",
+                 "--set", "classifier_epochs=1", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--run-dir", str(tmp_path), "--split", "dev"]) == 1
+    captured = capsys.readouterr()
+    assert "[evaluate-dev] split 'dev' has no records" in captured.err
+    assert "macro" not in captured.out
+
+
 # -- subcommands --------------------------------------------------------------
 
 

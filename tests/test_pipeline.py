@@ -10,14 +10,16 @@ from loggate import fusion, pipeline, statvae
 from loggate.autodiff import Tensor
 from loggate.corpus import load_dataset, SplitSpec
 from loggate.pipeline import (ConfigError, RunConfig, StageError,
-                              apply_overrides, build_stats, evaluate,
-                              load_config, preprocess, run_ablation,
+                              apply_overrides, build_stats, collect_logits,
+                              evaluate, load_config, preprocess, run_ablation,
                               run_sweep, save_config, train)
 from loggate.fusion import MODES
-from loggate.synth import LabelSpec, SynthSpec, generate_synthetic, word_bank
+from loggate.synth import (LabelSpec, SynthSpec, generate_synthetic,
+                           make_default_spec, word_bank)
 from loggate.wordstats import load_stat_dictionary
 
-from helpers import ReferenceAdam, random_text, reference_pooled_stats, total_tokens
+from helpers import (ReferenceAdam, random_text, reference_accumulate,
+                     reference_pooled_stats, total_tokens)
 
 MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
 
@@ -387,14 +389,122 @@ def test_sweep_equals_independent_train_runs(base_config, tmp_path, axis, field,
 
 
 def test_train_is_byte_identical_to_the_loop_references(tmp_path, monkeypatch):
-    # The flat-buffer Adam and the one-pass pooling change no float
-    # operation, so the run must match the per-parameter Adam loop and
-    # one message_stats call per record, byte for byte.
+    # The flat-buffer Adam, the one-pass pooling and storing fresh
+    # gradients uncopied change no float operation, so the run must match
+    # the per-parameter Adam loop, one message_stats call per record and
+    # the always-copying gradient accumulation, byte for byte.
     config = RunConfig(dataset=str(MINI_CORPUS), m_fixed=10, d_model=16,
                        latent_dim=4, vae_epochs=3, classifier_epochs=2, seed=7)
     train(config, tmp_path / "fast")
     monkeypatch.setattr(statvae, "Adam", ReferenceAdam)
     monkeypatch.setattr(pipeline, "Adam", ReferenceAdam)
     monkeypatch.setattr(pipeline, "pooled_stats", reference_pooled_stats)
+    monkeypatch.setattr(Tensor, "_accumulate", reference_accumulate)
     train(config, tmp_path / "loop")
     assert_same_run_files(tmp_path / "fast", tmp_path / "loop")
+
+
+# -- scoring -------------------------------------------------------------------
+
+
+def _scoring_inputs(run_dir: Path):
+    """Model, dataset and embedding cache of a finished run."""
+    config = load_config(run_dir / "run.cfg")
+    dataset = load_dataset(config.dataset, split_spec=SplitSpec(
+        config.train_ratio, config.dev_ratio, config.test_ratio, config.seed))
+    embeddings, _ = statvae.load_embedding_cache(run_dir / "embeddings.tbl")
+    return fusion.load_model(run_dir / "model.ckpt")[0], dataset, embeddings
+
+
+@pytest.fixture(scope="module", params=["mini", "criterion-3"])
+def scored_runs(request, tmp_path_factory):
+    """Every mode trained on the mini corpus or on criterion 3's corpus."""
+    out = tmp_path_factory.mktemp(f"scoring-{request.param}")
+    corpus = MINI_CORPUS
+    if request.param == "criterion-3":
+        corpus = out / "corpus.tsv"
+        generate_synthetic(make_default_spec(50), 7, corpus)
+    run_ablation(RunConfig(dataset=str(corpus), m_fixed=10, d_model=16, latent_dim=4,
+                           vae_epochs=3, classifier_epochs=3, seed=7), out)
+    return {mode: _scoring_inputs(out / mode) for mode in MODES}
+
+
+def _float64_logits(model, dataset, records, embeddings):
+    """Chunked float64 forward through `model` itself."""
+    return np.concatenate([fusion.forward(
+        model, [dataset.token_ids(rec.tokens) for rec in chunk],
+        embeddings[[rec.message_id for rec in chunk]]).values
+        for chunk in (records[i:i + 32] for i in range(0, len(records), 32))])
+
+
+def test_scoring_argmax_equals_the_float64_forward(scored_runs):
+    for mode, (model, dataset, embeddings) in scored_runs.items():
+        for split in ("train", "dev", "test"):
+            records = dataset.split_records(split)
+            reference = _float64_logits(model, dataset, records, embeddings)
+            logits = collect_logits(model, dataset, records, embeddings)
+            np.testing.assert_array_equal(logits.argmax(axis=1),
+                                          reference.argmax(axis=1), f"{mode} {split}")
+            np.testing.assert_allclose(logits, reference, rtol=0.0, atol=1e-4,
+                                       err_msg=f"{mode} {split}")
+
+
+def _record_results(monkeypatch) -> list:
+    """(dtype, has a graph record) of every op result from now on."""
+    made = []
+    record = Tensor._result
+
+    def recording(values, parents, backward):
+        out = record(values, parents, backward)
+        made.append((out.values.dtype, bool(out._parents)))
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(recording))
+    return made
+
+
+def test_scoring_builds_no_graph_and_stays_float32(ablated, monkeypatch):
+    # a float64 constant anywhere in the forward would silently upcast
+    # every tensor after it
+    runs = [_scoring_inputs(ablated[0] / mode) for mode in MODES]
+    monkeypatch.setattr(pipeline, "TIE_GAP", -1.0)  # no row is re-scored
+    made = _record_results(monkeypatch)
+    for model, dataset, embeddings in runs:
+        collect_logits(model, dataset, dataset.split_records("test"), embeddings)
+    assert made and set(made) == {(np.dtype(np.float32), False)}
+
+
+def test_rescored_rows_are_the_float64_forward(ablated, monkeypatch):
+    runs = [_scoring_inputs(ablated[0] / mode) for mode in MODES]
+    monkeypatch.setattr(pipeline, "TIE_GAP", np.inf)  # every row is re-scored
+    for model, dataset, embeddings in runs:
+        records = dataset.split_records("test")
+        reference = _float64_logits(model, dataset, records, embeddings)
+        logits = collect_logits(model, dataset, records, embeddings)
+        np.testing.assert_array_equal(logits, reference, model.mode)
+
+
+def test_scoring_leaves_the_model_float64_and_trainable(trained):
+    params = trained.model.parameters()
+    before = {name: t.values.tobytes() for name, t in params.items()}
+    collect_logits(trained.model, trained.dataset,
+                   trained.dataset.split_records("test"), trained.embeddings)
+    for name, tensor in trained.model.parameters().items():
+        assert tensor is params[name], name
+        assert tensor.values.dtype == np.float64 and tensor.requires_grad, name
+        assert tensor.values.tobytes() == before[name], name
+
+
+def test_scoring_no_record_gives_an_empty_block(trained):
+    logits = collect_logits(trained.model, trained.dataset, [], trained.embeddings)
+    assert logits.shape == (0, trained.model.n_labels)
+
+
+def test_scoring_a_single_label_model(trained):
+    model = trained.model
+    single = fusion.build_model(model.encoder.vocab_size, 1, model.encoder.d_model,
+                                model.latent_dim, model.m_fixed, model.epsilon,
+                                model.mode, np.random.default_rng(0))
+    records = trained.dataset.split_records("test")
+    logits = collect_logits(single, trained.dataset, records, trained.embeddings)
+    assert logits.shape == (len(records), 1)

@@ -6,11 +6,13 @@ numpy array; gradients are accumulated by walking the recorded graph in
 reverse topological order.
 
 The dtype follows the operands. A tensor keeps a floating array's dtype
-and holds anything else as float64; parameters are always float64. A
-Python or NumPy scalar operand of `add` or `mul` takes the other
-operand's dtype, so a float32 forward pass stays float32 under either
-NumPy promotion scheme (NEP 50 made NumPy scalars strong in NumPy 2).
-Array operands of mixed dtypes promote as NumPy promotes them.
+and holds anything else as float64; parameters are always float64. An
+operand of `add`, `mul`, `-` or `matmul` that is not a Tensor (a Python
+or NumPy scalar, a float array, a bool mask) becomes a Tensor of the
+other operand's dtype. So model code passes plain numpy constants, and a
+float32 forward pass stays float32: left to NumPy, a float64 constant
+would upcast it (NEP 50 made NumPy scalars strong in NumPy 2). Two
+Tensors of mixed dtypes promote as NumPy promotes them.
 
 `matmul`, `transpose`, `softmax_rows` and `embedding` treat leading axes
 as batch axes, so a batch of messages is one graph; a parameter shared
@@ -45,6 +47,10 @@ class Tensor:
     """A numpy array plus an optional gradient buffer and graph record."""
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
+    # NumPy defers `array <op> tensor` to the reflected method below, so an
+    # array on the left is cast like one on the right instead of being
+    # broadcast into an object array of Tensors.
+    __array_ufunc__ = None
 
     def __init__(self, values, requires_grad: bool = False):
         values = np.asarray(values)
@@ -154,10 +160,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def _operand(x, other: Tensor) -> Tensor:
-    """`x` as a tensor; a scalar takes `other`'s dtype."""
-    if not isinstance(x, Tensor) and np.ndim(x) == 0:
-        return Tensor(np.asarray(x, dtype=other.values.dtype))
-    return _as_tensor(x)
+    """`x` as a tensor; a non-tensor takes `other`'s dtype."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor(np.asarray(x, dtype=other.values.dtype))
 
 
 def _operands(a, b) -> tuple[Tensor, Tensor]:
@@ -215,7 +221,7 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _operands(a, b)
     if min(a.values.ndim, b.values.ndim) < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     values = np.matmul(a.values, b.values)

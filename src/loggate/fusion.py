@@ -29,14 +29,14 @@ class FusionError(ValueError):
 
 def project_stats(proj: InfoProjection, stat_embedding: np.ndarray) -> Tensor:
     """Statistics row(s) in the information space: (1, d_model) for a
-    (latent,) embedding, (B, 1, d_model) for a (B, latent) batch, in the
-    projection's dtype."""
-    vec = np.asarray(stat_embedding, dtype=proj.weight.values.dtype)[..., None, :]
+    (latent,) embedding, (B, 1, d_model) for a (B, latent) batch. Like
+    any plain array operand, the rows take the projection's precision."""
+    vec = np.asarray(stat_embedding)[..., None, :]
     if vec.shape[-1] != proj.weight.shape[0]:
         raise ShapeError(
             f"project_stats: embedding dim {vec.shape[-1]} != "
             f"projection input {proj.weight.shape[0]}")
-    return ad.matmul(Tensor(vec), proj.weight) + proj.bias
+    return ad.matmul(vec, proj.weight) + proj.bias
 
 
 def ada_sem_gate(info_map: Tensor, confidence: Tensor, stat_info: Tensor,
@@ -50,8 +50,8 @@ def ada_sem_gate(info_map: Tensor, confidence: Tensor, stat_info: Tensor,
     if confidence.shape != info_map.shape:
         raise ShapeError(
             f"ada_sem_gate: confidence {confidence.shape} != map {info_map.shape}")
-    band = (np.abs(confidence.values - 0.5) <= epsilon).astype(confidence.values.dtype)
-    return ad.relu(info_map) + confidence * Tensor(band) * stat_info
+    band = np.abs(confidence.values - 0.5) <= epsilon
+    return ad.relu(info_map) + confidence * band * stat_info
 
 
 def global_attention(fused: Tensor, feats: Tensor,
@@ -91,12 +91,11 @@ class ClassifierHead:
 def classify(head: ClassifierHead, attended: Tensor,
              mask: np.ndarray) -> Tensor:
     """Logits (B, n_labels) from a masked mean over token positions."""
-    mask = np.asarray(mask, dtype=np.float64)[..., None, :]
+    mask = np.asarray(mask)[..., None, :]
     if mask.shape[-1] != attended.shape[-2]:
         raise ShapeError(
             f"classify: mask length {mask.shape[-1]} != rows {attended.shape[-2]}")
-    pool = mask / mask.sum(axis=-1, keepdims=True)
-    pooled = ad.matmul(Tensor(pool.astype(attended.values.dtype, copy=False)), attended)
+    pooled = ad.matmul(mask / mask.sum(axis=-1, keepdims=True), attended)
     return _head_logits(head, pooled)
 
 
@@ -230,5 +229,5 @@ def load_model(path: str | Path) -> tuple[DiagnosisModel, dict[str, str]]:
             raise FusionError(
                 f"checkpoint shape mismatch for {name}: "
                 f"{arrays[name].shape} vs {tensor.values.shape}")
-        tensor.values = arrays[name].astype(np.float64)
+        tensor.values[...] = arrays[name]
     return model, meta

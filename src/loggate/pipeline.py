@@ -201,12 +201,12 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     """(N, n_labels) logits, one row per record, in chunks of EVAL_CHUNK.
 
     Scores a SCORE_DTYPE constant copy of `model`, so that pass builds no
-    graph and `model` keeps its float64 parameters; `fusion.project_stats`
-    casts each chunk's embedding rows to the copy's dtype. Rows whose top
-    two logits lie within TIE_GAP are scored again by `model` itself, so
-    every row's argmax is the float64 model's. The result is float64.
-    Only the argmax of a row is used: dev selection and test metrics both
-    read it.
+    graph and `model` keeps its float64 parameters. `autodiff` casts the
+    embedding rows and every other plain-array constant of the forward
+    pass to the copy's dtype. Rows whose top two logits lie within
+    TIE_GAP are scored again by `model` itself, so every row's argmax is
+    the float64 model's. The result is float64. Only the argmax of a row
+    is used: dev selection and test metrics both read it.
     """
     logits = np.zeros((len(records), model.n_labels))
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
@@ -222,6 +222,14 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
         logits[rows] = _batch_logits(model, dataset, [records[i] for i in rows],
                                      embeddings).values
     return logits
+
+
+def _records_to_score(dataset: LogDataset, split: str):
+    """The records of `split`; an empty split fails stage `evaluate-<split>`."""
+    records = dataset.split_records(split)
+    if not records:
+        raise StageError(f"evaluate-{split}", f"split {split!r} has no records to score")
+    return records
 
 
 def _split_report(model, dataset, records, embeddings, config,
@@ -313,9 +321,11 @@ def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
 def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResult:
     """Train the classifier on `pre`, save it and score the test split.
 
-    The report's wall clock runs from `started`.
+    An empty test split fails before the classifier trains. The report's
+    wall clock runs from `started`.
     """
     dataset, embeddings, run_dir = pre.dataset, pre.embeddings, pre.run_dir
+    test_records = _records_to_score(dataset, "test")
     with _stage("train-classifier"):
         model, log_rows = _train_classifier(config, dataset, embeddings)
         _write_rows(run_dir / "train_log.tsv",
@@ -324,8 +334,7 @@ def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResul
             "dict_hash": pre.dict_hash, "train_hash": train_split_hash(dataset)})
 
     with _stage("evaluate-test"):
-        report = _split_report(model, dataset, dataset.split_records("test"),
-                               embeddings, config,
+        report = _split_report(model, dataset, test_records, embeddings, config,
                                time.perf_counter() - started)
         write_metrics(report, run_dir / "metrics.tsv")
         (run_dir / "metrics.txt").write_text(format_metrics(report) + "\n",
@@ -413,11 +422,8 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
 
     with _stage(f"evaluate-{split}"):
         started = time.perf_counter()
-        records = dataset.split_records(split)
-        if not records:
-            raise ValueError(f"split {split!r} has no records to score")
-        return _split_report(model, dataset, records, embeddings, config,
-                             time.perf_counter() - started)
+        return _split_report(model, dataset, _records_to_score(dataset, split),
+                             embeddings, config, time.perf_counter() - started)
 
 
 _SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")

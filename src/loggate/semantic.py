@@ -26,22 +26,17 @@ def pad_tokens(token_ids, m_fixed: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if m_fixed < 1:
         raise ValueError(f"m_fixed must be >= 1, got {m_fixed}")
-    ids = np.full(m_fixed, PAD_ID, dtype=np.int64)
-    mask = np.zeros(m_fixed, dtype=bool)
     kept = list(token_ids)[:m_fixed]
-    if kept:
-        ids[:len(kept)] = kept
-        mask[:len(kept)] = True
-    else:
-        mask[0] = True
-    return ids, mask
+    ids = np.full(m_fixed, PAD_ID)
+    ids[:len(kept)] = kept
+    return ids, np.arange(m_fixed) < max(len(kept), 1)
 
 
 @lru_cache(maxsize=8)
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     """Fixed sine/cosine position table, (length, dim), read-only."""
-    pos = np.arange(length, dtype=np.float64)[:, None]
-    idx = np.arange(dim, dtype=np.float64)[None, :]
+    pos = np.arange(length)[:, None]
+    idx = np.arange(dim)[None, :]
     angles = pos / np.power(10000.0, 2.0 * np.floor(idx / 2.0) / dim)
     table = np.where(idx % 2 == 0, np.sin(angles), np.cos(angles))
     table.setflags(write=False)
@@ -56,13 +51,10 @@ class AttentionEncoder:
     every consumer masks them out.
     """
 
-    def __init__(self, vocab_size: int, d_model: int,
-                 rng: np.random.Generator, ffn_dim: int | None = None):
-        if ffn_dim is None:
-            ffn_dim = 2 * d_model
+    def __init__(self, vocab_size: int, d_model: int, rng: np.random.Generator):
         self.vocab_size = vocab_size
         self.d_model = d_model
-        self.ffn_dim = ffn_dim
+        self.ffn_dim = ffn_dim = 2 * d_model
         d = d_model
         self.params = {
             "tok_emb": ad.glorot(rng, vocab_size, d),
@@ -74,10 +66,6 @@ class AttentionEncoder:
             "ffn_w2": ad.glorot(rng, ffn_dim, d), "ffn_b2": ad.zeros(d),
         }
 
-    @property
-    def feature_dim(self) -> int:
-        return self.d_model
-
     def parameters(self) -> dict[str, Tensor]:
         return dict(self.params)
 
@@ -85,9 +73,7 @@ class AttentionEncoder:
         """(..., m, d) features for (..., m) ids and their key mask."""
         p = self.params
         m = ids.shape[-1]
-        tokens = ad.embedding(p["tok_emb"], ids)
-        x = tokens + Tensor(sinusoidal_positions(m, self.d_model).astype(
-            tokens.values.dtype, copy=False))
+        x = ad.embedding(p["tok_emb"], ids) + sinusoidal_positions(m, self.d_model)
         q = ad.matmul(x, p["wq"]) + p["bq"]
         k = ad.matmul(x, p["wk"]) + p["bk"]
         v = ad.matmul(x, p["wv"]) + p["bv"]
@@ -104,10 +90,10 @@ def encode_message(encoder: AttentionEncoder, token_ids,
     """Feature map for one message: (m_fixed, d) tensor plus its mask."""
     ids, mask = pad_tokens(token_ids, m_fixed)
     feats = encoder.encode(ids, mask)
-    if feats.shape != (m_fixed, encoder.feature_dim):
+    if feats.shape != (m_fixed, encoder.d_model):
         raise ShapeError(
             f"encoder produced {feats.shape}, expected "
-            f"({m_fixed}, {encoder.feature_dim})")
+            f"({m_fixed}, {encoder.d_model})")
     return feats, mask
 
 

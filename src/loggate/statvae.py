@@ -55,17 +55,6 @@ class StatVae:
         return self.in_mean.shape[0]
 
 
-@dataclass
-class LatentCode:
-    mu: Tensor
-    log_var: Tensor
-
-    @property
-    def mean_values(self) -> np.ndarray:
-        """Noise-free representation (the posterior mean)."""
-        return self.mu.values
-
-
 def init_stat_vae(input_dim: int, config: VaeConfig,
                   rng: np.random.Generator) -> StatVae:
     h, z = config.hidden_dim, config.latent_dim
@@ -98,20 +87,6 @@ def _encoder(p: dict[str, np.ndarray], x: np.ndarray):
     hidden = np.where(mask, pre, 0.0)
     return mask, hidden, hidden @ p["mu_w"] + p["mu_b"], \
         hidden @ p["logvar_w"] + p["logvar_b"]
-
-
-def encode(vae: StatVae, x: np.ndarray) -> LatentCode:
-    """Posterior parameters for a batch of statistics vectors.
-
-    `x` is (b, n) or (n,). The returned tensors are constants.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != vae.input_dim:
-        raise VaeError(
-            f"expected statistics dimension {vae.input_dim}, got {x.shape[1]}")
-    p = {name: t.values for name, t in vae.params.items()}
-    _, _, mu, log_var = _encoder(p, _standardize(vae, x))
-    return LatentCode(Tensor(mu), Tensor(log_var))
 
 
 def _elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float:
@@ -198,9 +173,13 @@ def embed_statistics(vae: StatVae, x: np.ndarray) -> np.ndarray:
     (b, latent_dim) float64.
     """
     single = np.asarray(x).ndim == 1
-    code = encode(vae, x)
-    out = code.mean_values.copy()
-    return out[0] if single else out
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != vae.input_dim:
+        raise VaeError(
+            f"expected statistics dimension {vae.input_dim}, got {x.shape[1]}")
+    p = {name: t.values for name, t in vae.params.items()}
+    mu = _encoder(p, _standardize(vae, x))[2]
+    return mu[0] if single else mu
 
 
 def save_stat_vae(vae: StatVae, path: str | Path) -> None:

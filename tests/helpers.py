@@ -9,6 +9,7 @@ logic with the implementation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from loggate.fusion import (DiagnosisModel, ada_sem_gate, classify,
                             global_attention, project_stats)
 from loggate.optim import BETA1, BETA2, EPS
 from loggate.semantic import InfoProjection, encode_message, project_info
-from loggate.statvae import LatentCode, StatVae, VaeError
+from loggate.statvae import StatVae, VaeError
 from loggate.wordstats import StatDictionary, message_stats
 
 
@@ -189,6 +190,14 @@ def per_message_forward(model: DiagnosisModel, token_ids,
         stat_info = project_stats(model.stats, stat_embedding)
         fused = ada_sem_gate(info_map, confidence, stat_info, model.epsilon)
     return classify(model.head, global_attention(fused, feats, mask), mask)
+
+
+@dataclass
+class LatentCode:
+    """Posterior mean and log-variance of a batch, as graph tensors."""
+
+    mu: Tensor
+    log_var: Tensor
 
 
 def graph_encode(vae: StatVae, x: np.ndarray, noise: np.ndarray | None = None

@@ -42,15 +42,27 @@ class TestDtypeFollowsOperands:
         assert ad.zeros(3).values.dtype == np.float64
 
     def test_scalar_operands_take_the_tensor_dtype(self):
-        # NumPy 2 promotes float32 with a NumPy float64 scalar to float64
+        # NumPy 2 promotes float32 with a NumPy float64 scalar or array to
+        # float64; every non-tensor operand, scalar, array or bool mask, on
+        # either side, must instead be cast to the tensor's dtype
+        rng = np.random.default_rng(44)
+        square = rng.standard_normal((2, 2))
+        others = (3, 0.5, np.float64(0.5), np.float32(0.5), np.int64(3),
+                  square, square.astype(np.float32), square > 0)
         for dtype in (np.float32, np.float64):
-            t = Tensor(np.ones((2, 2), dtype=dtype))
-            for scalar in (3, 0.5, np.float64(0.5), np.float32(0.5), np.int64(3)):
-                outs = [t + scalar, t - scalar, t * scalar, ad.add(scalar, t),
-                        ad.mul(scalar, t)]
-                if not isinstance(scalar, np.generic):
-                    outs += [scalar + t, scalar * t]
-                assert all(out.values.dtype == dtype for out in outs), (dtype, scalar)
+            t = Tensor(rng.standard_normal((2, 2)).astype(dtype))
+            for other in others:
+                c = np.asarray(other, dtype=dtype)
+                outs = [(t + other, t.values + c), (t - other, t.values - c),
+                        (t * other, t.values * c), (ad.add(other, t), c + t.values),
+                        (ad.mul(other, t), c * t.values)]
+                if np.ndim(other):
+                    outs += [(t @ other, t.values @ c),
+                             (ad.matmul(other, t), c @ t.values)]
+                outs += [(other + t, c + t.values), (other * t, c * t.values)]
+                for out, expect in outs:
+                    assert out.values.dtype == dtype, (dtype, other)
+                    np.testing.assert_array_equal(out.values, expect)
 
     def test_every_op_case_stays_float32_on_float32_operands(self, monkeypatch):
         rng = np.random.default_rng(32)

@@ -73,6 +73,7 @@ def test_bad_override_reports_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_fails_loudly(tmp_path, capsys):
     # lr 1e6 drives the VAE loss to NaN within the first epoch; the run must
     # stop there, name the stage, and leave no checkpoint or cache behind
@@ -105,6 +106,22 @@ def test_evaluate_on_an_empty_split_fails_loudly(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "[evaluate-dev] split 'dev' has no records" in captured.err
     assert "macro" not in captured.out
+
+
+def test_train_with_an_empty_test_split_fails_before_the_classifier(tmp_path, capsys):
+    # with test_ratio=0 there is nothing to report: the run must not train a
+    # classifier and then write a macro-F1 of 0
+    corpus = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
+    assert main(["train", "--set", f"dataset={corpus}", "--set", "train_ratio=0.9",
+                 "--set", "dev_ratio=0.1", "--set", "test_ratio=0",
+                 "--set", "m_fixed=6", "--set", "d_model=8", "--set", "latent_dim=3",
+                 "--set", "vae_epochs=1", "--set", "classifier_epochs=1",
+                 "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "[evaluate-test] split 'test' has no records to score" in captured.err
+    assert "macro" not in captured.out
+    for name in ("model.ckpt", "train_log.tsv", "metrics.tsv"):
+        assert not (tmp_path / name).exists(), name
 
 
 # -- subcommands --------------------------------------------------------------

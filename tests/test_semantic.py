@@ -67,14 +67,14 @@ def test_positions_cached_and_frozen():
 # -- attention encoder -------------------------------------------------------
 
 
-def make_encoder(seed=11, vocab=12, d=6, ffn=None):
+def make_encoder(seed=11, vocab=12, d=6):
     rng = np.random.Generator(np.random.PCG64(seed))
-    return AttentionEncoder(vocab, d, rng, ffn_dim=ffn)
+    return AttentionEncoder(vocab, d, rng)
 
 
 def test_encoder_shapes_and_defaults():
     enc = make_encoder(d=6)
-    assert enc.feature_dim == 6
+    assert enc.d_model == 6
     assert enc.ffn_dim == 12
     ids, mask = pad_tokens([3, 1, 4], 5)
     feats = enc.encode(ids, mask)
@@ -103,7 +103,7 @@ def test_encoder_real_rows_ignore_pad_content():
 
 
 def test_encoder_gradients():
-    enc = make_encoder(seed=23, vocab=9, d=4, ffn=6)
+    enc = make_encoder(seed=23, vocab=9, d=4)
     ids, mask = pad_tokens([4, 2, 4], 5)  # repeated id: scatter-add path
     probe = Tensor(np.random.Generator(np.random.PCG64(24)).standard_normal((5, 4)))
 
@@ -118,11 +118,11 @@ def test_encoder_gradients():
 def test_encode_message_returns_mask_and_checks_shape():
     enc = make_encoder()
     feats, mask = encode_message(enc, [1, 2], 4)
-    assert feats.shape == (4, enc.feature_dim)
+    assert feats.shape == (4, enc.d_model)
     assert mask.tolist() == [True, True, False, False]
 
     class Broken:
-        feature_dim = 6
+        d_model = 6
 
         def encode(self, ids, mask):
             return Tensor(np.zeros((2, 6)))

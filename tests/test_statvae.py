@@ -7,13 +7,13 @@ from loggate import autodiff as ad
 from loggate import statvae
 from loggate.autodiff import Tensor
 from loggate.serialize import load_table, save_table
-from loggate.statvae import (LatentCode, VaeConfig, VaeError, _elbo_step,
-                             embed_statistics, encode, init_stat_vae,
-                             load_embedding_cache, load_stat_vae, pretrain,
-                             save_embedding_cache, save_stat_vae)
+from loggate.statvae import (VaeConfig, VaeError, _elbo_step, embed_statistics,
+                             init_stat_vae, load_embedding_cache, load_stat_vae,
+                             pretrain, save_embedding_cache, save_stat_vae)
 
-from helpers import (check_gradients, elbo_loss, graph_elbo, graph_elbo_step,
-                     graph_encode, kl_divergence, monte_carlo_kl, rel_err)
+from helpers import (LatentCode, check_gradients, elbo_loss, graph_elbo,
+                     graph_elbo_step, graph_encode, kl_divergence,
+                     monte_carlo_kl, rel_err)
 
 
 def code_from(mu, log_var):
@@ -103,20 +103,20 @@ def test_encode_shapes_and_sample_formula():
     rng = np.random.Generator(np.random.PCG64(4))
     x = rng.uniform(0.0, 3.0, (4, 5))
     noise = rng.standard_normal((4, 3))
-    code = encode(vae, x)
+    code, sample = graph_encode(vae, x, noise=noise)
     assert code.mu.values.shape == (4, 3)
     assert code.log_var.values.shape == (4, 3)
-    graph_code, sample = graph_encode(vae, x, noise=noise)
-    np.testing.assert_array_equal(code.mu.values, graph_code.mu.values)
-    np.testing.assert_array_equal(code.log_var.values, graph_code.log_var.values)
+    np.testing.assert_array_equal(embed_statistics(vae, x), code.mu.values)
     expect = code.mu.values + np.exp(0.5 * code.log_var.values) * noise
     np.testing.assert_allclose(sample.values, expect, rtol=0, atol=0)
 
 
 def test_encode_rejects_wrong_width():
     vae = small_vae()
-    with pytest.raises(VaeError, match="statistics dimension"):
-        encode(vae, np.ones((2, 4)))
+    with pytest.raises(VaeError, match="expected statistics dimension 5, got 4"):
+        embed_statistics(vae, np.ones((2, 4)))
+    with pytest.raises(VaeError, match="expected statistics dimension 5, got 6"):
+        embed_statistics(vae, np.ones(6))
 
 
 def test_encode_rejects_wrong_noise_shape():
@@ -265,7 +265,7 @@ def test_embed_is_posterior_mean_no_sampling():
     x = training_vectors(4, 5, seed=33)
     out = embed_statistics(vae, x)
     assert out.shape == (4, 3)
-    np.testing.assert_array_equal(out, encode(vae, x).mu.values)
+    np.testing.assert_array_equal(out, graph_encode(vae, x)[0].mu.values)
     np.testing.assert_array_equal(out, embed_statistics(vae, x))  # repeatable
     single = embed_statistics(vae, x[0])
     assert single.shape == (3,)

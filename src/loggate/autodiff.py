@@ -324,8 +324,16 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Rows of `table` at `ids` of any shape; backward scatter-adds."""
+    """Rows of `table` at `ids` of any shape; backward scatter-adds.
+
+    Every id must lie in [0, rows): numpy would read a negative id from
+    the end of the table.
+    """
     ids = np.asarray(ids, dtype=np.int64)
+    rows = table.values.shape[0]
+    if ids.size and (ids.min() < 0 or ids.max() >= rows):
+        bad = ids[(ids < 0) | (ids >= rows)].flat[0]
+        raise ShapeError(f"embedding: id {bad} outside [0, {rows})")
 
     def backward(g: np.ndarray) -> None:
         acc = np.zeros_like(table.values)
@@ -379,6 +387,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     b, k = logits.values.shape
     if labels.shape[0] != b:
         raise ShapeError(f"cross_entropy: {labels.shape[0]} labels for {b} rows")
+    if b == 0:
+        raise ShapeError("cross_entropy: no rows to average")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"cross_entropy: label out of range [0, {k})")
     shifted = logits.values - logits.values.max(axis=1, keepdims=True)

@@ -167,10 +167,13 @@ def forward(model: DiagnosisModel, token_ids,
             stat_embedding: np.ndarray | None) -> Tensor:
     """Logits (B, n_labels) for a batch of B messages under the model's mode.
 
-    `token_ids` is a sequence of B id lists, each padded or truncated to
-    `m_fixed` by `pad_tokens`; `stat_embedding` is (B, latent_dim), or
-    None in `semantic_only` mode. The batch is one autodiff graph.
+    `token_ids` is a sequence of B id lists, each truncated to `m_fixed`
+    and padded by `pad_tokens` to the batch's longest message;
+    `stat_embedding` is (B, latent_dim), or None in `semantic_only` mode.
+    The batch is one autodiff graph.
     """
+    if not len(token_ids):
+        raise FusionError("forward: the batch has no messages")
     expected = (len(token_ids), model.latent_dim)
     if model.mode != "semantic_only" and np.shape(stat_embedding) != expected:
         raise FusionError(
@@ -179,8 +182,11 @@ def forward(model: DiagnosisModel, token_ids,
             "dictionary + VAE embedding cache) before the classifier")
     if model.mode == "stats_only":
         return _head_logits(model.head, project_stats(model.stats, stat_embedding))
+    # pad positions get zero attention and zero pooling weight, so padding
+    # past the longest message changes nothing but the order of float sums
+    width = min(model.m_fixed, max(1, max(len(t) for t in token_ids)))
     ids, mask = (np.stack(parts) for parts in
-                 zip(*(pad_tokens(t, model.m_fixed) for t in token_ids)))
+                 zip(*(pad_tokens(t, width) for t in token_ids)))
     feats = model.encoder.encode(ids, mask)
     info_map, confidence = project_info(model.info, feats)
     if model.mode == "semantic_only":

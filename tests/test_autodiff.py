@@ -203,6 +203,23 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="out of range"):
             ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
+    def test_no_rows_raises(self):
+        with pytest.raises(ShapeError, match="no rows"):
+            ad.cross_entropy(Tensor(np.zeros((0, 3))), np.zeros(0, np.int64))
+
+
+class TestEmbedding:
+    def test_ids_outside_the_table_raise(self):
+        table = ad.parameter(np.arange(12.0).reshape(4, 3))
+        for ids, bad in (([[0, -3]], -3), ([1, 4], 4)):
+            with pytest.raises(ShapeError, match=f"id {bad} outside"):
+                ad.embedding(table, np.array(ids))
+
+    def test_zero_size_ids_give_no_rows(self):
+        table = ad.parameter(np.ones((4, 3)))
+        out = ad.embedding(table, np.zeros((2, 0), np.int64))
+        assert out.shape == (2, 0, 3)
+
 
 class TestBackward:
     def test_sum_of_parameters_gives_unit_grads(self):

@@ -9,7 +9,7 @@ from loggate.fusion import (MODES, ClassifierHead, DiagnosisModel, FusionError,
                             ada_sem_gate, build_model, classify, forward,
                             global_attention, load_model, project_stats,
                             save_model)
-from loggate.semantic import InfoProjection, project_info
+from loggate.semantic import AttentionEncoder, InfoProjection, project_info
 
 from helpers import (check_gradients, fused_attention_oracle, gate_value,
                      identity_projection, per_message_forward)
@@ -368,6 +368,56 @@ def test_batched_forward_matches_per_message_oracle():
             scale = max(np.abs(g).max() for g in want.values())
             err = max(np.abs(got[k] - want[k]).max() for k in want) / scale
             assert err <= 1e-12, f"{mode} batch {size}: gradient rel err {err:.2e}"
+
+
+def test_batch_is_padded_to_its_longest_message(monkeypatch):
+    # m_fixed is 5: a batch pads to its longest message, truncates at
+    # m_fixed, and keeps one slot when every message is empty
+    seen = []
+    encode = AttentionEncoder.encode
+
+    def spy(self, ids, mask):
+        assert ids.shape == mask.shape
+        seen.append(mask)
+        return encode(self, ids, mask)
+
+    monkeypatch.setattr(AttentionEncoder, "encode", spy)
+    model = make_model(mode="full")
+    for batch, width in (([[1, 2], [3], []], 2), ([[1] * 9, [2]], 5),
+                         ([[], []], 1)):
+        forward(model, batch, np.zeros((len(batch), 2)))
+        active = [[max(min(len(ids), 5), 1)] for ids in batch]
+        np.testing.assert_array_equal(seen.pop(), np.arange(width) < active)
+
+
+def test_trimmed_batches_match_the_m_fixed_oracle():
+    # messages of 0..7 tokens at m_fixed=16, so every batch pads to fewer
+    # than m_fixed columns; the oracle pads each message to m_fixed
+    rng = np.random.Generator(np.random.PCG64(76))
+    for mode in MODES:
+        model = make_model(mode=mode, epsilon=0.3, seed=77, m_fixed=16)
+        for _ in range(4):
+            size = int(rng.integers(1, 33))
+            batch = [rng.integers(0, 11, size=int(rng.integers(0, 8))).tolist()
+                     for _ in range(size)]
+            emb = rng.standard_normal((size, 2))
+            labels = rng.integers(0, 3, size=size)
+            batched = forward(model, batch, emb)
+            oracle = ad.concat_rows([per_message_forward(model, ids, row)
+                                     for ids, row in zip(batch, emb)])
+            gap = np.abs(batched.values - oracle.values).max()
+            assert gap <= 1e-12, f"{mode} batch {size}: logit gap {gap:.2e}"
+            got = _grads(model, ad.cross_entropy(batched, labels))
+            want = _grads(model, ad.cross_entropy(oracle, labels))
+            scale = max(np.abs(g).max() for g in want.values())
+            err = max(np.abs(got[k] - want[k]).max() for k in want) / scale
+            assert err <= 1e-12, f"{mode} batch {size}: gradient rel err {err:.2e}"
+
+
+def test_forward_refuses_an_empty_batch():
+    for mode in MODES:
+        with pytest.raises(FusionError, match="no messages"):
+            forward(make_model(mode=mode), [], np.zeros((0, 2)))
 
 
 def test_forward_rejects_embeddings_that_do_not_match_the_batch():

@@ -5,6 +5,12 @@ the token encoder and the gated classifier. Every value is a row-major
 numpy array; gradients are accumulated by walking the recorded graph in
 reverse topological order.
 
+Neither model trains or scores through this engine: the VAE step and
+the classifier's `fusion.batch_forward`/`batch_backward` are closed-form
+numpy. The engine is the oracle the tests hold those steps to (and the
+finite-difference suite holds the engine to), and the path `perfbench/`
+times block by block.
+
 The dtype follows the operands. A tensor keeps a floating array's dtype
 and holds anything else as float64; parameters are always float64. An
 operand of `add`, `mul`, `-` or `matmul` that is not a Tensor (a Python

@@ -3,6 +3,10 @@
 The statistics embedding is projected into the semantic information
 space, admitted entrywise wherever the semantic confidence sits in a
 band around 0.5, attended over token positions, pooled and classified.
+
+Training and scoring run `batch_forward` and `batch_backward`, plain
+numpy. `forward` and the block functions build the same model as an
+autodiff graph, the oracle the tests hold those two to.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 # encode_message stays importable here: perfbench traces it under this name.
 from .semantic import (AttentionEncoder, InfoProjection, encode_message,  # noqa: F401
-                       pad_tokens, project_info)
+                       pad_tokens, project_info, sinusoidal_positions)
 from .serialize import load_table, save_table
 
 MODES = ("full", "stats_only", "semantic_only", "no_gate")
@@ -198,6 +202,188 @@ def forward(model: DiagnosisModel, token_ids,
         fused = ada_sem_gate(info_map, confidence, stat_info, model.epsilon)
     attended = global_attention(fused, feats, mask)
     return classify(model.head, attended, mask)
+
+
+def batch_rows(ids: np.ndarray, slots: np.ndarray,
+               rows) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `rows` of padded messages, cut to the batch's longest message.
+
+    Each row of `ids` is one message as `pad_tokens` pads it, and
+    `slots` counts each row's key positions. Returns the batch's
+    (B, width) ids and key mask: the arrays `forward` pads that batch to.
+    """
+    slots = slots[rows]
+    width = int(slots.max())
+    return ids[rows, :width], np.arange(width) < slots[:, None]
+
+
+def _softmax_keys(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`ad.softmax_rows(scores, valid=mask[:, None, :])` on plain arrays."""
+    scores = np.where(mask[:, None, :], scores, -np.inf)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    """The last two axes swapped into a fresh array, as `ad.transpose` makes."""
+    return np.swapaxes(a, -1, -2).copy()
+
+
+def _relu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    positive = a > 0
+    return positive, np.where(positive, a, a.dtype.type(0))
+
+
+def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
+                  stat_rows: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Logits (B, n_labels) of a padded batch, plus what `batch_backward` needs.
+
+    `ids` and `mask` are (B, width) as `batch_rows` makes them;
+    `stat_rows` is (B, latent_dim) and ignored in `semantic_only` mode.
+    Plain numpy: every operation, operand order and cast repeats the
+    graph `forward` builds for the same batch, so the logits are
+    bit-equal to `forward`'s, in float64 and float32 alike. Every
+    constant (positions, pool weights, statistics rows) takes the
+    parameters' dtype.
+    """
+    p = {name: t.values for name, t in model.parameters().items()}
+    dtype = p["head.w1"].dtype
+    d = p["head.w1"].shape[0]
+    saved: dict[str, np.ndarray] = {}
+    if model.mode != "semantic_only":
+        stat_in = np.asarray(stat_rows, dtype=dtype)[:, None, :]
+        stat = np.matmul(stat_in, p["stats.weight"]) + p["stats.bias"]
+        saved.update(stat_in=stat_in, stat=stat)
+    if model.mode == "stats_only":
+        pooled = stat.reshape(-1, d)
+    else:
+        # encoder
+        x0 = p["sem.tok_emb"][ids] + np.asarray(
+            sinusoidal_positions(ids.shape[1], d), dtype=dtype)
+        q = np.matmul(x0, p["sem.wq"]) + p["sem.bq"]
+        k = np.matmul(x0, p["sem.wk"]) + p["sem.bk"]
+        v = np.matmul(x0, p["sem.wv"]) + p["sem.bv"]
+        scale = np.asarray(1.0 / np.sqrt(d), dtype=dtype)
+        self_weights = _softmax_keys(np.matmul(q, _swap(k)) * scale, mask)
+        mixed = np.matmul(self_weights, v)
+        x1 = x0 + (np.matmul(mixed, p["sem.wo"]) + p["sem.bo"])
+        ffn_open, ffn = _relu(np.matmul(x1, p["sem.ffn_w1"]) + p["sem.ffn_b1"])
+        feats = x1 + np.matmul(ffn, p["sem.ffn_w2"]) + p["sem.ffn_b2"]
+        # information projection, gate and global attention
+        info = np.matmul(feats, _swap(p["info.weight"])) + p["info.bias"]
+        info_open, fused = _relu(info)
+        if model.mode == "no_gate":
+            fused = fused + stat
+        elif model.mode == "full":
+            e = np.exp(-np.abs(info))
+            conf = np.where(info >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            band = np.asarray(np.abs(conf - 0.5) <= model.epsilon, dtype=dtype)
+            gated = conf * band
+            fused = fused + gated * stat
+            saved.update(conf=conf, band=band, gated=gated)
+        global_weights = _softmax_keys(np.matmul(fused, _swap(feats)), mask)
+        attended = np.matmul(global_weights, feats)
+        mask3 = mask[:, None, :]
+        pool = np.asarray(mask3 / mask3.sum(axis=-1, keepdims=True), dtype=dtype)
+        pooled = np.matmul(pool, attended).reshape(-1, d)
+        saved.update(ids=ids, x0=x0, q=q, k=k, v=v, self_weights=self_weights,
+                     mixed=mixed, x1=x1, ffn_open=ffn_open, ffn=ffn,
+                     feats=feats, info_open=info_open, fused=fused,
+                     global_weights=global_weights, pool=pool)
+    head_open, hidden = _relu(np.matmul(pooled, p["head.w1"]) + p["head.b1"])
+    logits = np.matmul(hidden, p["head.w2"]) + p["head.b2"]
+    saved.update(pooled=pooled, head_open=head_open, hidden=hidden)
+    return logits, saved
+
+
+def _affine_grads(grads: dict, weight: str, bias: str, inputs: np.ndarray,
+                  g: np.ndarray) -> None:
+    """Weight and bias gradients of `inputs @ W + b`: one GEMM over all rows."""
+    g = g.reshape(-1, g.shape[-1])
+    grads[weight] = inputs.reshape(-1, inputs.shape[-1]).T @ g
+    grads[bias] = g.sum(axis=0)
+
+
+def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return weights * (g - (g * weights).sum(axis=-1, keepdims=True))
+
+
+def _rows_times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """`g @ w` over the last axis of any-rank `g`, as one 2-D GEMM."""
+    return (g.reshape(-1, g.shape[-1]) @ w).reshape(*g.shape[:-1], w.shape[1])
+
+
+def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
+                   labels: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean cross-entropy of `logits` against `labels`, and its gradients.
+
+    `logits` and `saved` come from `batch_forward`. Gradients are keyed
+    like `model.parameters()` and hold exactly the parameters the mode's
+    forward pass reads; a non-finite loss comes back with no gradients.
+    Each weight gradient is one GEMM over the batch's B * width rows, so
+    the sums run in another order than the graph's per-message stack.
+    """
+    b = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    weights = np.exp(shifted)
+    norm = weights.sum(axis=1, keepdims=True)
+    loss = float((np.log(norm[:, 0]) - shifted[np.arange(b), labels]).mean())
+    if not np.isfinite(loss):
+        return loss, {}
+    p = {name: t.values for name, t in model.parameters().items()}
+    s = saved
+    grads: dict[str, np.ndarray] = {}
+    g = weights / norm
+    g[np.arange(b), labels] -= 1.0
+    g /= b
+    _affine_grads(grads, "head.w2", "head.b2", s["hidden"], g)
+    g = (g @ p["head.w2"].T) * s["head_open"]
+    _affine_grads(grads, "head.w1", "head.b1", s["pooled"], g)
+    g_pooled = g @ p["head.w1"].T
+    if model.mode == "stats_only":
+        g_stat = g_pooled
+    else:
+        # pool, global attention (keys and values are the features)
+        g_attended = np.swapaxes(s["pool"], 1, 2) * g_pooled[:, None, :]
+        feats, fused, attention = s["feats"], s["fused"], s["global_weights"]
+        g_scores = _softmax_grad(attention, np.matmul(g_attended, _swap(feats)))
+        g_fused = np.matmul(g_scores, feats)
+        g_feats = (np.matmul(_swap(attention), g_attended)
+                   + np.matmul(_swap(g_scores), fused))
+        # gate and information projection
+        g_info = g_fused * s["info_open"]
+        if model.mode == "full":
+            conf = s["conf"]
+            g_info = g_info + g_fused * s["stat"] * s["band"] * conf * (1.0 - conf)
+            g_stat = (g_fused * s["gated"]).sum(axis=1)
+        elif model.mode == "no_gate":
+            g_stat = g_fused.sum(axis=1)
+        g_rows = g_info.reshape(-1, g_info.shape[-1])
+        grads["info.weight"] = g_rows.T @ feats.reshape(-1, feats.shape[-1])
+        grads["info.bias"] = g_rows.sum(axis=0)
+        g_feats += _rows_times(g_info, p["info.weight"])
+        # encoder: FFN block, then the self-attention block
+        _affine_grads(grads, "sem.ffn_w2", "sem.ffn_b2", s["ffn"], g_feats)
+        g = _rows_times(g_feats, p["sem.ffn_w2"].T) * s["ffn_open"]
+        _affine_grads(grads, "sem.ffn_w1", "sem.ffn_b1", s["x1"], g)
+        g_x1 = g_feats + _rows_times(g, p["sem.ffn_w1"].T)
+        _affine_grads(grads, "sem.wo", "sem.bo", s["mixed"], g_x1)
+        g_mixed = _rows_times(g_x1, p["sem.wo"].T)
+        attention, q, k, v = s["self_weights"], s["q"], s["k"], s["v"]
+        g_scores = _softmax_grad(attention, np.matmul(g_mixed, _swap(v))) * (
+            1.0 / np.sqrt(q.shape[-1]))
+        g_x0 = g_x1
+        for name, g in (("q", np.matmul(g_scores, k)),
+                        ("k", np.matmul(_swap(g_scores), q)),
+                        ("v", np.matmul(_swap(attention), g_mixed))):
+            _affine_grads(grads, f"sem.w{name}", f"sem.b{name}", s["x0"], g)
+            g_x0 = g_x0 + _rows_times(g, p[f"sem.w{name}"].T)
+        table = np.zeros_like(p["sem.tok_emb"])
+        np.add.at(table, s["ids"], g_x0)
+        grads["sem.tok_emb"] = table
+    if model.mode != "semantic_only":
+        _affine_grads(grads, "stats.weight", "stats.bias", s["stat_in"], g_stat)
+    return loss, grads
 
 
 def save_model(model: DiagnosisModel, path: str | Path,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import math
 import shutil
 import time
 from dataclasses import dataclass, fields, replace
@@ -16,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import fusion, statvae
-from .corpus import (FIRST_WORD_ID, LogDataset, SplitSpec, load_dataset,
-                     train_split_hash)
+from .corpus import (FIRST_WORD_ID, PAD_ID, LogDataset, SplitSpec,
+                     load_dataset, train_split_hash)
 from .fusion import MODES, DiagnosisModel
 from .metrics import MetricsReport, compute_metrics, format_metrics, write_metrics
 from .optim import Adam
@@ -70,6 +70,10 @@ class RunConfig:
     def validate(self) -> None:
         if not 0.0 <= self.epsilon <= 0.5:
             raise ConfigError(f"epsilon must lie in [0, 0.5], got {self.epsilon}")
+        # a zero rate trains nothing and a non-finite one poisons every parameter
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ConfigError("learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
         for name in ("m_fixed", "d_model", "latent_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -189,38 +193,54 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _batch_logits(model: DiagnosisModel, dataset: LogDataset, records,
-                  embeddings: np.ndarray) -> ad.Tensor:
-    """(len(records), n_labels) logits from one forward pass."""
-    return fusion.forward(model, [dataset.token_ids(rec.tokens) for rec in records],
-                          embeddings[[rec.message_id for rec in records]])
+def _pad_records(dataset: LogDataset, records,
+                  m_fixed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded token ids, key slot counts and message ids of `records`.
+
+    Row i of the (N, m_fixed) id matrix is `pad_tokens`'s padding of
+    record i's token ids to `m_fixed`, and its first `slots[i]`
+    positions are the ones that padding marks as keys. The matrix holds
+    a whole split at once, so its ids are int32, not int64.
+    """
+    ids = np.full((len(records), m_fixed), PAD_ID, dtype=np.int32)
+    slots = np.ones(len(records), dtype=np.int64)
+    for row, rec in enumerate(records):
+        kept = dataset.token_ids(rec.tokens[:m_fixed])
+        ids[row, :len(kept)] = kept
+        slots[row] = max(len(kept), 1)
+    return ids, slots, np.array([rec.message_id for rec in records], dtype=np.int64)
 
 
 def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
                    embeddings: np.ndarray) -> np.ndarray:
     """(N, n_labels) logits, one row per record, in chunks of EVAL_CHUNK.
 
-    Scores a SCORE_DTYPE constant copy of `model`, so that pass builds no
-    graph and `model` keeps its float64 parameters. `autodiff` casts the
-    embedding rows and every other plain-array constant of the forward
-    pass to the copy's dtype. Rows whose top two logits lie within
-    TIE_GAP are scored again by `model` itself, so every row's argmax is
-    the float64 model's. The result is float64. Only the argmax of a row
-    is used: dev selection and test metrics both read it.
+    Scores a SCORE_DTYPE constant copy of `model`, so `model` keeps its
+    float64 parameters; `fusion.batch_forward` casts the embedding rows
+    and every other constant of the forward pass to the copy's dtype.
+    Rows whose top two logits lie within TIE_GAP are scored again by
+    `model` itself, so every row's argmax is the float64 model's. The
+    result is float64. Only the argmax of a row is used: dev selection
+    and test metrics both read it.
     """
+    ids, slots, message_ids = _pad_records(dataset, records, model.m_fixed)
+
+    def score(scorer: DiagnosisModel, rows) -> np.ndarray:
+        return fusion.batch_forward(scorer, *fusion.batch_rows(ids, slots, rows),
+                                    embeddings[message_ids[rows]])[0]
+
     logits = np.zeros((len(records), model.n_labels))
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
     for start in range(0, len(records), EVAL_CHUNK):
-        logits[start:start + EVAL_CHUNK] = _batch_logits(
-            scorer, dataset, records[start:start + EVAL_CHUNK], embeddings).values
+        rows = slice(start, start + EVAL_CHUNK)
+        logits[rows] = score(scorer, rows)
     if model.n_labels < 2:
         return logits
     top2 = np.partition(logits, -2, axis=1)[:, -2:]
     ties = np.flatnonzero(top2[:, 1] - top2[:, 0] <= TIE_GAP)
     for start in range(0, ties.size, EVAL_CHUNK):
         rows = ties[start:start + EVAL_CHUNK]
-        logits[rows] = _batch_logits(model, dataset, [records[i] for i in rows],
-                                     embeddings).values
+        logits[rows] = score(model, rows)
     return logits
 
 
@@ -355,6 +375,8 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
     shuffle_rng = _child_rng(config.seed, 3)
     train_records = dataset.split_records("train")
     dev_records = dataset.split_records("dev")
+    ids, slots, message_ids = _pad_records(dataset, train_records, config.m_fixed)
+    labels = np.array([rec.label_id for rec in train_records], dtype=np.int64)
     best_values = {name: t.values.copy() for name, t in params.items()}
     best_f1 = -1.0
     log_rows = []
@@ -362,16 +384,16 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
         order = shuffle_rng.permutation(len(train_records))
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
-            batch = [train_records[i] for i in order[start:start + config.batch_size]]
-            loss = ad.cross_entropy(
-                _batch_logits(model, dataset, batch, embeddings),
-                np.array([rec.label_id for rec in batch], dtype=np.int64))
-            value = float(loss.values)
+            rows = order[start:start + config.batch_size]
+            logits, saved = fusion.batch_forward(
+                model, *fusion.batch_rows(ids, slots, rows),
+                embeddings[message_ids[rows]])
+            value, grads = fusion.batch_backward(model, logits, saved, labels[rows])
             if not np.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite loss {value!r} at epoch {epoch} step {step}")
-            optimizer.zero_grad()
-            loss.backward()
+            for name, tensor in params.items():
+                tensor.grad = grads.get(name)
             optimizer.step()
             losses.append(value)
         dev_f1 = (_split_report(model, dataset, dev_records, embeddings, config, 0.0)

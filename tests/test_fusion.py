@@ -5,11 +5,14 @@ import pytest
 
 from loggate import autodiff as ad
 from loggate.autodiff import ShapeError, Tensor
+from loggate.corpus import UNK_ID
 from loggate.fusion import (MODES, ClassifierHead, DiagnosisModel, FusionError,
-                            ada_sem_gate, build_model, classify, forward,
-                            global_attention, load_model, project_stats,
-                            save_model)
-from loggate.semantic import AttentionEncoder, InfoProjection, project_info
+                            ada_sem_gate, batch_backward, batch_forward,
+                            batch_rows, build_model, classify, constant_copy,
+                            forward, global_attention, load_model,
+                            project_stats, save_model)
+from loggate.semantic import (AttentionEncoder, InfoProjection, pad_tokens,
+                              project_info)
 
 from helpers import (check_gradients, fused_attention_oracle, gate_value,
                      identity_projection, per_message_forward)
@@ -412,6 +415,63 @@ def test_trimmed_batches_match_the_m_fixed_oracle():
             scale = max(np.abs(g).max() for g in want.values())
             err = max(np.abs(got[k] - want[k]).max() for k in want) / scale
             assert err <= 1e-12, f"{mode} batch {size}: gradient rel err {err:.2e}"
+
+
+def _closed_form_cases():
+    """(model, batch, embeddings, labels) for every mode at three band
+    widths, on seeded batches of 1..32 messages of 0..m_fixed + 3 ids
+    drawn from UNK_ID up."""
+    rng = np.random.Generator(np.random.PCG64(78))
+    for mode in MODES:
+        for epsilon in (0.0, 0.2, 0.5):
+            model = make_model(mode=mode, epsilon=epsilon, seed=79, d_model=6)
+            for size in (1, 32, *rng.integers(2, 32, size=3)):
+                batch = [rng.integers(UNK_ID, 11, size=int(rng.integers(0, 9))).tolist()
+                         for _ in range(size)]
+                yield (model, batch, rng.standard_normal((size, 2)),
+                       rng.integers(0, 3, size=size))
+
+
+def _closed_form_forward(model, batch, emb):
+    # every message padded to m_fixed, then cut to the batch's width
+    ids, mask = map(np.stack, zip(*(pad_tokens(t, model.m_fixed) for t in batch)))
+    return batch_forward(model, *batch_rows(ids, mask.sum(axis=1),
+                                            np.arange(len(batch))), emb)
+
+
+def test_closed_form_forward_is_the_graph_forward():
+    for model, batch, emb, _ in _closed_form_cases():
+        for dtype in (np.float64, np.float32):
+            scorer = constant_copy(model, dtype)
+            logits, saved = _closed_form_forward(scorer, batch, emb)
+            assert logits.dtype == dtype
+            # positions, pool weights and statistics rows take the
+            # parameters' dtype, so no intermediate is upcast
+            assert {a.dtype for a in saved.values() if a.dtype.kind == "f"} == \
+                {np.dtype(dtype)}, (model.mode, dtype)
+            np.testing.assert_array_equal(logits, forward(scorer, batch, emb).values,
+                                          f"{model.mode} {dtype.__name__}")
+
+
+def test_closed_form_step_matches_the_graph():
+    for model, batch, emb, labels in _closed_form_cases():
+        case = f"{model.mode} epsilon={model.epsilon} batch {len(batch)}"
+        logits, saved = _closed_form_forward(model, batch, emb)
+        loss, got = batch_backward(model, logits, saved, labels)
+        graph_loss = ad.cross_entropy(forward(model, batch, emb), labels)
+        for tensor in model.parameters().values():
+            tensor.zero_grad()
+        graph_loss.backward()
+        want = {name: t.grad for name, t in model.parameters().items()
+                if t.grad is not None}
+        assert abs(loss - float(graph_loss.values)) <= 1e-12 * abs(loss), case
+        assert got.keys() == want.keys(), case
+        largest = max(np.abs(g).max() for g in want.values())
+        for name, grad in want.items():
+            # the key bias's true gradient is 0: its entries are roundoff
+            scale = largest if name == "sem.bk" else np.abs(grad).max()
+            err = np.abs(got[name] - grad).max()
+            assert err <= 1e-12 * scale, f"{case} {name}: {err:.2e} of {scale:.2e}"
 
 
 def test_forward_refuses_an_empty_batch():

@@ -14,6 +14,7 @@ from loggate.pipeline import (ConfigError, RunConfig, StageError,
                               evaluate, load_config, preprocess, run_ablation,
                               run_sweep, save_config, train)
 from loggate.fusion import MODES
+from loggate.semantic import pad_tokens
 from loggate.synth import (LabelSpec, SynthSpec, generate_synthetic,
                            make_default_spec, word_bank)
 from loggate.wordstats import load_stat_dictionary
@@ -93,6 +94,14 @@ def test_config_rejects_bad_value_and_line(tmp_path):
 def test_config_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
         RunConfig(dataset="x", **overrides).validate()
+
+
+@pytest.mark.parametrize("rate", ["0", "-1e-3", "nan", "inf", "-inf"])
+def test_config_rejects_a_learning_rate_that_cannot_train(rate):
+    with pytest.raises(ConfigError, match="learning_rate must be finite and positive"):
+        apply_overrides(RunConfig(dataset="x"), [f"learning_rate={rate}"])
+    with pytest.raises(ConfigError, match="learning_rate"):
+        RunConfig(dataset="x", learning_rate=float(rate)).validate()
 
 
 def test_apply_overrides(base_config):
@@ -232,9 +241,9 @@ def test_non_finite_embeddings_stop_before_cache(base_config, tmp_path, monkeypa
 
 def test_non_finite_classifier_loss_stops_before_checkpoint(base_config, tmp_path,
                                                            monkeypatch):
-    monkeypatch.setattr(fusion, "forward",
-                        lambda model, token_ids, stat_embedding:
-                        Tensor(np.full((len(token_ids), model.n_labels), np.nan)))
+    monkeypatch.setattr(fusion, "batch_forward",
+                        lambda model, ids, mask, stat_rows:
+                        (np.full((len(ids), model.n_labels), np.nan), {}))
     with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss "
                                          r"nan at epoch 0 step 0"):
         train(base_config, tmp_path)
@@ -404,6 +413,50 @@ def test_train_is_byte_identical_to_the_loop_references(tmp_path, monkeypatch):
     assert_same_run_files(tmp_path / "fast", tmp_path / "loop")
 
 
+def test_train_and_evaluate_build_no_graph(tmp_path, monkeypatch):
+    # training and scoring run the closed-form numpy step; the autodiff
+    # graph is only the tests' oracle
+    nodes = []
+    record = Tensor._result
+
+    def counting(values, parents, backward):
+        out = record(values, parents, backward)
+        if out._backward is not None:
+            nodes.append(out)
+        return out
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counting))
+    config = RunConfig(dataset=str(MINI_CORPUS), m_fixed=10, d_model=16,
+                       latent_dim=4, vae_epochs=2, classifier_epochs=2, seed=7)
+    train(config, tmp_path)
+    evaluate(tmp_path)
+    assert len(nodes) == 0
+
+
+def test_split_token_matrix_is_pad_tokens_row_for_row():
+    dataset = load_dataset(MINI_CORPUS)
+    records = dataset.records
+    lengths = [len(rec.tokens) for rec in records]
+    assert min(lengths) < 6 < max(lengths)  # both padding and truncation
+    rng = np.random.Generator(np.random.PCG64(90))
+    for m_fixed in (6, 16):
+        ids, slots, message_ids = pipeline._pad_records(dataset, records, m_fixed)
+        for i, rec in enumerate(records):
+            want_ids, want_mask = pad_tokens(dataset.token_ids(rec.tokens), m_fixed)
+            np.testing.assert_array_equal(ids[i], want_ids)
+            assert slots[i] == want_mask.sum()
+            assert message_ids[i] == rec.message_id
+        for _ in range(20):
+            batch = rng.choice(len(records), size=int(rng.integers(1, 33)))
+            token_ids = [dataset.token_ids(records[i].tokens) for i in batch]
+            width = min(m_fixed, max(1, max(len(t) for t in token_ids)))
+            got_ids, got_mask = fusion.batch_rows(ids, slots, batch)
+            for row, t in enumerate(token_ids):
+                want_ids, want_mask = pad_tokens(t, width)
+                np.testing.assert_array_equal(got_ids[row], want_ids)
+                np.testing.assert_array_equal(got_mask[row], want_mask)
+
+
 # -- scoring -------------------------------------------------------------------
 
 
@@ -465,13 +518,23 @@ def _record_results(monkeypatch) -> list:
 
 def test_scoring_builds_no_graph_and_stays_float32(ablated, monkeypatch):
     # a float64 constant anywhere in the forward would silently upcast
-    # every tensor after it
+    # every array after it
     runs = [_scoring_inputs(ablated[0] / mode) for mode in MODES]
     monkeypatch.setattr(pipeline, "TIE_GAP", -1.0)  # no row is re-scored
     made = _record_results(monkeypatch)
+    dtypes = set()
+    batch_forward = fusion.batch_forward
+
+    def recording(model, ids, mask, stat_rows):
+        logits, saved = batch_forward(model, ids, mask, stat_rows)
+        dtypes.update(a.dtype for a in (logits, *saved.values()) if a.dtype.kind == "f")
+        return logits, saved
+
+    monkeypatch.setattr(fusion, "batch_forward", recording)
     for model, dataset, embeddings in runs:
         collect_logits(model, dataset, dataset.split_records("test"), embeddings)
-    assert made and set(made) == {(np.dtype(np.float32), False)}
+    assert not made
+    assert dtypes == {np.dtype(np.float32)}
 
 
 def test_rescored_rows_are_the_float64_forward(ablated, monkeypatch):

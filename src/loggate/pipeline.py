@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import math
+import os
 import shutil
 import time
 from dataclasses import dataclass, fields, replace
@@ -44,6 +45,11 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # a failure in a training lane reaches the parent through pickle
+        return type(self), (self.stage, self.message)
 
 
 class ConfigError(ValueError):
@@ -451,40 +457,96 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
 _SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
 
 
+# The runs and shared preprocessing of the call a forked training lane
+# serves. Set by `_join_lane` in that child only; the parent never sets it.
+_lane_work = None
+
+
+def _fit_run(runs, pre: PreprocessResult, index: int,
+             started: float = 0.0) -> MetricsReport:
+    """Train run `index` of `runs` on the preprocessing `pre` left in run 0.
+
+    Run 0 trains in `pre.run_dir` and its wall clock runs from `started`.
+    Every later run first gets its own `run.cfg` and a byte copy of run
+    0's preprocessing artifacts; its wall clock covers that copy and its
+    own classifier.
+    """
+    config, run_dir = runs[index]
+    if index:
+        started = time.perf_counter()
+        run_dir = _make_run_dir(config, run_dir)
+        save_config(config, run_dir / "run.cfg")
+        for name in _SHARED_ARTIFACTS:
+            shutil.copyfile(pre.run_dir / name, run_dir / name)
+        pre = replace(pre, run_dir=run_dir)
+    return _fit(config, pre, started).report
+
+
+def _join_lane(runs, pre: PreprocessResult) -> None:
+    global _lane_work
+    _lane_work = runs, pre
+
+
+def _fit_in_lane(index: int) -> MetricsReport:
+    return _fit_run(*_lane_work, index)
+
+
 def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     """Train every `(config, run_dir)` pair on one preprocessing pass.
 
     The configs may differ only in fields `preprocess` does not read
     (`mode`, `epsilon`, `d_model`). Every config is validated before any
-    work. Each later run gets its own `run.cfg` and a byte copy of the
-    first run's preprocessing artifacts, so every run directory equals
-    what `train` alone would leave.
+    work. The first run preprocesses into its own directory; each later
+    run gets its own `run.cfg` and a byte copy of those artifacts, so
+    every run directory equals what `train` alone would leave.
+
+    The classifiers then train on `lanes = min(len(runs), CPUs this
+    process may use)` lanes: run i trains in lane `i % lanes`. This
+    process trains lane 0, starting with the first run; each other lane
+    is a child forked after preprocessing, which reads the runs and the
+    preprocessing result from its copy of this process's memory and
+    sends back only reports. Each fit is deterministic and depends only
+    on its config and the shared preprocessing, so the artifacts do not
+    depend on the lane count. When a lane fails, the children's runs not
+    yet started are cancelled, the started ones finish, and the first
+    failure read (this process's own, else the earliest child run's) is
+    re-raised here.
     """
     for config, _ in runs:
         config.validate()
-    reports, pre = [], None
-    for config, run_dir in runs:
-        started = time.perf_counter()
-        if pre is None:
-            pre = preprocess(config, run_dir)
-            source = pre.run_dir
-        else:
-            run_dir = _make_run_dir(config, run_dir)
-            save_config(config, run_dir / "run.cfg")
-            for name in _SHARED_ARTIFACTS:
-                shutil.copyfile(source / name, run_dir / name)
-            pre = replace(pre, run_dir=run_dir)
-        reports.append(_fit(config, pre, started).report)
-    return reports
+    started = time.perf_counter()
+    pre = preprocess(*runs[0])
+    lanes = min(len(runs), len(os.sched_getaffinity(0)))
+    if lanes == 1:
+        return [_fit_run(runs, pre, i, started) for i in range(len(runs))]
+    # Imported here: only a call with two or more lanes pays their memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: the lanes inherit `runs` and `pre` unpickled.
+    pool = ProcessPoolExecutor(lanes - 1,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_join_lane, initargs=(runs, pre))
+    try:
+        futures = {i: pool.submit(_fit_in_lane, i)
+                   for i in range(len(runs)) if i % lanes}
+        reports = {i: _fit_run(runs, pre, i, started)
+                   for i in range(0, len(runs), lanes)}
+        reports.update((i, future.result()) for i, future in futures.items())
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return [reports[i] for i in range(len(runs))]
 
 
 def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsReport]:
     """Full model plus the three ablations, identical settings and seed.
 
     The modes share one preprocessing pass; `<out_dir>/<mode>` holds the
-    files `train` would write there. The `full` report's wall clock
-    covers preprocessing and its classifier; each other mode's covers
-    copying the artifacts and its own classifier.
+    files `train` would write there. Their classifiers train on parallel
+    lanes, one per CPU up to four (`_train_sharing_preprocess`). The
+    `full` report's wall clock covers preprocessing and its classifier;
+    each other mode's covers copying the artifacts and its own
+    classifier, timed in the lane that trains it.
     """
     out_dir = Path(out_dir)
     reports = dict(zip(MODES, _train_sharing_preprocess(
@@ -503,9 +565,12 @@ def run_sweep(config: RunConfig, axis: str, grid,
     """One training run per grid value on the chosen axis.
 
     Every point is cast and validated, and duplicates are refused,
-    before any work. The points share one preprocessing pass: the first
-    point's wall clock covers preprocessing and its classifier; each
-    later point's covers copying the artifacts and its own classifier.
+    before any work. The points share one preprocessing pass, then
+    train on parallel lanes, one per CPU up to one per point
+    (`_train_sharing_preprocess`). The first point's wall clock covers
+    preprocessing and its classifier; each later point's covers copying
+    the artifacts and its own classifier, timed in the lane that trains
+    it.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")

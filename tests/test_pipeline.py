@@ -1,5 +1,9 @@
 """Config handling and the staged train/evaluate/ablation/sweep pipeline."""
 
+import multiprocessing
+import os
+import pickle
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -571,3 +575,118 @@ def test_scoring_a_single_label_model(trained):
     records = trained.dataset.split_records("test")
     logits = collect_logits(single, trained.dataset, records, trained.embeddings)
     assert logits.shape == (len(records), 1)
+
+
+# -- training lanes ----------------------------------------------------------------
+
+
+def test_stage_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(StageError("train-classifier", "x")))
+    assert type(error) is StageError
+    assert error.stage == "train-classifier"
+    assert str(error) == "[train-classifier] x"
+
+
+def _use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def no_lane_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def _without_last_column(path: Path) -> list[str]:
+    return [line.rsplit("\t", 1)[0]
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_lanes_leave_the_same_files_at_every_cpu_count(base_config, tmp_path,
+                                                      monkeypatch, no_lane_left):
+    grid = [0.0, 0.2, 0.35]
+    for cpus in (1, 2, 8):
+        _use_cpus(monkeypatch, cpus)
+        run_ablation(base_config, tmp_path / f"cpus{cpus}" / "ablation")
+        run_sweep(base_config, "epsilon", grid, tmp_path / f"cpus{cpus}" / "sweep")
+    runs = [f"ablation/{mode}" for mode in MODES] + [f"sweep/epsilon={v}" for v in grid]
+    serial = tmp_path / "cpus1"
+    for cpus in (2, 8):
+        laned = tmp_path / f"cpus{cpus}"
+        for run in runs:
+            assert_same_run_files(laned / run, serial / run)
+        assert (laned / "ablation" / "ablation.tsv").read_bytes() == \
+            (serial / "ablation" / "ablation.tsv").read_bytes()
+        # the wall_clock column is the last one
+        assert _without_last_column(laned / "sweep" / "sweep.tsv") == \
+            _without_last_column(serial / "sweep" / "sweep.tsv")
+
+
+def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
+                                          no_lane_left):
+    _use_cpus(monkeypatch, 2)
+    pid_log = tmp_path / "pids.tsv"
+    fit = pipeline._fit
+
+    def recording_fit(config, pre, started):
+        with pid_log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{config.mode}\t{os.getpid()}\n")
+        return fit(config, pre, started)
+
+    monkeypatch.setattr(pipeline, "_fit", recording_fit)
+    run_ablation(base_config, tmp_path / "ablation")
+    pids = dict(line.split("\t")
+                for line in pid_log.read_text(encoding="utf-8").splitlines())
+    assert set(pids) == set(MODES)
+    # two lanes: runs 0 and 2 in this process, runs 1 and 3 in the child
+    in_parent = {mode for mode, pid in pids.items() if int(pid) == os.getpid()}
+    assert in_parent == {MODES[0], MODES[2]}
+    assert len({pids[MODES[1]], pids[MODES[3]]}) == 1
+
+
+@pytest.mark.parametrize("cpus", [2, 8])
+def test_a_failing_child_lane_raises_its_stage_error(base_config, tmp_path,
+                                                     monkeypatch, no_lane_left, cpus):
+    _use_cpus(monkeypatch, cpus)
+    forward = fusion.batch_forward
+
+    def diverging(model, ids, mask, stat_rows):
+        if model.mode == "no_gate":
+            return np.full((len(ids), model.n_labels), np.nan), {}
+        return forward(model, ids, mask, stat_rows)
+
+    monkeypatch.setattr(fusion, "batch_forward", diverging)
+    with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss") \
+            as caught:
+        run_ablation(base_config, tmp_path)
+    assert caught.value.stage == "train-classifier"
+    assert not (tmp_path / "no_gate" / "model.ckpt").exists()
+    assert not (tmp_path / "ablation.tsv").exists()
+
+
+def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_path,
+                                                             monkeypatch, no_lane_left):
+    # Two lanes over 8 points: the child's lane holds points 1, 3, 5 and 7.
+    # Its runs are held back long enough for point 0 to fail in this
+    # process first; by then the pool has handed the child at most three
+    # runs, so point 7 is still queued and must never start.
+    _use_cpus(monkeypatch, 2)
+    parent, fit, forward = os.getpid(), pipeline._fit, fusion.batch_forward
+
+    def slow_child_fit(config, pre, started):
+        if os.getpid() != parent:
+            time.sleep(0.5)
+        return fit(config, pre, started)
+
+    def diverging(model, ids, mask, stat_rows):
+        if model.epsilon == 0.0:
+            return np.full((len(ids), model.n_labels), np.nan), {}
+        return forward(model, ids, mask, stat_rows)
+
+    monkeypatch.setattr(pipeline, "_fit", slow_child_fit)
+    monkeypatch.setattr(fusion, "batch_forward", diverging)
+    grid = [round(0.05 * i, 2) for i in range(8)]
+    with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss"):
+        run_sweep(base_config, "epsilon", grid, tmp_path)
+    assert not (tmp_path / f"epsilon={grid[7]}").exists()
+    assert not (tmp_path / "sweep.tsv").exists()

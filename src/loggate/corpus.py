@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,23 +52,14 @@ class LabelVocab:
     """Ordered, unique label names; index positions are stable for a run."""
 
     labels: list[str]
-    _index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(set(self.labels)) != len(self.labels):
             raise CorpusError(f"duplicate label names: {self.labels}")
-        self._index = {name: i for i, name in enumerate(self.labels)}
 
     @property
     def size(self) -> int:
         return len(self.labels)
-
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise CorpusError(
-                f"unknown label {name!r}; known labels: {', '.join(self.labels)}")
 
 
 @dataclass
@@ -107,36 +98,31 @@ FIRST_WORD_ID = 2
 
 @dataclass
 class LogDataset:
-    """Loaded corpus: records, split assignment, train-split word vocab."""
+    """Loaded corpus: records, each split's records, train-split word vocab."""
 
     records: list[LogRecord]
     label_vocab: LabelVocab
-    splits: dict[int, str]
+    splits: dict[str, list[LogRecord]]  # split name -> its records in file order
     vocab: dict[str, int]
 
     def split_records(self, split: str) -> list[LogRecord]:
         if split not in SPLIT_NAMES:
             raise CorpusError(f"unknown split {split!r}; expected one of {SPLIT_NAMES}")
-        return [r for r in self.records if self.splits[r.message_id] == split]
+        return list(self.splits[split])
 
     def token_ids(self, tokens: list[str]) -> list[int]:
         return [self.vocab.get(t, UNK_ID) for t in tokens]
 
 
-def _assign_splits(ids: list[int], spec: SplitSpec) -> dict[int, str]:
+def _cut_splits(records: list[LogRecord],
+                spec: SplitSpec) -> dict[str, list[LogRecord]]:
+    """Train, dev and test cut in turn from a seeded permutation, in file order."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
-    order = rng.permutation(len(ids))
-    n_train, n_dev, _ = spec.counts(len(ids))
-    assignment: dict[int, str] = {}
-    for pos, idx in enumerate(order):
-        if pos < n_train:
-            split = "train"
-        elif pos < n_train + n_dev:
-            split = "dev"
-        else:
-            split = "test"
-        assignment[ids[idx]] = split
-    return assignment
+    order = rng.permutation(len(records))
+    n_train, n_dev, _ = spec.counts(len(records))
+    bounds = (0, n_train, n_train + n_dev, len(records))
+    return {name: [records[i] for i in np.sort(order[start:stop]).tolist()]
+            for name, start, stop in zip(SPLIT_NAMES, bounds, bounds[1:])}
 
 
 def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
@@ -178,13 +164,9 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
             if not tokens:
                 warnings.warn(f"{path}:{lineno}: message has no tokens", stacklevel=2)
             records.append(LogRecord(len(records), task_id, tokens, label_ids[label]))
-    spec = split_spec or SplitSpec()
-    splits = _assign_splits([r.message_id for r in records], spec)
-    vocab: dict[str, int] = {}
-    train_words = sorted({t for r in records
-                          if splits[r.message_id] == "train" for t in r.tokens})
-    for i, word in enumerate(train_words):
-        vocab[word] = FIRST_WORD_ID + i
+    splits = _cut_splits(records, split_spec or SplitSpec())
+    train_words = sorted({t for r in splits["train"] for t in r.tokens})
+    vocab = {word: FIRST_WORD_ID + i for i, word in enumerate(train_words)}
     return LogDataset(records, LabelVocab(labels_seen), splits, vocab)
 
 

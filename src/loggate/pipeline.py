@@ -170,8 +170,6 @@ def _file_digest(path: Path) -> str:
 @dataclass
 class PreprocessResult:
     dataset: LogDataset
-    stats: StatDictionary
-    vae: statvae.StatVae
     embeddings: np.ndarray  # (N, latent_dim), row i is message id i
     dict_hash: str
     run_dir: Path
@@ -182,8 +180,6 @@ class TrainResult:
     model: DiagnosisModel
     report: MetricsReport
     dataset: LogDataset
-    stats: StatDictionary
-    vae: statvae.StatVae
     embeddings: np.ndarray
     run_dir: Path
 
@@ -330,7 +326,7 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
         statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings,
                                      dict_hash)
-    return PreprocessResult(dataset, stats, vae, embeddings, dict_hash, run_dir)
+    return PreprocessResult(dataset, embeddings, dict_hash, run_dir)
 
 
 def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
@@ -365,8 +361,7 @@ def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResul
         write_metrics(report, run_dir / "metrics.tsv")
         (run_dir / "metrics.txt").write_text(format_metrics(report) + "\n",
                                              encoding="utf-8")
-    return TrainResult(model, report, dataset, pre.stats, pre.vae,
-                       embeddings, run_dir)
+    return TrainResult(model, report, dataset, embeddings, run_dir)
 
 
 def _train_classifier(config: RunConfig, dataset: LogDataset,
@@ -501,29 +496,37 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     every run directory equals what `train` alone would leave.
 
     The classifiers then train on `lanes = min(len(runs), CPUs this
-    process may use)` lanes: run i trains in lane `i % lanes`. This
-    process trains lane 0, starting with the first run; each other lane
-    is a child forked after preprocessing, which reads the runs and the
-    preprocessing result from its copy of this process's memory and
-    sends back only reports. Each fit is deterministic and depends only
-    on its config and the shared preprocessing, so the artifacts do not
-    depend on the lane count. When a lane fails, the children's runs not
-    yet started are cancelled, the started ones finish, and the first
-    failure read (this process's own, else the earliest child run's) is
-    re-raised here.
+    process may use)` lanes, or on one where the platform cannot fork:
+    run i trains in lane `i % lanes`. This process trains lane 0,
+    starting with the first run; each other lane is a child forked
+    after preprocessing, which reads the runs and the preprocessing
+    result from its copy of this process's memory and sends back only
+    reports. Each fit is deterministic and depends only on its config
+    and the shared preprocessing, so the artifacts do not depend on the
+    lane count. When a lane fails, the children's runs not yet started
+    are cancelled, the started ones finish, and the first failure read
+    (this process's own, else the earliest child run's) is re-raised
+    here.
     """
     for config, _ in runs:
         config.validate()
     started = time.perf_counter()
     pre = preprocess(*runs[0])
-    lanes = min(len(runs), len(os.sched_getaffinity(0)))
+    # sched_getaffinity is missing on macOS and Windows
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    lanes = min(len(runs), cpus)
+    if lanes > 1:
+        # Imported here: only a call with two or more lanes pays their memory.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: the lanes inherit `runs` and `pre` unpickled.
+        # Where fork is no start method (Windows), every run stays here.
+        if "fork" not in multiprocessing.get_all_start_methods():
+            lanes = 1
     if lanes == 1:
         return [_fit_run(runs, pre, i, started) for i in range(len(runs))]
-    # Imported here: only a call with two or more lanes pays their memory.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: the lanes inherit `runs` and `pre` unpickled.
     pool = ProcessPoolExecutor(lanes - 1,
                                mp_context=multiprocessing.get_context("fork"),
                                initializer=_join_lane, initargs=(runs, pre))

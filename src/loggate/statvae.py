@@ -169,17 +169,14 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
 def embed_statistics(vae: StatVae, x: np.ndarray) -> np.ndarray:
     """Deterministic embedding: the posterior mean, no sampling.
 
-    Accepts (n,) or (b, n); returns matching (latent_dim,) or
-    (b, latent_dim) float64.
+    Takes a (rows, n) batch and returns (rows, latent_dim) float64.
     """
-    single = np.asarray(x).ndim == 1
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != vae.input_dim:
-        raise VaeError(
-            f"expected statistics dimension {vae.input_dim}, got {x.shape[1]}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != vae.input_dim:
+        raise VaeError(f"expected a (rows, {vae.input_dim}) statistics batch, "
+                       f"got shape {x.shape}")
     p = {name: t.values for name, t in vae.params.items()}
-    mu = _encoder(p, _standardize(vae, x))[2]
-    return mu[0] if single else mu
+    return _encoder(p, _standardize(vae, x))[2]
 
 
 def save_stat_vae(vae: StatVae, path: str | Path) -> None:
@@ -187,14 +184,6 @@ def save_stat_vae(vae: StatVae, path: str | Path) -> None:
     arrays["in_mean"] = vae.in_mean
     arrays["in_std"] = vae.in_std
     save_table(path, arrays, meta={"latent_dim": str(vae.latent_dim)})
-
-
-def load_stat_vae(path: str | Path) -> StatVae:
-    arrays, meta = load_table(path)
-    in_mean = arrays.pop("in_mean")
-    in_std = arrays.pop("in_std")
-    params = {name: ad.parameter(values) for name, values in arrays.items()}
-    return StatVae(params, in_mean, in_std, int(meta["latent_dim"]))
 
 
 def save_embedding_cache(path: str | Path, embeddings: np.ndarray,

@@ -16,10 +16,12 @@ import numpy as np
 
 from loggate import autodiff as ad
 from loggate.autodiff import Tensor
+from loggate.corpus import SplitSpec
 from loggate.fusion import (DiagnosisModel, ada_sem_gate, classify,
                             global_attention, project_stats)
 from loggate.optim import BETA1, BETA2, EPS
 from loggate.semantic import InfoProjection, encode_message, project_info
+from loggate.serialize import load_table
 from loggate.statvae import StatVae, VaeError
 from loggate.wordstats import StatDictionary, message_stats
 
@@ -271,6 +273,15 @@ def graph_elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float
     return float(loss.values)
 
 
+def load_stat_vae(path: str | Path) -> StatVae:
+    """A VAE checkpoint written by `statvae.save_stat_vae`."""
+    arrays, meta = load_table(path)
+    in_mean = arrays.pop("in_mean")
+    in_std = arrays.pop("in_std")
+    params = {name: ad.parameter(values) for name, values in arrays.items()}
+    return StatVae(params, in_mean, in_std, int(meta["latent_dim"]))
+
+
 def random_text(rng: np.random.Generator, alphabet: str, low: int,
                 high: int) -> str:
     """`low` to `high` characters drawn uniformly from `alphabet`."""
@@ -411,6 +422,23 @@ class ReferenceAdam:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()
+
+
+def reference_split_assignment(ids: list[int], spec: SplitSpec) -> dict[int, str]:
+    """message id -> split, walking the seeded permutation one position at a time."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
+    order = rng.permutation(len(ids))
+    n_train, n_dev, _ = spec.counts(len(ids))
+    assignment: dict[int, str] = {}
+    for pos, idx in enumerate(order):
+        if pos < n_train:
+            split = "train"
+        elif pos < n_train + n_dev:
+            split = "dev"
+        else:
+            split = "test"
+        assignment[ids[idx]] = split
+    return assignment
 
 
 def reference_pooled_stats(stats: StatDictionary, records, m_fixed: int) -> np.ndarray:

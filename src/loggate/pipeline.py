@@ -37,6 +37,11 @@ SCORE_DTYPE = np.float32  # scoring arithmetic; training stays float64
 # 2.4e-5 of the float64 ones (largest |logit| 12), and one float64 top-2 gap
 # was 2.8e-7: float32 alone flipped that prediction.
 TIE_GAP = 1e-3
+# Fewest rows of a split per scoring lane (64 chunks). On a 2-core VM,
+# forking and joining a one-worker pool took 6-9 ms; one lane scored
+# 200 rows in 7-11 ms against 17-22 ms on two, 1,000 rows in 28-44 ms
+# against 33-39 ms, and 18,000 rows in 0.57-0.83 s against 0.33-0.47 s.
+LANE_MIN_ROWS = 2048
 
 
 class StageError(RuntimeError):
@@ -224,26 +229,63 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     `model` itself, so every row's argmax is the float64 model's. The
     result is float64. Only the argmax of a row is used: dev selection
     and test metrics both read it.
+
+    A split of at least 2 * LANE_MIN_ROWS rows is scored on
+    `lanes = min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`):
+    this process scores the first contiguous range of rows, and one
+    forked child each later range. Every range starts on a multiple of
+    EVAL_CHUNK, so each chunk holds the rows, and is padded to the
+    width, it has in one lane, and the logits do not depend on the lane
+    count. The float64 re-score runs here after the lanes join.
     """
-    ids, slots, message_ids = _pad_records(dataset, records, model.m_fixed)
-
-    def score(scorer: DiagnosisModel, rows) -> np.ndarray:
-        return fusion.batch_forward(scorer, *fusion.batch_rows(ids, slots, rows),
-                                    embeddings[message_ids[rows]])[0]
-
-    logits = np.zeros((len(records), model.n_labels))
+    inputs = (*_pad_records(dataset, records, model.m_fixed), embeddings)
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
-    for start in range(0, len(records), EVAL_CHUNK):
-        rows = slice(start, start + EVAL_CHUNK)
-        logits[rows] = score(scorer, rows)
+    n_rows = len(records)
+    lanes = _lane_count(n_rows // LANE_MIN_ROWS)
+    if lanes == 1:
+        logits = _score_range(scorer, inputs, 0, n_rows)
+    else:
+        # lane i scores rows [bounds[i], bounds[i + 1]): whole chunks but
+        # for the split's last one
+        chunks = -(-n_rows // EVAL_CHUNK)
+        bounds = [EVAL_CHUNK * (chunks * lane // lanes)
+                  for lane in range(lanes)] + [n_rows]
+        with _lane_pool(lanes, (scorer, inputs)) as pool:
+            futures = [pool.submit(_score_in_lane, *bounds[lane:lane + 2])
+                       for lane in range(1, lanes)]
+            blocks = [_score_range(scorer, inputs, *bounds[:2])]
+            blocks.extend(future.result() for future in futures)
+        logits = np.concatenate(blocks)
     if model.n_labels < 2:
         return logits
     top2 = np.partition(logits, -2, axis=1)[:, -2:]
     ties = np.flatnonzero(top2[:, 1] - top2[:, 0] <= TIE_GAP)
     for start in range(0, ties.size, EVAL_CHUNK):
         rows = ties[start:start + EVAL_CHUNK]
-        logits[rows] = score(model, rows)
+        logits[rows] = _score(model, inputs, rows)
     return logits
+
+
+def _score(scorer: DiagnosisModel, inputs, rows) -> np.ndarray:
+    """Logits of `rows` of the padded split `inputs` as `scorer` computes them."""
+    ids, slots, message_ids, embeddings = inputs
+    return fusion.batch_forward(scorer, *fusion.batch_rows(ids, slots, rows),
+                                embeddings[message_ids[rows]])[0]
+
+
+def _score_range(scorer: DiagnosisModel, inputs, start: int,
+                 stop: int) -> np.ndarray:
+    """Float64 logits of rows [start, stop), EVAL_CHUNK rows a pass from `start`."""
+    logits = np.zeros((stop - start, scorer.n_labels))
+    for first in range(start, stop, EVAL_CHUNK):
+        last = min(first + EVAL_CHUNK, stop)
+        logits[first - start:last - start] = _score(scorer, inputs,
+                                                    slice(first, last))
+    return logits
+
+
+def _score_in_lane(start: int, stop: int) -> np.ndarray:
+    return _score_range(*_lane_work, start, stop)
 
 
 def _records_to_score(dataset: LogDataset, split: str):
@@ -255,11 +297,13 @@ def _records_to_score(dataset: LogDataset, split: str):
 
 
 def _split_report(model, dataset, records, embeddings, config,
-                  wall_clock: float) -> MetricsReport:
+                  started: float) -> MetricsReport:
+    """Metrics of `records`; the wall clock runs from `started` to the end of scoring."""
     true_ids = np.array([rec.label_id for rec in records], dtype=np.int64)
     preds = collect_logits(model, dataset, records, embeddings).argmax(axis=1)
     return compute_metrics(true_ids, preds, dataset.label_vocab.labels,
-                           config=_config_snapshot(config), wall_clock=wall_clock)
+                           config=_config_snapshot(config),
+                           wall_clock=time.perf_counter() - started)
 
 
 def _load_stage_dataset(config: RunConfig) -> LogDataset:
@@ -344,7 +388,7 @@ def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResul
     """Train the classifier on `pre`, save it and score the test split.
 
     An empty test split fails before the classifier trains. The report's
-    wall clock runs from `started`.
+    wall clock runs from `started` to the end of test scoring.
     """
     dataset, embeddings, run_dir = pre.dataset, pre.embeddings, pre.run_dir
     test_records = _records_to_score(dataset, "test")
@@ -357,7 +401,7 @@ def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResul
 
     with _stage("evaluate-test"):
         report = _split_report(model, dataset, test_records, embeddings, config,
-                               time.perf_counter() - started)
+                               started)
         write_metrics(report, run_dir / "metrics.tsv")
         (run_dir / "metrics.txt").write_text(format_metrics(report) + "\n",
                                              encoding="utf-8")
@@ -397,8 +441,9 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
                 tensor.grad = grads.get(name)
             optimizer.step()
             losses.append(value)
-        dev_f1 = (_split_report(model, dataset, dev_records, embeddings, config, 0.0)
-                  .macro_f1 if dev_records else float("nan"))
+        dev_f1 = (_split_report(model, dataset, dev_records, embeddings, config,
+                                time.perf_counter()).macro_f1
+                  if dev_records else float("nan"))
         # No dev split: every epoch is selected, so the final parameters stay.
         selected = not dev_records or dev_f1 > best_f1
         if selected:
@@ -444,17 +489,65 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
             raise ValueError("dataset train split changed since training; retrain")
 
     with _stage(f"evaluate-{split}"):
-        started = time.perf_counter()
         return _split_report(model, dataset, _records_to_score(dataset, split),
-                             embeddings, config, time.perf_counter() - started)
+                             embeddings, config, time.perf_counter())
 
 
 _SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
 
 
-# The runs and shared preprocessing of the call a forked training lane
-# serves. Set by `_join_lane` in that child only; the parent never sets it.
+# What the lanes this process runs or serves share: a training call's
+# runs and preprocessing, or a scoring call's scorer and padded split.
+# Set by `_lane_pool` in the calling process and by `_join_lane` in each
+# child. While it is set, `_lane_count` gives one lane, so no lane forks
+# lanes of its own and processes never outnumber CPUs.
 _lane_work = None
+
+
+def _lane_count(work: int) -> int:
+    """Lanes for `work` units: one per CPU this process may use, at most `work`.
+
+    One lane, this process, when lanes already run here or where `fork`
+    is no start method (Windows): the lanes inherit their work unpickled.
+    """
+    # sched_getaffinity is missing on macOS and Windows
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    lanes = min(work, cpus)
+    if lanes > 1 and _lane_work is None:
+        # Imported here: only a call with two or more lanes pays its memory.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            return lanes
+    return 1
+
+
+@contextlib.contextmanager
+def _lane_pool(lanes: int, work):
+    """A pool of `lanes - 1` forked children that share `work` with this process.
+
+    On exit, children's tasks not yet started are cancelled and the
+    started ones finish, so no child outlives the block.
+    """
+    global _lane_work
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(lanes - 1,
+                               mp_context=multiprocessing.get_context("fork"),
+                               initializer=_join_lane, initargs=(work,))
+    _lane_work = work
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _lane_work = None
+
+
+def _join_lane(work) -> None:
+    global _lane_work
+    _lane_work = work
 
 
 def _fit_run(runs, pre: PreprocessResult, index: int,
@@ -463,8 +556,8 @@ def _fit_run(runs, pre: PreprocessResult, index: int,
 
     Run 0 trains in `pre.run_dir` and its wall clock runs from `started`.
     Every later run first gets its own `run.cfg` and a byte copy of run
-    0's preprocessing artifacts; its wall clock covers that copy and its
-    own classifier.
+    0's preprocessing artifacts; its wall clock covers that copy, its own
+    classifier and its test scoring.
     """
     config, run_dir = runs[index]
     if index:
@@ -475,11 +568,6 @@ def _fit_run(runs, pre: PreprocessResult, index: int,
             shutil.copyfile(pre.run_dir / name, run_dir / name)
         pre = replace(pre, run_dir=run_dir)
     return _fit(config, pre, started).report
-
-
-def _join_lane(runs, pre: PreprocessResult) -> None:
-    global _lane_work
-    _lane_work = runs, pre
 
 
 def _fit_in_lane(index: int) -> MetricsReport:
@@ -512,32 +600,15 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
         config.validate()
     started = time.perf_counter()
     pre = preprocess(*runs[0])
-    # sched_getaffinity is missing on macOS and Windows
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    lanes = min(len(runs), cpus)
-    if lanes > 1:
-        # Imported here: only a call with two or more lanes pays their memory.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: the lanes inherit `runs` and `pre` unpickled.
-        # Where fork is no start method (Windows), every run stays here.
-        if "fork" not in multiprocessing.get_all_start_methods():
-            lanes = 1
+    lanes = _lane_count(len(runs))
     if lanes == 1:
         return [_fit_run(runs, pre, i, started) for i in range(len(runs))]
-    pool = ProcessPoolExecutor(lanes - 1,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_join_lane, initargs=(runs, pre))
-    try:
+    with _lane_pool(lanes, (runs, pre)) as pool:
         futures = {i: pool.submit(_fit_in_lane, i)
                    for i in range(len(runs)) if i % lanes}
         reports = {i: _fit_run(runs, pre, i, started)
                    for i in range(0, len(runs), lanes)}
         reports.update((i, future.result()) for i, future in futures.items())
-    finally:
-        pool.shutdown(cancel_futures=True)
     return [reports[i] for i in range(len(runs))]
 
 
@@ -547,9 +618,10 @@ def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsRep
     The modes share one preprocessing pass; `<out_dir>/<mode>` holds the
     files `train` would write there. Their classifiers train on parallel
     lanes, one per CPU up to four (`_train_sharing_preprocess`). The
-    `full` report's wall clock covers preprocessing and its classifier;
-    each other mode's covers copying the artifacts and its own
-    classifier, timed in the lane that trains it.
+    `full` report's wall clock covers preprocessing, its classifier and
+    its test scoring; each other mode's covers copying the artifacts,
+    its own classifier and its test scoring, timed in the lane that
+    trains it.
     """
     out_dir = Path(out_dir)
     reports = dict(zip(MODES, _train_sharing_preprocess(
@@ -571,9 +643,9 @@ def run_sweep(config: RunConfig, axis: str, grid,
     before any work. The points share one preprocessing pass, then
     train on parallel lanes, one per CPU up to one per point
     (`_train_sharing_preprocess`). The first point's wall clock covers
-    preprocessing and its classifier; each later point's covers copying
-    the artifacts and its own classifier, timed in the lane that trains
-    it.
+    preprocessing, its classifier and its test scoring; each later
+    point's covers copying the artifacts, its own classifier and its
+    test scoring, timed in the lane that trains it.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")

@@ -267,6 +267,27 @@ def test_evaluate_matches_training_report(trained):
     assert 0.0 <= dev.macro_f1 <= 1.0
 
 
+def test_wall_clocks_cover_test_scoring(base_config, tmp_path, monkeypatch):
+    # no classifier epoch: every forward pass is a test-scoring one
+    config = replace(base_config, classifier_epochs=0)
+    slept, forward = [], fusion.batch_forward
+
+    def slow(model, ids, mask, stat_rows):
+        time.sleep(0.05)
+        slept.append(0.05)
+        return forward(model, ids, mask, stat_rows)
+
+    monkeypatch.setattr(fusion, "batch_forward", slow)
+    started = time.perf_counter()
+    report = train(config, tmp_path).report
+    elapsed = time.perf_counter() - started
+    assert sum(slept) <= report.wall_clock <= elapsed
+    # only writing the reports may follow the wall clock's end
+    assert elapsed - report.wall_clock < 0.05
+    slept.clear()
+    assert evaluate(tmp_path).wall_clock >= sum(slept) > 0
+
+
 def test_evaluate_missing_run(tmp_path):
     with pytest.raises(StageError, match=r"\[load-artifacts\]"):
         evaluate(tmp_path / "never_ran")
@@ -733,3 +754,143 @@ def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_pa
         run_sweep(base_config, "epsilon", grid, tmp_path)
     assert not (tmp_path / f"epsilon={grid[7]}").exists()
     assert not (tmp_path / "sweep.tsv").exists()
+
+
+# -- scoring lanes -----------------------------------------------------------------
+
+
+@pytest.fixture
+def score_pids(tmp_path, monkeypatch):
+    """Records every scored row range; call it for (mode, pid, start, stop) rows."""
+    log = tmp_path / "score-pids.tsv"
+    score_range = pipeline._score_range
+
+    def recording(scorer, inputs, start, stop):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{scorer.mode}\t{os.getpid()}\t{start}\t{stop}\n")
+        return score_range(scorer, inputs, start, stop)
+
+    monkeypatch.setattr(pipeline, "_score_range", recording)
+
+    def read():
+        rows = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [(mode, int(pid), int(start), int(stop))
+                for mode, pid, start, stop in (row.split("\t") for row in rows)]
+    return read
+
+
+def _lane_ranges(ranges, n_rows: int, lanes: int) -> None:
+    """`ranges` cut [0, n_rows) into `lanes` chunk-aligned ones, lane 0 scored here.
+
+    A child may score more than one lane's range.
+    """
+    assert len(ranges) == lanes
+    # lane 0 first, also where it and the next lanes have no row
+    ranges = sorted(ranges, key=lambda r: (r[2], r[3], r[1] != os.getpid()))
+    assert [r[2] for r in ranges[1:]] == [r[3] for r in ranges[:-1]]
+    assert ranges[0][2] == 0 and ranges[-1][3] == n_rows
+    assert all(r[2] % pipeline.EVAL_CHUNK == 0 for r in ranges)
+    here = [pid == os.getpid() for _, pid, _, _ in ranges]
+    assert here == [True] + [False] * (lanes - 1)
+
+
+def test_scoring_lanes_give_the_one_lane_logits(ablated, monkeypatch, no_lane_left,
+                                                score_pids):
+    model, dataset, embeddings = _scoring_inputs(ablated[0] / "full")
+    records = dataset.records * 6
+    sizes = (0, 1, 5, 31, 33, 100, 257, len(records))
+    assert len(records) % pipeline.EVAL_CHUNK
+    gaps = [pipeline.TIE_GAP]
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    _use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(pipeline, "TIE_GAP", -1.0)
+    float32 = collect_logits(model, dataset, records, embeddings)
+    score_pids()
+    top2 = np.sort(float32, axis=1)[:, -2:]
+    # half the rows lie within this gap and are scored again in float64
+    gaps.append(float(np.median(top2[:, 1] - top2[:, 0])))
+    for gap in gaps:
+        monkeypatch.setattr(pipeline, "TIE_GAP", gap)
+        for n_rows in sizes:
+            _use_cpus(monkeypatch, 1)
+            one_lane = collect_logits(model, dataset, records[:n_rows], embeddings)
+            _lane_ranges(score_pids(), n_rows, 1)
+            for cpus in (2, 8):
+                _use_cpus(monkeypatch, cpus)
+                logits = collect_logits(model, dataset, records[:n_rows], embeddings)
+                np.testing.assert_array_equal(logits, one_lane, f"{cpus} {n_rows}")
+                _lane_ranges(score_pids(), n_rows, max(1, min(cpus, n_rows)))
+    assert not np.array_equal(one_lane, float32)
+
+
+def test_scoring_forks_lanes_only_from_the_threshold(trained, monkeypatch,
+                                                     no_lane_left, score_pids):
+    _use_cpus(monkeypatch, 2)
+    records = trained.dataset.records
+    fork = os.fork
+
+    def no_fork():
+        raise AssertionError("a split below the threshold forked")
+
+    for min_rows, lanes in ((len(records) // 2 + 1, 1), (len(records) // 2, 2)):
+        monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
+        monkeypatch.setattr(os, "fork", no_fork if lanes == 1 else fork)
+        collect_logits(trained.model, trained.dataset, records, trained.embeddings)
+        _lane_ranges(score_pids(), len(records), lanes)
+
+
+def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkeypatch,
+                                                   no_lane_left, fit_pids, score_pids):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    run_ablation(base_config, tmp_path / "ablation")
+    fitted = fit_pids()
+    scored = score_pids()
+    # dev scoring every epoch plus the test split, one range each
+    assert len(scored) == len(MODES) * (base_config.classifier_epochs + 1)
+    for mode, pid, _, _ in scored:
+        assert pid == fitted[mode], mode
+    assert len(set(fitted.values())) == 2
+
+
+@pytest.mark.parametrize("cpus, lanes", [(2, 2), (None, 1)])
+def test_scoring_lanes_count_cpus_without_sched_getaffinity(trained, monkeypatch,
+                                                            no_lane_left, score_pids,
+                                                            cpus, lanes):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    records = trained.dataset.records
+    collect_logits(trained.model, trained.dataset, records, trained.embeddings)
+    _lane_ranges(score_pids(), len(records), lanes)
+
+
+def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatch,
+                                                             no_lane_left, score_pids):
+    _use_cpus(monkeypatch, 4)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    records = trained.dataset.records
+    collect_logits(trained.model, trained.dataset, records, trained.embeddings)
+    _lane_ranges(score_pids(), len(records), 1)
+
+
+def test_a_failing_scoring_lane_raises_its_stage_error(base_config, trained, tmp_path,
+                                                       monkeypatch, no_lane_left):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    parent, forward = os.getpid(), fusion.batch_forward
+
+    def failing_in_a_child(model, ids, mask, stat_rows):
+        if os.getpid() != parent:
+            raise FloatingPointError("lane fault")
+        return forward(model, ids, mask, stat_rows)
+
+    monkeypatch.setattr(fusion, "batch_forward", failing_in_a_child)
+    for run in (lambda: evaluate(trained.run_dir),
+                lambda: train(replace(base_config, classifier_epochs=0), tmp_path)):
+        with pytest.raises(StageError, match=r"\[evaluate-test\] lane fault") as caught:
+            run()
+        assert caught.value.stage == "evaluate-test"
+    assert not (tmp_path / "metrics.tsv").exists()

@@ -5,8 +5,11 @@ classifier. The posterior mean is the message's statistical embedding;
 sampling happens only while pretraining. Pretraining builds no autodiff
 graph: each step computes the negated ELBO and its closed-form gradient
 in plain numpy (reparameterized sample, analytic Gaussian KL; Kingma &
-Welling 2014, arXiv 1312.6114). The tests check it bit for bit against
-the same loss built on the autodiff graph.
+Welling 2014, arXiv 1312.6114), writing the gradients straight into one
+flat vector that `optim.Adam.step_flat` consumes. The tests check the
+step bit for bit against the same loss built on the autodiff graph, and
+the whole of pretraining against the per-batch loop over separate
+arrays that it replaced.
 """
 
 from __future__ import annotations
@@ -89,20 +92,21 @@ def _encoder(p: dict[str, np.ndarray], x: np.ndarray):
         hidden @ p["logvar_w"] + p["logvar_b"]
 
 
-def _elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float:
-    """Negated ELBO of one batch; a finite loss also sets every `.grad`.
+def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
+               grads: dict[str, np.ndarray]) -> float:
+    """Negated ELBO of one standardized batch; a finite loss also fills `grads`.
 
-    The loss is the batch mean of 1/2 squared reconstruction error of the
-    standardized batch plus the closed-form KL(q || N(0, I)), decoded
-    from the sample mu + exp(log_var / 2) * noise. Every expression
-    repeats the autodiff engine's float operations in its order, and the
-    three gradients reaching `log_var` are summed in the engine's order
-    (the sample's, the KL's 1 + log_var, then its exp(log_var)), so the
-    loss and gradients are bit-equal to the graph-built loss.
+    `p` holds the parameter arrays and `grads` one array of each
+    parameter's shape, which receives its gradient in place. The loss is
+    the batch mean of 1/2 squared reconstruction error of `x` plus the
+    closed-form KL(q || N(0, I)), decoded from the sample
+    mu + exp(log_var / 2) * noise. Every expression repeats the autodiff
+    engine's float operations in its order, and the three gradients
+    reaching `log_var` are summed in the engine's order (the sample's,
+    the KL's 1 + log_var, then its exp(log_var)), so the loss and
+    gradients are bit-equal to the graph-built loss.
     """
-    p = {name: t.values for name, t in vae.params.items()}
-    rows = batch.shape[0]
-    x = _standardize(vae, batch)
+    rows = x.shape[0]
     enc_mask, hidden, mu, log_var = _encoder(p, x)
     std = np.exp(log_var * 0.5)
     var = np.exp(log_var)
@@ -122,13 +126,11 @@ def _elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float:
     g_mu = g_sample + kl_grad * 2.0 * mu
     g_log_var = g_sample * noise * std * 0.5 + -0.5 / rows + kl_grad * var
     g_enc = (g_mu @ p["mu_w"].T + g_log_var @ p["logvar_w"].T) * enc_mask
-    grads = {"enc_w": x.T @ g_enc, "enc_b": g_enc.sum(axis=0),
-             "mu_w": hidden.T @ g_mu, "mu_b": g_mu.sum(axis=0),
-             "logvar_w": hidden.T @ g_log_var, "logvar_b": g_log_var.sum(axis=0),
-             "dec_w": sample.T @ g_dec, "dec_b": g_dec.sum(axis=0),
-             "out_w": dec_hidden.T @ g_out, "out_b": g_out.sum(axis=0)}
-    for name, t in vae.params.items():
-        t.grad = grads[name]
+    for name, inputs, g in (("enc", x, g_enc), ("mu", hidden, g_mu),
+                            ("logvar", hidden, g_log_var), ("dec", sample, g_dec),
+                            ("out", dec_hidden, g_out)):
+        np.matmul(inputs.T, g, out=grads[f"{name}_w"])
+        g.sum(axis=0, out=grads[f"{name}_b"])
     return loss
 
 
@@ -137,9 +139,20 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
 
     Deterministic for a given (vectors, config): initialization, shuffle
     order and reparameterization noise all come from one seeded stream.
-    A non-finite step loss stops training with a VaeError naming the
-    epoch and the step within it.
+    Each epoch draws its permutation, then one noise row per vector,
+    which is the stream a per-batch noise draw would read. The ten
+    parameters are views into one flat vector that Adam updates in
+    place from a flat gradient vector. A non-finite step loss stops
+    training with a VaeError naming the epoch and the step within it; so
+    does a non-positive `batch_size`, `latent_dim` or `hidden_dim`, or a
+    negative `epochs`, before any training.
     """
+    for name in ("batch_size", "latent_dim", "hidden_dim"):
+        if getattr(config, name) <= 0:
+            raise VaeError(f"VaeConfig.{name} must be positive, "
+                           f"got {getattr(config, name)!r}")
+    if config.epochs < 0:
+        raise VaeError(f"VaeConfig.epochs must not be negative, got {config.epochs!r}")
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     if vectors.size == 0:
         raise VaeError("cannot pretrain on an empty statistics set")
@@ -149,19 +162,27 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     std = vectors.std(axis=0)
     vae.in_mean = mean
     vae.in_std = np.where(std < 1e-6, 1.0, std)
-    # Standardization happens inside each step; train on the raw vectors.
     optimizer = Adam(vae.params, lr=config.learning_rate)
+    values = np.empty(optimizer.m.size)
+    grads = np.empty(optimizer.m.size)
+    p = optimizer.views(values)
+    for name, t in vae.params.items():
+        p[name][...] = t.values
+        t.values = p[name]
+    g = optimizer.views(grads)
+    # Elementwise, so each row has the bits a per-batch standardization gives.
+    x = _standardize(vae, vectors)
     losses: list[float] = []
-    n = vectors.shape[0]
+    n = x.shape[0]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        noise = rng.standard_normal((n, config.latent_dim))
         for step, start in enumerate(range(0, n, config.batch_size)):
-            batch = vectors[order[start:start + config.batch_size]]
-            noise = rng.standard_normal((batch.shape[0], config.latent_dim))
-            value = _elbo_step(vae, batch, noise)
+            stop = start + config.batch_size
+            value = _elbo_step(p, x[order[start:stop]], noise[start:stop], g)
             if not np.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
-            optimizer.step()
+            optimizer.step_flat(values, grads)
             losses.append(value)
     return vae, losses
 

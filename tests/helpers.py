@@ -15,14 +15,15 @@ from pathlib import Path
 import numpy as np
 
 from loggate import autodiff as ad
+from loggate import statvae
 from loggate.autodiff import Tensor
 from loggate.corpus import SplitSpec
 from loggate.fusion import (DiagnosisModel, ada_sem_gate, classify,
                             global_attention, project_stats)
-from loggate.optim import BETA1, BETA2, EPS
+from loggate.optim import BETA1, BETA2, EPS, Adam
 from loggate.semantic import InfoProjection, encode_message, project_info
 from loggate.serialize import load_table
-from loggate.statvae import StatVae, VaeError
+from loggate.statvae import StatVae, VaeConfig, VaeError, init_stat_vae
 from loggate.wordstats import StatDictionary, message_stats
 
 
@@ -209,7 +210,7 @@ def graph_encode(vae: StatVae, x: np.ndarray, noise: np.ndarray | None = None
 
     This and `decode`, `kl_divergence` and `elbo_loss` are the VAE loss
     as the graph builds it; `graph_elbo_step` runs it in place of the
-    closed-form step of `statvae.pretrain`.
+    closed-form step `statvae._elbo_step`.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     p = vae.params
@@ -264,13 +265,58 @@ def graph_elbo(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> Tensor:
     return elbo_loss(target, code, decode(vae, sample))
 
 
-def graph_elbo_step(vae: StatVae, batch: np.ndarray, noise: np.ndarray) -> float:
-    """The closed-form step's contract on the graph: loss, and every `.grad`."""
-    for t in vae.params.values():
-        t.zero_grad()
-    loss = graph_elbo(vae, batch, noise)
+def graph_elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
+                    grads: dict[str, np.ndarray]) -> float:
+    """`statvae._elbo_step`'s contract on the graph.
+
+    The loss of the standardized batch `x` under the parameter arrays
+    `p`, with every gradient copied into `grads`. The graph standardizes
+    by a zero mean and unit scale, which leaves `x` bit for bit.
+    """
+    params = {name: ad.parameter(values) for name, values in p.items()}
+    width = x.shape[1]
+    vae = StatVae(params, np.zeros(width), np.ones(width), noise.shape[1])
+    loss = graph_elbo(vae, x, noise)
     loss.backward()
+    for name, t in params.items():
+        grads[name][...] = t.grad
     return float(loss.values)
+
+
+def reference_pretrain(vectors: np.ndarray, config: VaeConfig
+                       ) -> tuple[StatVae, list[float]]:
+    """`statvae.pretrain` as the per-batch loop over separate arrays.
+
+    Each step standardizes its batch, draws its own noise, writes the
+    closed-form gradients into fresh arrays set as each tensor's `.grad`,
+    and takes `Adam.step` over the ten tensors.
+    """
+    vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
+    vae = init_stat_vae(vectors.shape[1], config, rng)
+    mean = vectors.mean(axis=0)
+    std = vectors.std(axis=0)
+    vae.in_mean = mean
+    vae.in_std = np.where(std < 1e-6, 1.0, std)
+    optimizer = Adam(vae.params, lr=config.learning_rate)
+    losses: list[float] = []
+    n = vectors.shape[0]
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        for step, start in enumerate(range(0, n, config.batch_size)):
+            batch = vectors[order[start:start + config.batch_size]]
+            noise = rng.standard_normal((batch.shape[0], config.latent_dim))
+            x = (batch - vae.in_mean) / vae.in_std
+            p = {name: t.values for name, t in vae.params.items()}
+            grads = {name: np.empty_like(t.values) for name, t in vae.params.items()}
+            value = statvae._elbo_step(p, x, noise, grads)
+            if not np.isfinite(value):
+                raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
+            for name, t in vae.params.items():
+                t.grad = grads[name]
+            optimizer.step()
+            losses.append(value)
+    return vae, losses
 
 
 def load_stat_vae(path: str | Path) -> StatVae:

@@ -120,3 +120,44 @@ def test_gradient_of_another_shape_is_refused(grad):
         opt.step()
     np.testing.assert_array_equal(p.values, [1.0])
     np.testing.assert_array_equal(q.values, [1.0, 2.0])
+
+
+def test_flat_step_matches_the_per_parameter_loop_bit_for_bit():
+    rng = np.random.Generator(np.random.PCG64(29))
+    for trial in range(20):
+        count = int(rng.integers(1, 7))
+        shapes = [SHAPES[int(i)] for i in rng.integers(0, len(SHAPES), count)]
+        names = [f"p{i}" for i in range(count)]
+        loop = {n: ad.parameter(rng.standard_normal(s)) for n, s in zip(names, shapes)}
+        lr = float(rng.uniform(1e-3, 0.5))
+        opt = Adam({n: ad.parameter(p.values) for n, p in loop.items()}, lr=lr)
+        ref = ReferenceAdam(loop, lr=lr)
+        values, grads = np.empty(opt.m.size), np.empty(opt.m.size)
+        value_views, grad_views = opt.views(values), opt.views(grads)
+        for name in names:
+            value_views[name][...] = loop[name].values
+        for step in range(50):
+            for i, name in enumerate(names):
+                g = rng.standard_normal(shapes[i]) * 10.0 ** rng.integers(-3, 3)
+                grad_views[name][...] = g
+                loop[name].grad = g
+            opt.step_flat(values, grads)
+            ref.step()
+            where = f"trial {trial} step {step}"
+            for name in names:
+                assert np.array_equal(value_views[name], loop[name].values), where
+            assert np.array_equal(opt.m, np.concatenate(
+                [ref.m[n].reshape(-1) for n in names])), where
+            assert np.array_equal(opt.v, np.concatenate(
+                [ref.v[n].reshape(-1) for n in names])), where
+
+
+@pytest.mark.parametrize("values_size, grads_size", [(2, 3), (3, 2), (4, 4)])
+def test_flat_vectors_of_another_length_are_refused(values_size, grads_size):
+    p = ad.parameter([1.0, 2.0, 3.0])
+    opt = Adam({"p": p}, lr=0.1)
+    values, grads = np.ones(values_size), np.ones(grads_size)
+    with pytest.raises(ValueError, match="flat"):
+        opt.step_flat(values, grads)
+    assert opt.step_count == 0 and not opt.m.any()
+    np.testing.assert_array_equal(values, np.ones(values_size))

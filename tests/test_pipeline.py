@@ -25,8 +25,9 @@ from loggate.synth import (LabelSpec, SynthSpec, generate_synthetic,
                            make_default_spec, word_bank)
 from loggate.wordstats import load_stat_dictionary
 
+import helpers
 from helpers import (ReferenceAdam, random_text, reference_accumulate,
-                     reference_pooled_stats, total_tokens)
+                     reference_pooled_stats, reference_pretrain, total_tokens)
 
 MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
 
@@ -425,14 +426,16 @@ def test_sweep_equals_independent_train_runs(base_config, tmp_path, axis, field,
 
 
 def test_train_is_byte_identical_to_the_loop_references(tmp_path, monkeypatch):
-    # The flat-buffer Adam, the one-pass pooling and storing fresh
-    # gradients uncopied change no float operation, so the run must match
-    # the per-parameter Adam loop, one message_stats call per record and
-    # the always-copying gradient accumulation, byte for byte.
+    # The flat-buffer Adam, VAE pretraining over one flat parameter
+    # vector, the one-pass pooling and storing fresh gradients uncopied
+    # change no float operation, so the run must match the per-batch VAE
+    # loop, the per-parameter Adam loop, one message_stats call per record
+    # and the always-copying gradient accumulation, byte for byte.
     config = RunConfig(dataset=str(MINI_CORPUS), m_fixed=10, d_model=16,
                        latent_dim=4, vae_epochs=3, classifier_epochs=2, seed=7)
     train(config, tmp_path / "fast")
-    monkeypatch.setattr(statvae, "Adam", ReferenceAdam)
+    monkeypatch.setattr(statvae, "pretrain", reference_pretrain)
+    monkeypatch.setattr(helpers, "Adam", ReferenceAdam)
     monkeypatch.setattr(pipeline, "Adam", ReferenceAdam)
     monkeypatch.setattr(pipeline, "pooled_stats", reference_pooled_stats)
     monkeypatch.setattr(Tensor, "_accumulate", reference_accumulate)

@@ -8,6 +8,7 @@ import pytest
 from loggate import autodiff as ad
 from loggate import statvae
 from loggate.autodiff import Tensor
+from loggate.optim import Adam
 from loggate.serialize import load_table, save_table
 from loggate.statvae import (VaeConfig, VaeError, _elbo_step, embed_statistics,
                              init_stat_vae, load_embedding_cache, pretrain,
@@ -15,7 +16,7 @@ from loggate.statvae import (VaeConfig, VaeError, _elbo_step, embed_statistics,
 
 from helpers import (LatentCode, check_gradients, elbo_loss, graph_elbo,
                      graph_elbo_step, graph_encode, kl_divergence,
-                     load_stat_vae, monte_carlo_kl, rel_err)
+                     load_stat_vae, monte_carlo_kl, reference_pretrain, rel_err)
 
 
 def code_from(mu, log_var):
@@ -157,6 +158,14 @@ def standardized_vae(n_rows=40, seed=23):
     return vae, vectors
 
 
+def step_inputs(vae, batch):
+    """`_elbo_step`'s operands for a raw batch: the parameter arrays, the
+    standardized batch, and fresh arrays to receive the gradients."""
+    p = {name: t.values for name, t in vae.params.items()}
+    grads = {name: np.full_like(t.values, np.nan) for name, t in vae.params.items()}
+    return p, statvae._standardize(vae, batch), grads
+
+
 @pytest.mark.parametrize("rows", [1, 7, 32])
 def test_closed_form_step_is_bit_equal_to_the_graph(rows):
     for seed in range(5):
@@ -164,12 +173,13 @@ def test_closed_form_step_is_bit_equal_to_the_graph(rows):
         rng = np.random.Generator(np.random.PCG64([rows, seed]))
         batch = vectors[rng.permutation(len(vectors))[:rows]]
         noise = rng.standard_normal((rows, vae.latent_dim))
-        loss = _elbo_step(vae, batch, noise)
-        grads = {name: t.grad for name, t in vae.params.items()}
-        assert graph_elbo_step(vae, batch, noise) == loss
+        p, x, grads = step_inputs(vae, batch)
+        loss = _elbo_step(p, x, noise, grads)
+        _, _, graph_grads = step_inputs(vae, batch)
+        assert graph_elbo_step(p, x, noise, graph_grads) == loss
         assert len(grads) == 10
-        for name, t in vae.params.items():
-            assert np.array_equal(grads[name], t.grad), (seed, name)
+        for name in vae.params:
+            assert np.array_equal(grads[name], graph_grads[name]), (seed, name)
 
 
 @pytest.mark.parametrize("rows", [1, 7])
@@ -178,18 +188,19 @@ def test_closed_form_step_matches_finite_differences(rows):
     rng = np.random.Generator(np.random.PCG64(rows))
     batch = vectors[rng.permutation(len(vectors))[:rows]]
     noise = rng.standard_normal((rows, vae.latent_dim))
-    _elbo_step(vae, batch, noise)
-    grads = {name: t.grad.copy() for name, t in vae.params.items()}
+    p, x, grads = step_inputs(vae, batch)
+    _elbo_step(p, x, noise, grads)
+    scratch = {name: np.empty_like(g) for name, g in grads.items()}
     eps = 1e-6
     worst = 0.0
-    for name, t in vae.params.items():
-        flat = t.values.reshape(-1)
+    for name, values in p.items():
+        flat = values.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            plus = _elbo_step(vae, batch, noise)
+            plus = _elbo_step(p, x, noise, scratch)
             flat[i] = orig - eps
-            minus = _elbo_step(vae, batch, noise)
+            minus = _elbo_step(p, x, noise, scratch)
             flat[i] = orig
             numeric = (plus - minus) / (2 * eps)
             worst = max(worst, rel_err(grads[name].reshape(-1)[i], numeric))
@@ -238,11 +249,87 @@ def test_pretrain_on_the_graph_step_is_identical(monkeypatch):
     vectors[:, 3] = 0.5
     config = VaeConfig(latent_dim=3, hidden_dim=8, epochs=3, batch_size=16, seed=8)
     vae, losses = pretrain(vectors, config)
-    monkeypatch.setattr(statvae, "_elbo_step", graph_elbo_step)
+    calls = []
+
+    def counted_graph_step(p, x, noise, grads):
+        calls.append(x.shape[0])
+        return graph_elbo_step(p, x, noise, grads)
+
+    monkeypatch.setattr(statvae, "_elbo_step", counted_graph_step)
     graph_vae, graph_losses = pretrain(vectors, config)
+    assert calls == [16, 16, 8] * 3
     assert losses == graph_losses
     for name, t in vae.params.items():
         np.testing.assert_array_equal(t.values, graph_vae.params[name].values)
+
+
+REFERENCE_CASES = {
+    "whole_batches": (48, VaeConfig(latent_dim=3, hidden_dim=8, epochs=3,
+                                    batch_size=16, seed=12)),
+    "short_last_batch": (41, VaeConfig(latent_dim=2, hidden_dim=6, epochs=3,
+                                       batch_size=16, seed=13)),
+    "batch_over_rows": (9, VaeConfig(latent_dim=4, hidden_dim=5, epochs=4,
+                                     batch_size=32, seed=14)),
+    "one_row": (1, VaeConfig(latent_dim=2, hidden_dim=4, epochs=5,
+                             batch_size=8, seed=15)),
+    "no_epochs": (20, VaeConfig(latent_dim=3, hidden_dim=8, epochs=0, seed=16)),
+    "constant_column": (30, VaeConfig(latent_dim=3, hidden_dim=8, epochs=3,
+                                      batch_size=7, learning_rate=3e-3, seed=17)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_pretrain_is_bit_equal_to_the_per_batch_loop(case):
+    rows, config = REFERENCE_CASES[case]
+    vectors = training_vectors(rows, 5, seed=40 + rows)
+    if case == "constant_column":
+        vectors[:, 1] = 2.25
+    vae, losses = pretrain(vectors, config)
+    ref, ref_losses = reference_pretrain(vectors, config)
+    assert losses == ref_losses
+    assert len(losses) == config.epochs * -(-rows // config.batch_size)
+    assert np.array_equal(vae.in_mean, ref.in_mean)
+    assert np.array_equal(vae.in_std, ref.in_std)
+    for name, t in ref.params.items():
+        assert np.array_equal(vae.params[name].values, t.values), name
+
+
+@pytest.mark.parametrize("n, b, latent", [(10, 5, 3), (11, 4, 2), (3, 8, 4),
+                                          (1, 1, 1), (37, 16, 16)])
+def test_one_noise_block_reads_the_per_batch_stream(n, b, latent):
+    """pretrain draws each epoch's noise as one block; the stream must be
+    the per-batch draws', short last batch included."""
+    block = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n * b)))
+    loop = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n * b)))
+    for _ in range(2):
+        assert np.array_equal(block.permutation(n), loop.permutation(n))
+        noise = block.standard_normal((n, latent))
+        for start in range(0, n, b):
+            rows = min(b, n - start)
+            assert np.array_equal(noise[start:start + b],
+                                  loop.standard_normal((rows, latent)))
+
+
+def test_pretrain_takes_no_per_tensor_step_and_builds_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("pretrain left the flat path")
+
+    monkeypatch.setattr(Adam, "step", refuse)
+    monkeypatch.setattr(Tensor, "backward", refuse)
+    _, losses = pretrain(training_vectors(40, 5),
+                         VaeConfig(latent_dim=3, hidden_dim=8, epochs=2,
+                                   batch_size=16, seed=3))
+    assert len(losses) == 6
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("batch_size", -3), ("latent_dim", 0), ("latent_dim", -1),
+    ("hidden_dim", 0), ("hidden_dim", -2), ("epochs", -1)])
+def test_pretrain_refuses_bad_config(field, value):
+    config = VaeConfig(latent_dim=3, hidden_dim=8, epochs=1, batch_size=8, seed=2)
+    setattr(config, field, value)
+    with pytest.raises(VaeError, match=rf"VaeConfig\.{field} must .*got {value}"):
+        pretrain(training_vectors(20, 5), config)
 
 
 def test_pretrain_rejects_empty():

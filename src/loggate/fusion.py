@@ -298,10 +298,10 @@ def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
 
 def _affine_grads(grads: dict, weight: str, bias: str, inputs: np.ndarray,
                   g: np.ndarray) -> None:
-    """Weight and bias gradients of `inputs @ W + b`: one GEMM over all rows."""
+    """Write the weight and bias gradients of `inputs @ W + b`: one GEMM over all rows."""
     g = g.reshape(-1, g.shape[-1])
-    grads[weight] = inputs.reshape(-1, inputs.shape[-1]).T @ g
-    grads[bias] = g.sum(axis=0)
+    np.matmul(inputs.reshape(-1, inputs.shape[-1]).T, g, out=grads[weight])
+    g.sum(axis=0, out=grads[bias])
 
 
 def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -314,14 +314,15 @@ def _rows_times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
-                   labels: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean cross-entropy of `logits` against `labels`, and its gradients.
+                   labels: np.ndarray, grads: dict[str, np.ndarray]) -> float:
+    """Mean cross-entropy of `logits` against `labels`; a finite loss also fills `grads`.
 
-    `logits` and `saved` come from `batch_forward`. Gradients are keyed
-    like `model.parameters()` and hold exactly the parameters the mode's
-    forward pass reads; a non-finite loss comes back with no gradients.
-    Each weight gradient is one GEMM over the batch's B * width rows, so
-    the sums run in another order than the graph's per-message stack.
+    `logits` and `saved` come from `batch_forward`. `grads` maps each name
+    of `model.parameters()` to an array of its shape: its view of the flat
+    gradient vector (`optim.Adam.views`). Each gradient the mode's forward
+    pass reads is written over its array in place; the others are left as
+    they are. Each weight gradient is one GEMM over the batch's B * width
+    rows, so the sums run in another order than the graph's per-message stack.
     """
     b = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -329,10 +330,9 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
     norm = weights.sum(axis=1, keepdims=True)
     loss = float((np.log(norm[:, 0]) - shifted[np.arange(b), labels]).mean())
     if not np.isfinite(loss):
-        return loss, {}
+        return loss
     p = {name: t.values for name, t in model.parameters().items()}
     s = saved
-    grads: dict[str, np.ndarray] = {}
     g = weights / norm
     g[np.arange(b), labels] -= 1.0
     g /= b
@@ -359,8 +359,9 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
         elif model.mode == "no_gate":
             g_stat = g_fused.sum(axis=1)
         g_rows = g_info.reshape(-1, g_info.shape[-1])
-        grads["info.weight"] = g_rows.T @ feats.reshape(-1, feats.shape[-1])
-        grads["info.bias"] = g_rows.sum(axis=0)
+        np.matmul(g_rows.T, feats.reshape(-1, feats.shape[-1]),
+                  out=grads["info.weight"])
+        g_rows.sum(axis=0, out=grads["info.bias"])
         g_feats += _rows_times(g_info, p["info.weight"])
         # encoder: FFN block, then the self-attention block
         _affine_grads(grads, "sem.ffn_w2", "sem.ffn_b2", s["ffn"], g_feats)
@@ -378,12 +379,12 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
                         ("v", np.matmul(_swap(attention), g_mixed))):
             _affine_grads(grads, f"sem.w{name}", f"sem.b{name}", s["x0"], g)
             g_x0 = g_x0 + _rows_times(g, p[f"sem.w{name}"].T)
-        table = np.zeros_like(p["sem.tok_emb"])
+        table = grads["sem.tok_emb"]
+        table[...] = 0.0
         np.add.at(table, s["ids"], g_x0)
-        grads["sem.tok_emb"] = table
     if model.mode != "semantic_only":
         _affine_grads(grads, "stats.weight", "stats.bias", s["stat_in"], g_stat)
-    return loss, grads
+    return loss
 
 
 def save_model(model: DiagnosisModel, path: str | Path,
@@ -407,15 +408,18 @@ def save_model(model: DiagnosisModel, path: str | Path,
 def load_model(path: str | Path) -> tuple[DiagnosisModel, dict[str, str]]:
     arrays, meta = load_table(path)
     rng = np.random.Generator(np.random.PCG64(0))
-    model = build_model(
-        vocab_size=int(meta["vocab_size"]), n_labels=int(meta["n_labels"]),
-        d_model=int(meta["d_model"]), latent_dim=int(meta["latent_dim"]),
-        m_fixed=int(meta["m_fixed"]), epsilon=float(meta["epsilon"]),
-        mode=meta["mode"], rng=rng)
+    try:
+        model = build_model(
+            vocab_size=int(meta["vocab_size"]), n_labels=int(meta["n_labels"]),
+            d_model=int(meta["d_model"]), latent_dim=int(meta["latent_dim"]),
+            m_fixed=int(meta["m_fixed"]), epsilon=float(meta["epsilon"]),
+            mode=meta["mode"], rng=rng)
+    except KeyError as exc:
+        raise FusionError(f"{path}: checkpoint has no {exc.args[0]!r} meta key") from None
     params = model.parameters()
     missing = sorted(set(params) ^ set(arrays))
     if missing:
-        raise FusionError(f"checkpoint parameter names do not match: {missing}")
+        raise FusionError(f"{path}: checkpoint parameter names do not match: {missing}")
     for name, tensor in params.items():
         if tensor.values.shape != arrays[name].shape:
             raise FusionError(

@@ -68,13 +68,14 @@ def write_metrics(report: MetricsReport, path: str | Path) -> None:
     """Machine-readable report: one `name<TAB>label<TAB>value` per line.
 
     Deliberately excludes wall-clock time so identical runs produce
-    byte-identical files.
+    byte-identical files. Values are written as Python float reprs:
+    numpy 2's repr of a numpy scalar is `np.float64(...)`.
     """
     lines = []
     for i, label in enumerate(report.labels):
-        lines.append(f"precision\t{label}\t{report.precision[i]!r}")
-        lines.append(f"recall\t{label}\t{report.recall[i]!r}")
-        lines.append(f"f1\t{label}\t{report.f1[i]!r}")
+        lines.append(f"precision\t{label}\t{float(report.precision[i])!r}")
+        lines.append(f"recall\t{label}\t{float(report.recall[i])!r}")
+        lines.append(f"f1\t{label}\t{float(report.f1[i])!r}")
     lines.append(f"macro_f1\t-\t{report.macro_f1!r}")
     lines.append(f"micro_f1\t-\t{report.micro_f1!r}")
     for i, true_label in enumerate(report.labels):

@@ -1,27 +1,13 @@
-"""Adam optimizer with bias correction, over one flat moment buffer.
+"""Adam optimizer with bias correction, over one flat parameter layout.
 
-The first and second moments of every parameter live in two contiguous
-float64 vectors, `m` and `v`, laid out in parameter-table order: each
-parameter owns one slice of each. Every update runs each Adam
-expression once over a whole flat gradient vector of that layout, in
-place, instead of once per parameter. Every Adam operation is
-elementwise, so the result is bit-for-bit the result of the
-per-parameter loop.
-
-There are two entries. `step_flat` updates a flat value vector that the
-caller owns, from a flat gradient vector; a caller whose parameters are
-views into one vector (`views`) and whose gradients are written into
-views of another pays no gather and no per-parameter subtraction. The
-statistics VAE trains this way, since nothing rebinds its parameters
-while it pretrains. `step` serves a table of separate arrays: it
-gathers the `.grad` of each parameter into a vector of the same layout,
-runs the same update, and subtracts each parameter's slice of the step
-from its current `values` in place. The classifier trains this way,
-because callers rebind its `tensor.values` (best-epoch restore,
-checkpoint loading), and a rebound tensor would silently stop sharing
-memory with a flat buffer. The scratch vector, and `step`'s gathered
-gradients, live for one step only, so between steps the optimizer holds
-no more memory than the per-parameter loop did.
+`flatten` moves every parameter into one float64 vector, in table order,
+and makes each `.values` its view; the moments `m` and `v` and the
+gradient vector share that layout. `step_flat` runs each Adam expression
+once over the whole vector, in place. Every operation is elementwise, so
+the result is bit for bit the per-parameter loop's, and a gradient slice
+that stays zero keeps zero moments and steps by exactly 0. `step`, over
+separate arrays with a `.grad` each, serves only the autodiff graph
+path: no run calls it.
 """
 
 from __future__ import annotations
@@ -63,24 +49,35 @@ class Adam:
         return {name: flat[sl].reshape(self.params[name].values.shape)
                 for name, sl in self._slices.items()}
 
+    def flatten(self) -> tuple[np.ndarray, np.ndarray]:
+        """One flat vector holding every parameter, and a zero gradient vector.
+
+        Each parameter's `.values` becomes its view of the value vector
+        (see `views`), holding the same numbers.
+        """
+        values = np.empty(self.m.size)
+        for view, p in zip(self.views(values).values(), self.params.values()):
+            view[...] = p.values
+            p.values = view
+        return values, np.zeros(self.m.size)
+
     def step_flat(self, values: np.ndarray, grads: np.ndarray) -> None:
         """One step of every parameter, held flat in `values`, in place.
 
         `values` and `grads` are float64 vectors laid out like `m` (see
-        `views`). Every parameter takes its gradient, so every moment
-        moves. `grads` is overwritten with the step.
+        `flatten`). Every parameter takes its gradient slice, so every
+        moment moves. `grads` is overwritten with the step.
         """
         for name, vec in (("values", values), ("grads", grads)):
             if vec.shape != self.m.shape:
                 raise ValueError(f"flat {name} has shape {vec.shape}, "
                                  f"parameters have {self.m.shape}")
-        self._update(grads, [(0, self.m.size)])
+        self._update(grads, [slice(None)])
         values -= grads
 
     def step(self) -> None:
         flat = np.empty(self.m.size)  # the gathered gradients, then the step
         live = []
-        spans: list[list[int]] = []  # merged [start, stop) runs of live slices
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -91,21 +88,17 @@ class Adam:
             sl = self._slices[name]
             flat[sl] = g.reshape(-1)
             live.append((p, sl))
-            if spans and spans[-1][1] == sl.start:
-                spans[-1][1] = sl.stop
-            else:
-                spans.append([sl.start, sl.stop])
-        self._update(flat, spans)
+        self._update(flat, [sl for _, sl in live])
         for p, sl in live:
             p.values -= flat[sl].reshape(p.values.shape)
 
-    def _update(self, flat: np.ndarray, spans) -> None:
-        """Advance the moments over `spans` of `flat`, leaving the step there."""
+    def _update(self, flat: np.ndarray, slices) -> None:
+        """Advance the moments over `slices` of `flat`, leaving the step there."""
         self.step_count += 1
         c1 = 1.0 - BETA1 ** self.step_count
         c2 = 1.0 - BETA2 ** self.step_count
-        for start, stop in spans:
-            g, m, v = flat[start:stop], self.m[start:stop], self.v[start:stop]
+        for sl in slices:
+            g, m, v = flat[sl], self.m[sl], self.v[sl]
             tmp = np.empty_like(g)
             # The update formula above, in place, leaving the step in `g`.
             # Only the operand order of the products differs from the

@@ -415,14 +415,15 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
     model = fusion.build_model(
         vocab_size, dataset.label_vocab.size, config.d_model, config.latent_dim,
         config.m_fixed, config.epsilon, config.mode, init_rng)
-    params = model.parameters()
-    optimizer = Adam(params, lr=config.learning_rate)
+    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+    values, grads = optimizer.flatten()
+    grad_views = optimizer.views(grads)
     shuffle_rng = _child_rng(config.seed, 3)
     train_records = dataset.split_records("train")
     dev_records = dataset.split_records("dev")
     ids, slots, message_ids = _pad_records(dataset, train_records, config.m_fixed)
     labels = np.array([rec.label_id for rec in train_records], dtype=np.int64)
-    best_values = {name: t.values.copy() for name, t in params.items()}
+    best = values.copy()
     best_f1 = -1.0
     log_rows = []
     for epoch in range(config.classifier_epochs):
@@ -433,13 +434,12 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
             logits, saved = fusion.batch_forward(
                 model, *fusion.batch_rows(ids, slots, rows),
                 embeddings[message_ids[rows]])
-            value, grads = fusion.batch_backward(model, logits, saved, labels[rows])
+            value = fusion.batch_backward(model, logits, saved, labels[rows],
+                                          grad_views)
             if not np.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite loss {value!r} at epoch {epoch} step {step}")
-            for name, tensor in params.items():
-                tensor.grad = grads.get(name)
-            optimizer.step()
+            optimizer.step_flat(values, grads)
             losses.append(value)
         dev_f1 = (_split_report(model, dataset, dev_records, embeddings, config,
                                 time.perf_counter()).macro_f1
@@ -448,11 +448,10 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
         selected = not dev_records or dev_f1 > best_f1
         if selected:
             best_f1 = dev_f1
-            best_values = {name: t.values.copy() for name, t in params.items()}
+            best = values.copy()
         log_rows.append((epoch, repr(float(np.mean(losses))) if losses else "nan",
                          repr(dev_f1), int(selected)))
-    for name, tensor in params.items():
-        tensor.values = best_values[name]
+    values[...] = best
     return model, log_rows
 
 

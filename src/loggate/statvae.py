@@ -5,11 +5,13 @@ classifier. The posterior mean is the message's statistical embedding;
 sampling happens only while pretraining. Pretraining builds no autodiff
 graph: each step computes the negated ELBO and its closed-form gradient
 in plain numpy (reparameterized sample, analytic Gaussian KL; Kingma &
-Welling 2014, arXiv 1312.6114), writing the gradients straight into one
-flat vector that `optim.Adam.step_flat` consumes. The tests check the
-step bit for bit against the same loss built on the autodiff graph, and
-the whole of pretraining against the per-batch loop over separate
-arrays that it replaced.
+Welling 2014, arXiv 1312.6114). Like the classifier, the VAE trains
+over the one flat layout `optim.Adam.flatten` builds: its ten parameters
+are views into one vector, each step writes its gradients into views of
+one flat gradient vector, and `Adam.step_flat` updates the parameters in
+place. The tests check the step bit for bit against the same loss built
+on the autodiff graph, and the whole of pretraining against the
+per-batch loop over separate arrays and `Adam.step`.
 """
 
 from __future__ import annotations
@@ -163,13 +165,8 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     vae.in_mean = mean
     vae.in_std = np.where(std < 1e-6, 1.0, std)
     optimizer = Adam(vae.params, lr=config.learning_rate)
-    values = np.empty(optimizer.m.size)
-    grads = np.empty(optimizer.m.size)
-    p = optimizer.views(values)
-    for name, t in vae.params.items():
-        p[name][...] = t.values
-        t.values = p[name]
-    g = optimizer.views(grads)
+    values, grads = optimizer.flatten()
+    p, g = optimizer.views(values), optimizer.views(grads)
     # Elementwise, so each row has the bits a per-batch standardization gives.
     x = _standardize(vae, vectors)
     losses: list[float] = []
@@ -222,8 +219,10 @@ def save_embedding_cache(path: str | Path, embeddings: np.ndarray,
 def load_embedding_cache(path: str | Path) -> tuple[np.ndarray, str]:
     """(N, latent_dim) embeddings indexed by message id, and the digest."""
     arrays, meta = load_table(path)
-    ids = arrays["message_ids"]
-    vecs = arrays["embeddings"]
+    try:
+        ids, vecs = arrays["message_ids"], arrays["embeddings"]
+    except KeyError as exc:
+        raise VaeError(f"{path}: embedding cache has no {exc.args[0]!r} tensor") from None
     if not np.array_equal(ids, np.arange(len(vecs))):
         raise VaeError(f"{path}: message ids are not 0..{len(vecs) - 1} in order")
     return vecs, meta.get("dict_hash", "")

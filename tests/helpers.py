@@ -439,7 +439,8 @@ class ReferenceAdam:
     """The per-parameter Adam loop, one parameter's moments at a time.
 
     Same contract as `optim.Adam`; its moments are kept per parameter
-    in `m[name]` and `v[name]`.
+    in `m[name]` and `v[name]`. The flat entry (`flatten`, `views`,
+    `step_flat`) runs the same loop over each parameter's view.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -464,6 +465,24 @@ class ReferenceAdam:
             v *= BETA2
             v += (1.0 - BETA2) * np.square(g)
             p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        out, start = {}, 0
+        for name, p in self.params.items():
+            out[name] = flat[start:start + p.values.size].reshape(p.values.shape)
+            start += p.values.size
+        return out
+
+    def flatten(self) -> tuple[np.ndarray, np.ndarray]:
+        values = np.concatenate([p.values.reshape(-1) for p in self.params.values()])
+        for name, view in self.views(values).items():
+            self.params[name].values = view
+        return values, np.zeros(values.size)
+
+    def step_flat(self, values: np.ndarray, grads: np.ndarray) -> None:
+        for name, g in self.views(grads).items():
+            self.params[name].grad = g
+        self.step()
 
     def zero_grad(self) -> None:
         for p in self.params.values():

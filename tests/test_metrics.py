@@ -92,6 +92,25 @@ def test_write_metrics_deterministic_and_complete(tmp_path):
     assert "config\tseed\t7" in text
 
 
+def test_write_metrics_values_parse_as_floats(tmp_path):
+    # numpy 2 reprs a numpy scalar as `np.float64(...)`, which float() refuses
+    labels = ["a", "b", "c"]
+    report = compute_metrics([0, 1, 1, 2], [0, 1, 0, 2], labels)
+    path = tmp_path / "m.tsv"
+    write_metrics(report, path)
+    values = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        name, label, value = line.split("\t")
+        if name in ("precision", "recall", "f1", "macro_f1", "micro_f1"):
+            values[name, label] = float(value)
+    assert len(values) == 3 * len(labels) + 2
+    for name in ("precision", "recall", "f1"):
+        assert [values[name, label] for label in labels] == \
+            getattr(report, name).tolist(), name
+    assert values["macro_f1", "-"] == report.macro_f1
+    assert values["micro_f1", "-"] == report.micro_f1
+
+
 def test_format_metrics_mentions_every_label():
     report = compute_metrics([0, 1], [0, 1], ["alpha", "beta"], wall_clock=2.0)
     text = format_metrics(report)

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 import time
@@ -20,7 +21,9 @@ from loggate.pipeline import (ConfigError, RunConfig, StageError,
                               evaluate, load_config, preprocess, run_ablation,
                               run_sweep, save_config, train)
 from loggate.fusion import MODES
+from loggate.optim import Adam
 from loggate.semantic import pad_tokens
+from loggate.serialize import load_table, save_table
 from loggate.synth import (LabelSpec, SynthSpec, generate_synthetic,
                            make_default_spec, word_bank)
 from loggate.wordstats import load_stat_dictionary
@@ -426,11 +429,12 @@ def test_sweep_equals_independent_train_runs(base_config, tmp_path, axis, field,
 
 
 def test_train_is_byte_identical_to_the_loop_references(tmp_path, monkeypatch):
-    # The flat-buffer Adam, VAE pretraining over one flat parameter
-    # vector, the one-pass pooling and storing fresh gradients uncopied
-    # change no float operation, so the run must match the per-batch VAE
-    # loop, the per-parameter Adam loop, one message_stats call per record
-    # and the always-copying gradient accumulation, byte for byte.
+    # The flat-buffer Adam, VAE pretraining and classifier training over
+    # one flat parameter vector, the one-pass pooling and storing fresh
+    # gradients uncopied change no float operation, so the run must match
+    # the per-batch VAE loop, the per-parameter Adam loop, one
+    # message_stats call per record and the always-copying gradient
+    # accumulation, byte for byte.
     config = RunConfig(dataset=str(MINI_CORPUS), m_fixed=10, d_model=16,
                        latent_dim=4, vae_epochs=3, classifier_epochs=2, seed=7)
     train(config, tmp_path / "fast")
@@ -441,6 +445,52 @@ def test_train_is_byte_identical_to_the_loop_references(tmp_path, monkeypatch):
     monkeypatch.setattr(Tensor, "_accumulate", reference_accumulate)
     train(config, tmp_path / "loop")
     assert_same_run_files(tmp_path / "fast", tmp_path / "loop")
+
+
+def test_no_run_takes_a_per_tensor_adam_step(base_config, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run left the flat Adam path")
+
+    monkeypatch.setattr(Adam, "step", refuse)
+    train(base_config, tmp_path / "train")
+    evaluate(tmp_path / "train")
+    run_ablation(base_config, tmp_path / "ablate")
+
+
+# Parameter groups each mode's forward pass never reads.
+UNREAD = {"stats_only": {"sem", "info"}, "semantic_only": {"stats"}}
+
+
+@pytest.mark.parametrize("mode", sorted(UNREAD))
+def test_a_mode_leaves_the_parameters_it_never_reads_at_their_initial_values(
+        ablated, base_config, mode):
+    # Every step moves the whole flat parameter vector; a gradient slice
+    # the mode never writes stays zero, and Adam's step on it must be 0.
+    trained, _ = fusion.load_model(ablated[0] / mode / "model.ckpt")
+    initial = fusion.build_model(
+        trained.encoder.vocab_size, trained.n_labels, trained.encoder.d_model,
+        trained.latent_dim, trained.m_fixed, trained.epsilon, mode,
+        pipeline._child_rng(base_config.seed, 2)).parameters()
+    moved = {name.split(".")[0] for name, t in trained.parameters().items()
+             if t.values.tobytes() != initial[name].values.tobytes()}
+    assert moved == {name.split(".")[0] for name in initial} - UNREAD[mode]
+
+
+@pytest.mark.parametrize("name, key, error", [
+    ("model.ckpt", "vocab_size", fusion.FusionError),
+    ("embeddings.tbl", "message_ids", statvae.VaeError)])
+def test_evaluate_names_the_file_and_key_a_damaged_artifact_lacks(
+        trained, tmp_path, name, key, error):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    arrays, meta = load_table(run_dir / name)
+    arrays.pop(key, None)
+    meta.pop(key, None)
+    save_table(run_dir / name, arrays, meta=meta)
+    with pytest.raises(StageError, match=rf"^\[load-artifacts\] .*/{name}: .*'{key}'") \
+            as failure:
+        evaluate(run_dir)
+    assert isinstance(failure.value.__cause__, error)
 
 
 def test_train_and_evaluate_build_no_graph(tmp_path, monkeypatch):

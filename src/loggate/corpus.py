@@ -114,6 +114,26 @@ class LogDataset:
         return [self.vocab.get(t, UNK_ID) for t in tokens]
 
 
+def pad_records(vocab: dict[str, int], records: list[LogRecord],
+                m_fixed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Padded token ids, key slot counts and message ids of `records`.
+
+    Row i of the (N, m_fixed) id matrix is `semantic.pad_tokens`'s padding
+    of record i's `token_ids`, and its first `slots[i]` positions are the
+    ones that padding marks as keys. The ids are int32: the matrix holds
+    a whole split.
+    """
+    if m_fixed < 1:
+        raise CorpusError(f"m_fixed must be >= 1, got {m_fixed}")
+    lengths = np.array([min(len(rec.tokens), m_fixed) for rec in records], dtype=np.int64)
+    ids = np.full((len(records), m_fixed), PAD_ID, dtype=np.int32)
+    ids[np.arange(m_fixed) < lengths[:, None]] = np.fromiter(
+        (vocab.get(token, UNK_ID) for rec in records for token in rec.tokens[:m_fixed]),
+        dtype=np.int32, count=int(lengths.sum()))
+    message_ids = np.array([rec.message_id for rec in records], dtype=np.int64)
+    return ids, np.maximum(lengths, 1), message_ids
+
+
 def _cut_splits(records: list[LogRecord],
                 spec: SplitSpec) -> dict[str, list[LogRecord]]:
     """Train, dev and test cut in turn from a seeded permutation, in file order."""
@@ -210,11 +230,15 @@ class CorpusProfile:
     def fraction(self, count: int) -> float:
         return count / self.distinct_words if self.distinct_words else 0.0
 
-    FIELDS = (
-        "count_appearing_once", "count_below_5", "count_below_10",
-        "count_below_20", "count_at_least_once_per_10000_lines",
-        "count_at_least_once_per_1000_lines",
-    )
+    # bucket field -> how `format_profile` names it
+    FIELDS = {
+        "count_appearing_once": "appear only once",
+        "count_below_5": "appear less than 5 times",
+        "count_below_10": "appear less than 10 times",
+        "count_below_20": "appear less than 20 times",
+        "count_at_least_once_per_10000_lines": "appear at least once per 10000 lines",
+        "count_at_least_once_per_1000_lines": "appear at least once per 1000 lines",
+    }
 
     def validate(self) -> None:
         if not (self.count_appearing_once <= self.count_below_5
@@ -258,17 +282,9 @@ def format_profile(profile: CorpusProfile) -> str:
         f"total lines: {profile.total_lines}",
         f"distinct words: {profile.distinct_words}",
     ]
-    labels = {
-        "count_appearing_once": "appear only once",
-        "count_below_5": "appear less than 5 times",
-        "count_below_10": "appear less than 10 times",
-        "count_below_20": "appear less than 20 times",
-        "count_at_least_once_per_10000_lines": "appear at least once per 10000 lines",
-        "count_at_least_once_per_1000_lines": "appear at least once per 1000 lines",
-    }
-    for name in CorpusProfile.FIELDS:
+    for name, phrase in CorpusProfile.FIELDS.items():
         count = getattr(profile, name)
-        lines.append(f"{labels[name]}: {count} ({100.0 * profile.fraction(count):.2f}%)")
+        lines.append(f"{phrase}: {count} ({100.0 * profile.fraction(count):.2f}%)")
     return "\n".join(lines) + "\n"
 
 

@@ -407,15 +407,18 @@ def save_model(model: DiagnosisModel, path: str | Path,
 
 def load_model(path: str | Path) -> tuple[DiagnosisModel, dict[str, str]]:
     arrays, meta = load_table(path)
-    rng = np.random.Generator(np.random.PCG64(0))
-    try:
-        model = build_model(
-            vocab_size=int(meta["vocab_size"]), n_labels=int(meta["n_labels"]),
-            d_model=int(meta["d_model"]), latent_dim=int(meta["latent_dim"]),
-            m_fixed=int(meta["m_fixed"]), epsilon=float(meta["epsilon"]),
-            mode=meta["mode"], rng=rng)
-    except KeyError as exc:
-        raise FusionError(f"{path}: checkpoint has no {exc.args[0]!r} meta key") from None
+    shape = {}
+    for key, cast in (("vocab_size", int), ("n_labels", int), ("d_model", int),
+                      ("latent_dim", int), ("m_fixed", int), ("epsilon", float),
+                      ("mode", str)):
+        if key not in meta:
+            raise FusionError(f"{path}: checkpoint has no {key!r} meta key")
+        try:
+            shape[key] = cast(meta[key])
+        except ValueError:
+            raise FusionError(f"{path}: checkpoint meta key {key!r} holds "
+                              f"{meta[key]!r}, not a {cast.__name__}") from None
+    model = build_model(**shape, rng=np.random.Generator(np.random.PCG64(0)))
     params = model.parameters()
     missing = sorted(set(params) ^ set(arrays))
     if missing:

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion, statvae
-from .corpus import (FIRST_WORD_ID, PAD_ID, LogDataset, SplitSpec,
-                     load_dataset, train_split_hash)
+from .corpus import (FIRST_WORD_ID, LogDataset, SplitSpec, load_dataset,
+                     pad_records, train_split_hash)
 from .fusion import MODES, DiagnosisModel
 from .metrics import MetricsReport, compute_metrics, format_metrics, write_metrics
 from .optim import Adam
@@ -200,24 +200,6 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _pad_records(dataset: LogDataset, records,
-                  m_fixed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded token ids, key slot counts and message ids of `records`.
-
-    Row i of the (N, m_fixed) id matrix is `pad_tokens`'s padding of
-    record i's token ids to `m_fixed`, and its first `slots[i]`
-    positions are the ones that padding marks as keys. The matrix holds
-    a whole split at once, so its ids are int32, not int64.
-    """
-    ids = np.full((len(records), m_fixed), PAD_ID, dtype=np.int32)
-    slots = np.ones(len(records), dtype=np.int64)
-    for row, rec in enumerate(records):
-        kept = dataset.token_ids(rec.tokens[:m_fixed])
-        ids[row, :len(kept)] = kept
-        slots[row] = max(len(kept), 1)
-    return ids, slots, np.array([rec.message_id for rec in records], dtype=np.int64)
-
-
 def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
                    embeddings: np.ndarray) -> np.ndarray:
     """(N, n_labels) logits, one row per record, in chunks of EVAL_CHUNK.
@@ -238,7 +220,7 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     width, it has in one lane, and the logits do not depend on the lane
     count. The float64 re-score runs here after the lanes join.
     """
-    inputs = (*_pad_records(dataset, records, model.m_fixed), embeddings)
+    inputs = (*pad_records(dataset.vocab, records, model.m_fixed), embeddings)
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
     n_rows = len(records)
     lanes = _lane_count(n_rows // LANE_MIN_ROWS)
@@ -421,7 +403,7 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
     shuffle_rng = _child_rng(config.seed, 3)
     train_records = dataset.split_records("train")
     dev_records = dataset.split_records("dev")
-    ids, slots, message_ids = _pad_records(dataset, train_records, config.m_fixed)
+    ids, slots, message_ids = pad_records(dataset.vocab, train_records, config.m_fixed)
     labels = np.array([rec.label_id for rec in train_records], dtype=np.int64)
     best = values.copy()
     best_f1 = -1.0

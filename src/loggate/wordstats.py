@@ -1,8 +1,9 @@
 """Per-word label-count statistics and per-message pooled features.
 
-Counts are built from the training split only; a word outside the
-dictionary maps to the all-zeros vector, so evaluation-time inputs can
-never leak their own label counts into the features.
+Counts are built from the training split only, into one table indexed
+by the dataset's token ids; a word outside the train split reads the
+zero `UNK_ID` row, so evaluation-time inputs can never leak their own
+label counts into the features.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LabelVocab, LogDataset, LogRecord, train_split_hash
+from .corpus import (FIRST_WORD_ID, UNK_ID, LabelVocab, LogDataset, LogRecord,
+                     pad_records, train_split_hash)
 
 
 class StatError(ValueError):
@@ -21,18 +23,16 @@ class StatError(ValueError):
 
 @dataclass
 class StatDictionary:
-    """word -> per-label occurrence counts, from the train split only."""
+    """Per-label occurrence counts of each word, from the train split only."""
 
     label_vocab: LabelVocab
-    counts: dict[str, np.ndarray]
-    built_from: str  # train-split digest
+    vocab: dict[str, int]  # word -> token id, as in `LogDataset.vocab`
+    counts: np.ndarray     # (FIRST_WORD_ID + len(vocab), n) int64; row = token id
+    built_from: str        # train-split digest
 
     def lookup(self, word: str) -> np.ndarray:
-        """Stored count vector, or zeros for out-of-vocabulary words."""
-        vec = self.counts.get(word)
-        if vec is None:
-            return np.zeros(self.label_vocab.size, dtype=np.int64)
-        return vec.copy()
+        """A copy of the word's count row; the zero `UNK_ID` row if it has no id."""
+        return self.counts[self.vocab.get(word, UNK_ID)].copy()
 
 
 def build_stat_dictionary(dataset: LogDataset) -> StatDictionary:
@@ -44,16 +44,16 @@ def build_stat_dictionary(dataset: LogDataset) -> StatDictionary:
     train = dataset.split_records("train")
     if not train:
         raise StatError("cannot build statistics dictionary: train split is empty")
-    n = dataset.label_vocab.size
-    counts: dict[str, np.ndarray] = {}
-    for record in train:
-        for token in record.tokens:
-            vec = counts.get(token)
-            if vec is None:
-                vec = np.zeros(n, dtype=np.int64)
-                counts[token] = vec
-            vec[record.label_id] += 1
-    return StatDictionary(dataset.label_vocab, counts, train_split_hash(dataset))
+    ids = np.fromiter((dataset.vocab.get(token, UNK_ID)
+                       for rec in train for token in rec.tokens), dtype=np.int64)
+    if (ids < FIRST_WORD_ID).any():
+        raise StatError("a train-split word has no id in the dataset vocabulary")
+    labels = np.fromiter((rec.label_id for rec in train for _ in rec.tokens), np.int64)
+    counts = np.zeros((FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size),
+                      dtype=np.int64)
+    np.add.at(counts, (ids, labels), 1)
+    return StatDictionary(dataset.label_vocab, dataset.vocab, counts,
+                          train_split_hash(dataset))
 
 
 @dataclass
@@ -92,27 +92,15 @@ def pooled_stats(stats: StatDictionary, records: list[LogRecord],
                  m_fixed: int) -> np.ndarray:
     """(len(records), n) `message_stats(...).normalized` rows, in one pass.
 
-    Each record's first `m_fixed` tokens become rows of a count table
-    (row 0 for out-of-vocabulary words); the rows are summed per record,
-    one label column at a time, then log1p is applied. The per-column
-    sums are of integers far below 2**53, so they are exact and every
-    row equals `message_stats`'s bit for bit.
+    The count rows of each record's `pad_records` ids are summed, one id
+    column at a time, then log1p is applied. Pad and unknown ids read zero
+    rows and integer sums are exact, so each row is `message_stats`'s.
     """
     if m_fixed < 1:
         raise StatError(f"m_fixed must be >= 1, got {m_fixed}")
-    rows = {word: i for i, word in enumerate(stats.counts, 1)}
-    table = np.vstack([np.zeros(stats.label_vocab.size, dtype=np.int64),
-                       *stats.counts.values()])
-    lengths = np.fromiter((min(len(rec.tokens), m_fixed) for rec in records),
-                          dtype=np.int64)
-    flat = np.fromiter((rows.get(token, 0) for rec in records
-                        for token in rec.tokens[:m_fixed]), dtype=np.int64)
-    owner = np.repeat(np.arange(len(lengths)), lengths)
-    pooled = np.empty((len(lengths), table.shape[1]))
-    for j in range(table.shape[1]):
-        pooled[:, j] = np.bincount(owner, weights=table[flat, j],
-                                   minlength=len(lengths))
-    return np.log1p(pooled)
+    ids = pad_records(stats.vocab, records, m_fixed)[0]
+    pooled = sum(stats.counts.take(column, axis=0) for column in ids.T)
+    return np.log1p(pooled.astype(np.float64))
 
 
 def save_stat_dictionary(stats: StatDictionary, path: str | Path) -> None:
@@ -129,8 +117,9 @@ def save_stat_dictionary(stats: StatDictionary, path: str | Path) -> None:
         "# labels: " + ",".join(stats.label_vocab.labels),
         "# train_hash: " + stats.built_from,
     ]
-    for word in sorted(stats.counts):
-        lines.append(word + "\t" + ",".join(str(c) for c in stats.counts[word]))
+    for word in sorted(stats.vocab):
+        row = stats.counts[stats.vocab[word]].tolist()
+        lines.append(word + "\t" + ",".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -141,13 +130,22 @@ def load_stat_dictionary(path: str | Path) -> StatDictionary:
         raise StatError(f"{path}: not a statistics dictionary file")
     labels = text[0][len("# labels: "):].split(",")
     built_from = text[1][len("# train_hash: "):]
-    counts: dict[str, np.ndarray] = {}
-    for line in text[2:]:
+    vocab: dict[str, int] = {}
+    rows = [[0] * len(labels)] * FIRST_WORD_ID
+    for lineno, line in enumerate(text[2:], start=3):
         if not line:
             continue
         word, _, rest = line.partition("\t")
-        counts[word] = np.array([int(c) for c in rest.split(",")], dtype=np.int64)
-        if counts[word].size != len(labels):
-            raise StatError(f"{path}: word {word!r} has {counts[word].size} "
+        try:
+            row = [int(c) for c in rest.split(",")]
+        except ValueError:
+            raise StatError(f"{path}:{lineno}: word {word!r} has a count that is "
+                            f"not an integer: {rest!r}") from None
+        if len(row) != len(labels):
+            raise StatError(f"{path}:{lineno}: word {word!r} has {len(row)} "
                             f"counts for {len(labels)} labels")
-    return StatDictionary(LabelVocab(labels), counts, built_from)
+        if vocab.setdefault(word, len(rows)) != len(rows):
+            raise StatError(f"{path}:{lineno}: word {word!r} is listed twice")
+        rows.append(row)
+    return StatDictionary(LabelVocab(labels), vocab, np.array(rows, dtype=np.int64),
+                          built_from)

@@ -347,7 +347,7 @@ def identity_projection(d_model: int) -> InfoProjection:
 
 def total_tokens(stats: StatDictionary) -> int:
     """Token occurrences summed over every word and label."""
-    return int(sum(int(v.sum()) for v in stats.counts.values()))
+    return int(stats.counts.sum())
 
 
 def monte_carlo_kl(mu: np.ndarray, log_var: np.ndarray, n_samples: int,

@@ -164,7 +164,7 @@ def test_criterion_5_statistics_oracle(tmp_path):
     stats = build_stat_dictionary(dataset)
     counted = brute_force_stat_counts(dataset.split_records("train"),
                                       dataset.label_vocab.size)
-    dict_ok = set(stats.counts) == set(counted) and all(
+    dict_ok = set(stats.vocab) == set(counted) and all(
         stats.lookup(word).tolist() == counts
         for word, counts in counted.items())
 

@@ -15,7 +15,7 @@ import pytest
 
 from loggate import fusion, pipeline, statvae
 from loggate.autodiff import Tensor
-from loggate.corpus import load_dataset, SplitSpec
+from loggate.corpus import CorpusError, LogRecord, load_dataset, pad_records, SplitSpec
 from loggate.pipeline import (ConfigError, RunConfig, StageError,
                               apply_overrides, build_stats, collect_logits,
                               evaluate, load_config, preprocess, run_ablation,
@@ -26,7 +26,7 @@ from loggate.semantic import pad_tokens
 from loggate.serialize import load_table, save_table
 from loggate.synth import (LabelSpec, SynthSpec, generate_synthetic,
                            make_default_spec, word_bank)
-from loggate.wordstats import load_stat_dictionary
+from loggate.wordstats import StatError, load_stat_dictionary
 
 import helpers
 from helpers import (ReferenceAdam, random_text, reference_accumulate,
@@ -493,6 +493,36 @@ def test_evaluate_names_the_file_and_key_a_damaged_artifact_lacks(
     assert isinstance(failure.value.__cause__, error)
 
 
+@pytest.mark.parametrize("key, value", [("vocab_size", "abc"), ("epsilon", "x")])
+def test_evaluate_names_the_file_and_key_of_a_damaged_checkpoint_value(
+        trained, tmp_path, key, value):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    arrays, meta = load_table(run_dir / "model.ckpt")
+    meta[key] = value
+    save_table(run_dir / "model.ckpt", arrays, meta=meta)
+    damage = rf"^\[load-artifacts\] .*/model.ckpt: .*'{key}' holds '{value}'"
+    with pytest.raises(StageError, match=damage) as failure:
+        evaluate(run_dir)
+    assert isinstance(failure.value.__cause__, fusion.FusionError)
+
+
+def test_evaluate_names_the_file_and_line_of_a_cut_statistics_dictionary(
+        trained, tmp_path):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    text = (run_dir / "stat_dict.tsv").read_text(encoding="utf-8")
+    # cut after the tab of a line past the middle, so its counts are missing
+    cut = text[:text.index("\t", len(text) // 2) + 1]
+    (run_dir / "stat_dict.tsv").write_text(cut, encoding="utf-8")
+    lineno = cut.count("\n") + 1
+    with pytest.raises(StageError,
+                       match=rf"^\[load-artifacts\] .*/stat_dict.tsv:{lineno}: ") \
+            as failure:
+        evaluate(run_dir)
+    assert isinstance(failure.value.__cause__, StatError)
+
+
 def test_train_and_evaluate_build_no_graph(tmp_path, monkeypatch):
     # training and scoring run the closed-form numpy step; the autodiff
     # graph is only the tests' oracle
@@ -515,12 +545,18 @@ def test_train_and_evaluate_build_no_graph(tmp_path, monkeypatch):
 
 def test_split_token_matrix_is_pad_tokens_row_for_row():
     dataset = load_dataset(MINI_CORPUS)
-    records = dataset.records
-    lengths = [len(rec.tokens) for rec in records]
-    assert min(lengths) < 6 < max(lengths)  # both padding and truncation
     rng = np.random.Generator(np.random.PCG64(90))
-    for m_fixed in (6, 16):
-        ids, slots, message_ids = pipeline._pad_records(dataset, records, m_fixed)
+    words = sorted(dataset.vocab) + ["unseen", "neverseen"]
+    records = list(dataset.records)
+    for _ in range(300):
+        picks = rng.integers(0, len(words), int(rng.integers(0, 20)))
+        records.append(LogRecord(len(records), "-", [words[j] for j in picks], 0))
+    lengths = [len(rec.tokens) for rec in records]
+    assert min(lengths) == 0 and max(lengths) > 16  # empty messages and truncation
+    assert any(t not in dataset.vocab for rec in records for t in rec.tokens)
+    for m_fixed in (1, 6, 16):
+        ids, slots, message_ids = pad_records(dataset.vocab, records, m_fixed)
+        assert ids.dtype == np.int32 and ids.shape == (len(records), m_fixed)
         for i, rec in enumerate(records):
             want_ids, want_mask = pad_tokens(dataset.token_ids(rec.tokens), m_fixed)
             np.testing.assert_array_equal(ids[i], want_ids)
@@ -535,6 +571,9 @@ def test_split_token_matrix_is_pad_tokens_row_for_row():
                 want_ids, want_mask = pad_tokens(t, width)
                 np.testing.assert_array_equal(got_ids[row], want_ids)
                 np.testing.assert_array_equal(got_mask[row], want_mask)
+    assert pad_records(dataset.vocab, [], 4)[0].shape == (0, 4)
+    with pytest.raises(CorpusError, match="m_fixed must be >= 1, got 0"):
+        pad_records(dataset.vocab, records, 0)
 
 
 # -- scoring -------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Per-word label counts and pooled per-message statistics features."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from loggate.corpus import SPLIT_NAMES, LabelVocab, LogDataset, LogRecord, tokenize
+from loggate.corpus import (FIRST_WORD_ID, PAD_ID, SPLIT_NAMES, UNK_ID, LabelVocab,
+                            LogDataset, LogRecord, load_dataset, tokenize)
 from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
                                load_stat_dictionary, message_stats, pooled_stats,
                                save_stat_dictionary)
@@ -11,16 +15,35 @@ from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
 from helpers import (brute_force_stat_counts, random_text, reference_pooled_stats,
                      total_tokens)
 
+MINI_CORPUS = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
+
 
 def make_dataset(rows, labels):
-    """rows: (message, label_name, split) triples; vocab is irrelevant here."""
-    vocab = LabelVocab(list(labels))
+    """rows: (message, label_name, split) triples; the word vocab is
+    `load_dataset`'s: the sorted train words, numbered from FIRST_WORD_ID."""
+    label_vocab = LabelVocab(list(labels))
     records = []
     splits = {name: [] for name in SPLIT_NAMES}
     for i, (message, label, split) in enumerate(rows):
-        records.append(LogRecord(i, "-", tokenize(message), vocab.labels.index(label)))
+        records.append(LogRecord(i, "-", tokenize(message),
+                                 label_vocab.labels.index(label)))
         splits[split].append(records[-1])
-    return LogDataset(records, vocab, splits, {})
+    return LogDataset(records, label_vocab, splits,
+                      word_ids(t for r in splits["train"] for t in r.tokens))
+
+
+def word_ids(words):
+    """word -> token id for the sorted distinct `words`, from FIRST_WORD_ID."""
+    return {word: FIRST_WORD_ID + i for i, word in enumerate(sorted(set(words)))}
+
+
+def stat_dictionary(labels, counts, built_from):
+    """A StatDictionary holding the count vectors of `counts` (word -> vector)."""
+    vocab = word_ids(counts)
+    table = np.zeros((FIRST_WORD_ID + len(vocab), len(labels)), dtype=np.int64)
+    for word, vec in counts.items():
+        table[vocab[word]] = vec
+    return StatDictionary(LabelVocab(labels), vocab, table, built_from)
 
 
 # -- counting --------------------------------------------------------------
@@ -47,12 +70,19 @@ def test_counts_train_split_only():
     stats = build_stat_dictionary(ds)
     assert stats.lookup("seen").tolist() == [1]
     assert stats.lookup("leak").tolist() == [0]
-    assert "leak" not in stats.counts
+    assert "leak" not in stats.vocab
 
 
 def test_counts_empty_train_split_rejected():
     ds = make_dataset([("only test", "A", "test")], ["A"])
     with pytest.raises(StatError, match="train split is empty"):
+        build_stat_dictionary(ds)
+
+
+def test_counts_refuse_a_vocabulary_without_every_train_word():
+    ds = make_dataset([("seen", "A", "train")], ["A"])
+    ds.vocab = {}
+    with pytest.raises(StatError, match="no id in the dataset vocabulary"):
         build_stat_dictionary(ds)
 
 
@@ -95,9 +125,26 @@ def test_counts_match_brute_force():
     ds = make_dataset(rows, ["X", "Y", "Z"])
     stats = build_stat_dictionary(ds)
     oracle = brute_force_stat_counts(ds.split_records("train"), 3)
-    assert set(stats.counts) == set(oracle)
+    assert set(stats.vocab) == set(oracle)
     for word, counts in oracle.items():
         assert stats.lookup(word).tolist() == counts
+
+
+def test_count_table_rows_are_the_dataset_token_ids(tmp_path):
+    dataset = load_dataset(MINI_CORPUS)
+    stats = build_stat_dictionary(dataset)
+    assert stats.vocab == dataset.vocab
+    assert stats.counts.shape == (FIRST_WORD_ID + len(dataset.vocab),
+                                  dataset.label_vocab.size)
+    assert not stats.counts[[PAD_ID, UNK_ID]].any()
+    oracle = brute_force_stat_counts(dataset.split_records("train"),
+                                     dataset.label_vocab.size)
+    assert set(oracle) == set(dataset.vocab)
+    for word, counts in oracle.items():
+        assert stats.counts[dataset.vocab[word]].tolist() == counts
+    save_stat_dictionary(stats, tmp_path / "stat_dict.tsv")
+    assert hashlib.sha256((tmp_path / "stat_dict.tsv").read_bytes()).hexdigest() == \
+        "300ac48a3f863b1f1d6a05fd7aba3f4560ec91e0f3b577e97ec2494f832debc7"
 
 
 def test_counts_label_permutation_equivariance():
@@ -105,7 +152,7 @@ def test_counts_label_permutation_equivariance():
             ("gamma gamma", "A", "train")]
     fwd = build_stat_dictionary(make_dataset(rows, ["A", "B"]))
     rev = build_stat_dictionary(make_dataset(rows, ["B", "A"]))
-    for word in fwd.counts:
+    for word in fwd.vocab:
         assert fwd.lookup(word).tolist() == rev.lookup(word)[::-1].tolist()
 
 
@@ -157,7 +204,7 @@ def test_message_stats_empty_message():
 def test_message_stats_pooled_is_column_sum():
     rng = np.random.Generator(np.random.PCG64(2))
     stats, ds = fixture_stats()
-    words = list(stats.counts) + ["oov1x", "oov2x"]
+    words = list(stats.vocab) + ["oov1x", "oov2x"]
     for _ in range(20):
         tokens = [words[rng.integers(0, len(words))]
                   for _ in range(rng.integers(0, 7))]
@@ -180,7 +227,7 @@ def test_message_stats_rejects_bad_width():
 def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
     rng = np.random.Generator(np.random.PCG64(5))
     stats, _ = fixture_stats()
-    words = list(stats.counts) + ["oov1x", "oov2x"]
+    words = list(stats.vocab) + ["oov1x", "oov2x"]
     for trial in range(30):
         records = []
         for i in range(int(rng.integers(0, 12))):
@@ -204,8 +251,8 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_stat_dictionary(path)
     assert loaded.label_vocab.labels == stats.label_vocab.labels
     assert loaded.built_from == stats.built_from
-    assert set(loaded.counts) == set(stats.counts)
-    for word in stats.counts:
+    assert loaded.vocab == stats.vocab
+    for word in stats.vocab:
         assert loaded.lookup(word).tolist() == stats.lookup(word).tolist()
 
 
@@ -227,8 +274,7 @@ def test_load_rejects_foreign_file(tmp_path):
 def test_save_refuses_labels_that_do_not_round_trip(tmp_path):
     # "disk,full" would load back as two labels
     for label in ("disk,full", "disk\nfull", "disk\r", "a\u2028b"):
-        stats = StatDictionary(LabelVocab([label, "net"]),
-                               {"w": np.array([1, 0])}, "h")
+        stats = stat_dictionary([label, "net"], {"w": np.array([1, 0])}, "h")
         with pytest.raises(StatError, match="cannot be stored"):
             save_stat_dictionary(stats, tmp_path / "stats.tsv")
 
@@ -238,6 +284,14 @@ def test_load_rejects_count_rows_of_the_wrong_width(tmp_path):
     path.write_text("# labels: disk,full,net\n# train_hash: h\nw\t1,0\n",
                     encoding="utf-8")
     with pytest.raises(StatError, match="2 counts for 3 labels"):
+        load_stat_dictionary(path)
+
+
+def test_load_rejects_a_word_listed_twice(tmp_path):
+    path = tmp_path / "stats.tsv"
+    path.write_text("# labels: disk\n# train_hash: h\nw\t1\nx\t2\nw\t3\n",
+                    encoding="utf-8")
+    with pytest.raises(StatError, match=r"stats.tsv:5: word 'w' is listed twice"):
         load_stat_dictionary(path)
 
 
@@ -257,14 +311,14 @@ def test_random_dictionaries_round_trip(tmp_path):
                   rng.integers(0, 10 ** 12, size=len(labels))
                   for _ in range(int(rng.integers(0, 20)))}
         built_from = bytes(rng.integers(0, 256, size=8, dtype=np.uint8)).hex()
-        stats = StatDictionary(LabelVocab(labels), counts, built_from)
+        stats = stat_dictionary(labels, counts, built_from)
         save_stat_dictionary(stats, path)
         blob = path.read_bytes()
         loaded = load_stat_dictionary(path)
         assert loaded.label_vocab.labels == labels, f"trial {trial}"
         assert loaded.built_from == built_from, f"trial {trial}"
-        assert list(loaded.counts) == sorted(counts), f"trial {trial}"
+        assert list(loaded.vocab) == sorted(counts), f"trial {trial}"
         for word, vec in counts.items():
-            assert loaded.counts[word].tolist() == vec.tolist(), f"trial {trial}"
+            assert loaded.lookup(word).tolist() == vec.tolist(), f"trial {trial}"
         save_stat_dictionary(loaded, path)
         assert path.read_bytes() == blob, f"trial {trial}"

@@ -88,7 +88,7 @@ class RunConfig:
         for name in ("m_fixed", "d_model", "latent_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("vae_epochs", "classifier_epochs"):
+        for name in ("vae_epochs", "classifier_epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mode not in MODES:
@@ -213,9 +213,9 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     and test metrics both read it.
 
     A split of at least 2 * LANE_MIN_ROWS rows is scored on
-    `lanes = min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`):
-    this process scores the first contiguous range of rows, and one
-    forked child each later range. Every range starts on a multiple of
+    `lanes = min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`,
+    `_map_lanes`): lane i scores the i-th of `lanes` contiguous ranges of
+    rows, lane 0 in this process. Every range starts on a multiple of
     EVAL_CHUNK, so each chunk holds the rows, and is padded to the
     width, it has in one lane, and the logits do not depend on the lane
     count. The float64 re-score runs here after the lanes join.
@@ -224,35 +224,28 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
     n_rows = len(records)
     lanes = _lane_count(n_rows // LANE_MIN_ROWS)
-    if lanes == 1:
-        logits = _score_range(scorer, inputs, 0, n_rows)
-    else:
-        # lane i scores rows [bounds[i], bounds[i + 1]): whole chunks but
-        # for the split's last one
-        chunks = -(-n_rows // EVAL_CHUNK)
-        bounds = [EVAL_CHUNK * (chunks * lane // lanes)
-                  for lane in range(lanes)] + [n_rows]
-        with _lane_pool(lanes, (scorer, inputs)) as pool:
-            futures = [pool.submit(_score_in_lane, *bounds[lane:lane + 2])
-                       for lane in range(1, lanes)]
-            blocks = [_score_range(scorer, inputs, *bounds[:2])]
-            blocks.extend(future.result() for future in futures)
-        logits = np.concatenate(blocks)
+    # lane i scores rows [bounds[i], bounds[i + 1]): whole chunks but for
+    # the split's last one
+    chunks = -(-n_rows // EVAL_CHUNK)
+    bounds = [EVAL_CHUNK * (chunks * lane // lanes)
+              for lane in range(lanes)] + [n_rows]
+    logits = np.concatenate(_map_lanes(_score_range, (scorer, inputs),
+                                       list(zip(bounds, bounds[1:])), lanes))
     if model.n_labels < 2:
         return logits
     top2 = np.partition(logits, -2, axis=1)[:, -2:]
     ties = np.flatnonzero(top2[:, 1] - top2[:, 0] <= TIE_GAP)
     for start in range(0, ties.size, EVAL_CHUNK):
         rows = ties[start:start + EVAL_CHUNK]
-        logits[rows] = _score(model, inputs, rows)
+        logits[rows] = _forward(model, inputs, rows)[0]
     return logits
 
 
-def _score(scorer: DiagnosisModel, inputs, rows) -> np.ndarray:
-    """Logits of `rows` of the padded split `inputs` as `scorer` computes them."""
+def _forward(model: DiagnosisModel, inputs, rows):
+    """`fusion.batch_forward`'s `(logits, saved)` for `rows` of the padded `inputs`."""
     ids, slots, message_ids, embeddings = inputs
-    return fusion.batch_forward(scorer, *fusion.batch_rows(ids, slots, rows),
-                                embeddings[message_ids[rows]])[0]
+    return fusion.batch_forward(model, *fusion.batch_rows(ids, slots, rows),
+                                embeddings[message_ids[rows]])
 
 
 def _score_range(scorer: DiagnosisModel, inputs, start: int,
@@ -261,13 +254,9 @@ def _score_range(scorer: DiagnosisModel, inputs, start: int,
     logits = np.zeros((stop - start, scorer.n_labels))
     for first in range(start, stop, EVAL_CHUNK):
         last = min(first + EVAL_CHUNK, stop)
-        logits[first - start:last - start] = _score(scorer, inputs,
-                                                    slice(first, last))
+        logits[first - start:last - start] = _forward(scorer, inputs,
+                                                      slice(first, last))[0]
     return logits
-
-
-def _score_in_lane(start: int, stop: int) -> np.ndarray:
-    return _score_range(*_lane_work, start, stop)
 
 
 def _records_to_score(dataset: LogDataset, split: str):
@@ -403,7 +392,7 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
     shuffle_rng = _child_rng(config.seed, 3)
     train_records = dataset.split_records("train")
     dev_records = dataset.split_records("dev")
-    ids, slots, message_ids = pad_records(dataset.vocab, train_records, config.m_fixed)
+    inputs = (*pad_records(dataset.vocab, train_records, config.m_fixed), embeddings)
     labels = np.array([rec.label_id for rec in train_records], dtype=np.int64)
     best = values.copy()
     best_f1 = -1.0
@@ -413,9 +402,7 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             rows = order[start:start + config.batch_size]
-            logits, saved = fusion.batch_forward(
-                model, *fusion.batch_rows(ids, slots, rows),
-                embeddings[message_ids[rows]])
+            logits, saved = _forward(model, inputs, rows)
             value = fusion.batch_backward(model, logits, saved, labels[rows],
                                           grad_views)
             if not np.isfinite(value):
@@ -477,11 +464,11 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
 _SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
 
 
-# What the lanes this process runs or serves share: a training call's
-# runs and preprocessing, or a scoring call's scorer and padded split.
-# Set by `_lane_pool` in the calling process and by `_join_lane` in each
-# child. While it is set, `_lane_count` gives one lane, so no lane forks
-# lanes of its own and processes never outnumber CPUs.
+# What the lanes this process runs or serves share: `(run, work)` of the
+# `_map_lanes` call that forked them. Set in the calling process for the
+# length of that call and inherited by each child. While it is set,
+# `_lane_count` gives one lane, so no lane forks lanes of its own and
+# processes never outnumber CPUs.
 _lane_work = None
 
 
@@ -504,31 +491,40 @@ def _lane_count(work: int) -> int:
     return 1
 
 
-@contextlib.contextmanager
-def _lane_pool(lanes: int, work):
-    """A pool of `lanes - 1` forked children that share `work` with this process.
+def _map_lanes(run, work, tasks, lanes: int) -> list:
+    """`[run(*work, *task) for task in tasks]`, task i run in lane `i % lanes`.
 
-    On exit, children's tasks not yet started are cancelled and the
-    started ones finish, so no child outlives the block.
+    This process runs lane 0's tasks in order. Each other lane is one of
+    `lanes - 1` children forked here, which reads `run` and `work` from
+    its copy of this process's memory and sends back only results. When
+    a task fails, the children's tasks not yet started are cancelled,
+    the started ones finish, and the first failure read (this process's
+    own, else the earliest child task's) is re-raised here; no child
+    outlives the call.
     """
+    if lanes == 1:
+        return [run(*work, *task) for task in tasks]
     global _lane_work
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(lanes - 1,
-                               mp_context=multiprocessing.get_context("fork"),
-                               initializer=_join_lane, initargs=(work,))
-    _lane_work = work
+                               mp_context=multiprocessing.get_context("fork"))
+    _lane_work = (run, work)
     try:
-        yield pool
+        futures = {i: pool.submit(_run_in_lane, task)
+                   for i, task in enumerate(tasks) if i % lanes}
+        results = {i: run(*work, *tasks[i]) for i in range(0, len(tasks), lanes)}
+        results.update((i, future.result()) for i, future in futures.items())
     finally:
         pool.shutdown(cancel_futures=True)
         _lane_work = None
+    return [results[i] for i in range(len(tasks))]
 
 
-def _join_lane(work) -> None:
-    global _lane_work
-    _lane_work = work
+def _run_in_lane(task):
+    run, work = _lane_work
+    return run(*work, *task)
 
 
 def _fit_run(runs, pre: PreprocessResult, index: int,
@@ -551,10 +547,6 @@ def _fit_run(runs, pre: PreprocessResult, index: int,
     return _fit(config, pre, started).report
 
 
-def _fit_in_lane(index: int) -> MetricsReport:
-    return _fit_run(*_lane_work, index)
-
-
 def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     """Train every `(config, run_dir)` pair on one preprocessing pass.
 
@@ -566,31 +558,19 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
 
     The classifiers then train on `lanes = min(len(runs), CPUs this
     process may use)` lanes, or on one where the platform cannot fork:
-    run i trains in lane `i % lanes`. This process trains lane 0,
-    starting with the first run; each other lane is a child forked
-    after preprocessing, which reads the runs and the preprocessing
-    result from its copy of this process's memory and sends back only
-    reports. Each fit is deterministic and depends only on its config
-    and the shared preprocessing, so the artifacts do not depend on the
-    lane count. When a lane fails, the children's runs not yet started
-    are cancelled, the started ones finish, and the first failure read
-    (this process's own, else the earliest child run's) is re-raised
-    here.
+    run i trains in lane `i % lanes` (`_map_lanes`), so this process
+    trains the first run and every child is forked after preprocessing.
+    Each fit is deterministic and depends only on its config and the
+    shared preprocessing, so the artifacts do not depend on the lane
+    count.
     """
     for config, _ in runs:
         config.validate()
     started = time.perf_counter()
     pre = preprocess(*runs[0])
-    lanes = _lane_count(len(runs))
-    if lanes == 1:
-        return [_fit_run(runs, pre, i, started) for i in range(len(runs))]
-    with _lane_pool(lanes, (runs, pre)) as pool:
-        futures = {i: pool.submit(_fit_in_lane, i)
-                   for i in range(len(runs)) if i % lanes}
-        reports = {i: _fit_run(runs, pre, i, started)
-                   for i in range(0, len(runs), lanes)}
-        reports.update((i, future.result()) for i, future in futures.items())
-    return [reports[i] for i in range(len(runs))]
+    return _map_lanes(_fit_run, (runs, pre),
+                      [(i, started) for i in range(len(runs))],
+                      _lane_count(len(runs)))
 
 
 def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsReport]:

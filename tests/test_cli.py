@@ -73,6 +73,14 @@ def test_bad_override_reports_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_a_negative_seed_fails_before_any_file_is_written(config_args, tmp_path,
+                                                          capsys):
+    out = tmp_path / "run"
+    assert main(["train", *config_args, "--set", "seed=-1", "--out-dir", str(out)]) == 1
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "run.cfg").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_fails_loudly(tmp_path, capsys):
     # lr 1e6 drives the VAE loss to NaN within the first epoch; the run must

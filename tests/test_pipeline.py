@@ -100,6 +100,7 @@ def test_config_rejects_bad_value_and_line(tmp_path):
     (dict(m_fixed=0), "m_fixed"),
     (dict(classifier_epochs=-1), "classifier_epochs"),
     (dict(train_ratio=0.5), "split ratios"),
+    (dict(seed=-1), "seed must be >= 0"),
 ])
 def test_config_validation(overrides, message):
     with pytest.raises(ConfigError, match=message):
@@ -167,7 +168,7 @@ def test_random_configs_round_trip(tmp_path):
             batch_size=int(rng.integers(1, 1024)),
             vae_epochs=int(rng.integers(0, 100)),
             classifier_epochs=int(rng.integers(0, 100)),
-            seed=int(rng.integers(-2 ** 62, 2 ** 62)),
+            seed=int(rng.integers(0, 2 ** 62)),
             mode=str(rng.choice(MODES)))
         config.validate()
         save_config(config, path)
@@ -982,6 +983,30 @@ def test_a_failing_scoring_lane_raises_its_stage_error(base_config, trained, tmp
     monkeypatch.setattr(fusion, "batch_forward", failing_in_a_child)
     for run in (lambda: evaluate(trained.run_dir),
                 lambda: train(replace(base_config, classifier_epochs=0), tmp_path)):
+        with pytest.raises(StageError, match=r"\[evaluate-test\] lane fault") as caught:
+            run()
+        assert caught.value.stage == "evaluate-test"
+    assert not (tmp_path / "metrics.tsv").exists()
+
+
+def test_a_failing_parent_scoring_lane_raises_its_stage_error(base_config, tmp_path,
+                                                              monkeypatch, no_lane_left):
+    # 42 test rows: this process's lane scores the first chunk, the child the rest
+    config = replace(base_config, classifier_epochs=0, train_ratio=0.3, dev_ratio=0.0,
+                     test_ratio=0.7)
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    parent, forward = os.getpid(), fusion.batch_forward
+
+    def failing_here(model, ids, mask, stat_rows):
+        if os.getpid() == parent:
+            # the child lane is forked before this process scores its own range
+            assert multiprocessing.active_children(), "scoring did not fork"
+            raise FloatingPointError("lane fault")
+        return forward(model, ids, mask, stat_rows)
+
+    monkeypatch.setattr(fusion, "batch_forward", failing_here)
+    for run in (lambda: train(config, tmp_path), lambda: evaluate(tmp_path)):
         with pytest.raises(StageError, match=r"\[evaluate-test\] lane fault") as caught:
             run()
         assert caught.value.stage == "evaluate-test"

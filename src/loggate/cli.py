@@ -12,11 +12,6 @@ from .corpus import format_profile, profile_corpus, write_profile
 from .metrics import format_metrics, write_metrics
 
 
-def _default_out(subcommand: str) -> str:
-    root = os.environ.get("LOGGATE_OUT_ROOT", "runs")
-    return str(Path(root) / subcommand)
-
-
 def _resolve_config(args) -> pipeline.RunConfig:
     if getattr(args, "config", None):
         config = pipeline.load_config(args.config)
@@ -36,6 +31,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="run configuration file (key=value lines)")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
+        p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("profile", help="word-frequency profile of a log file")
     p.add_argument("path", help="log file, one message per line")
@@ -49,16 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-stats", help="build the statistics dictionary")
     add_config_args(p)
-    p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("pretrain-vae",
                        help="pretrain the statistics VAE and cache embeddings")
     add_config_args(p)
-    p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("train", help="run the full training pipeline")
     add_config_args(p)
-    p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("evaluate", help="evaluate a finished run's checkpoint")
     p.add_argument("--run-dir", required=True)
@@ -67,20 +60,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train the full model and all ablations")
     add_config_args(p)
-    p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("sweep", help="grid sweep over one hyperparameter")
     add_config_args(p)
     p.add_argument("--axis", choices=sorted(pipeline.SWEEP_AXES), required=True)
     p.add_argument("--grid", required=True,
                    help="comma-separated values, e.g. 0,0.1,0.2")
-    p.add_argument("--out-dir", default=None)
 
     return parser
 
 
 def _out_dir(args) -> str:
-    return args.out_dir if args.out_dir else _default_out(args.subcommand)
+    root = os.environ.get("LOGGATE_OUT_ROOT", "runs")
+    return args.out_dir or str(Path(root) / args.subcommand)
 
 
 def _dispatch(args) -> int:

@@ -193,8 +193,8 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
 def train_split_hash(dataset: LogDataset) -> str:
     """Stable digest of the train split (ids, tokens, labels).
 
-    Used to detect stale statistics dictionaries, embedding caches and
-    checkpoints.
+    The statistics dictionary records it, so `evaluate` can tell that
+    the train split changed since the dictionary was built.
     """
     import hashlib
 

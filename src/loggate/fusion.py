@@ -426,7 +426,7 @@ def load_model(path: str | Path) -> tuple[DiagnosisModel, dict[str, str]]:
     for name, tensor in params.items():
         if tensor.values.shape != arrays[name].shape:
             raise FusionError(
-                f"checkpoint shape mismatch for {name}: "
+                f"{path}: checkpoint shape mismatch for {name}: "
                 f"{arrays[name].shape} vs {tensor.values.shape}")
         tensor.values[...] = arrays[name]
     return model, meta

@@ -126,18 +126,9 @@ def _cast_field(key: str, raw):
 
 def load_config(path: str | Path) -> RunConfig:
     """Flat `key=value` file; blank lines and #-comments ignored."""
-    values = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {line!r}")
-        key, _, raw = line.partition("=")
-        values[key.strip()] = _cast_field(key.strip(), raw.strip())
-    config = RunConfig(**values)
-    config.validate()
-    return config
+    lines = enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+    return _with_settings(RunConfig(), ((f"{path}:{ln}", line) for ln, line in lines
+                                        if line.strip()[:1] not in ("", "#")))
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
@@ -149,12 +140,20 @@ def save_config(config: RunConfig, path: str | Path) -> None:
 
 def apply_overrides(config: RunConfig, pairs) -> RunConfig:
     """New config with `key=value` override strings applied."""
+    return _with_settings(config, (("override", pair) for pair in pairs))
+
+
+def _with_settings(config: RunConfig, items) -> RunConfig:
+    """Valid `config` with `(where, "key=value")` items applied; errors name `where`."""
     updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override must be key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        updates[key.strip()] = _cast_field(key.strip(), raw.strip())
+    for where, text in items:
+        key, equals, raw = (part.strip() for part in text.partition("="))
+        try:
+            if not equals:
+                raise ConfigError(f"expected key=value, got {text.strip()!r}")
+            updates[key] = _cast_field(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
     merged = replace(config, **updates)
     merged.validate()
     return merged
@@ -176,7 +175,6 @@ def _file_digest(path: Path) -> str:
 class PreprocessResult:
     dataset: LogDataset
     embeddings: np.ndarray  # (N, latent_dim), row i is message id i
-    dict_hash: str
     run_dir: Path
 
 
@@ -297,16 +295,23 @@ def _dictionary_stages(config: RunConfig,
     return dataset, stats, dict_path
 
 
-def _make_run_dir(config: RunConfig, out_dir: str | Path) -> Path:
+_SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
+
+
+def _open_run(config: RunConfig, out_dir: str | Path, shared: Path | None = None) -> Path:
+    """Create `out_dir` with a `run.cfg`, plus byte copies of `shared`'s preprocessing."""
     config.validate()
     run_dir = Path(out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    save_config(config, run_dir / "run.cfg")
+    for name in _SHARED_ARTIFACTS if shared else ():
+        shutil.copyfile(shared / name, run_dir / name)
     return run_dir
 
 
 def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
     """Load the dataset and persist its statistics dictionary only."""
-    return _dictionary_stages(config, _make_run_dir(config, out_dir))[2]
+    return _dictionary_stages(config, _open_run(config, out_dir))[2]
 
 
 def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
@@ -315,10 +320,8 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     A non-finite VAE loss or embedding stops the run before the VAE
     checkpoint or the embedding cache is written.
     """
-    run_dir = _make_run_dir(config, out_dir)
-    save_config(config, run_dir / "run.cfg")
+    run_dir = _open_run(config, out_dir)
     dataset, stats, dict_path = _dictionary_stages(config, run_dir)
-    dict_hash = _file_digest(dict_path)
 
     with _stage("vae-pretrain"):
         # records are numbered 0..N-1 in file order, so row i is message i
@@ -340,8 +343,8 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
             raise FloatingPointError(
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
         statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings,
-                                     dict_hash)
-    return PreprocessResult(dataset, embeddings, dict_hash, run_dir)
+                                     _file_digest(dict_path))
+    return PreprocessResult(dataset, embeddings, run_dir)
 
 
 def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
@@ -368,7 +371,7 @@ def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResul
         _write_rows(run_dir / "train_log.tsv",
                     ("epoch", "mean_loss", "dev_macro_f1", "selected"), log_rows)
         fusion.save_model(model, run_dir / "model.ckpt", extra_meta={
-            "dict_hash": pre.dict_hash, "train_hash": train_split_hash(dataset)})
+            "embeddings_hash": _file_digest(run_dir / "embeddings.tbl")})
 
     with _stage("evaluate-test"):
         report = _split_report(model, dataset, test_records, embeddings, config,
@@ -433,35 +436,37 @@ def _write_rows(path: Path, header, rows) -> None:
 def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     """Metrics for one split from a finished run's artifacts.
 
-    Refuses to run when the statistics dictionary, embedding cache and
-    checkpoint digests disagree (stale artifacts).
+    Refuses stale artifacts: the dictionary must record the train split's
+    digest, the cache the dictionary file's, the checkpoint the cache
+    file's, and `run.cfg` must hold the checkpoint's model settings.
     """
     run_dir = Path(run_dir)
     with _stage("load-artifacts"):
         config = load_config(run_dir / "run.cfg")
         dataset = _load_stage_dataset(config)
-        load_stat_dictionary(run_dir / "stat_dict.tsv")
-        dict_hash = _file_digest(run_dir / "stat_dict.tsv")
+        stats = load_stat_dictionary(run_dir / "stat_dict.tsv")
         embeddings, cached_hash = statvae.load_embedding_cache(
             run_dir / "embeddings.tbl")
         model, meta = fusion.load_model(run_dir / "model.ckpt")
 
     with _stage("staleness-check"):
-        if cached_hash != dict_hash:
+        if stats.built_from != train_split_hash(dataset):
+            raise ValueError("dataset train split changed since the statistics "
+                             "dictionary was built; retrain")
+        if cached_hash != _file_digest(run_dir / "stat_dict.tsv"):
             raise ValueError("embedding cache was built from a different "
                              "statistics dictionary; rerun preprocessing")
-        if meta.get("dict_hash") != dict_hash:
-            raise ValueError("checkpoint was trained against a different "
-                             "statistics dictionary; retrain")
-        if meta.get("train_hash") != train_split_hash(dataset):
-            raise ValueError("dataset train split changed since training; retrain")
+        if meta.get("embeddings_hash") != _file_digest(run_dir / "embeddings.tbl"):
+            raise ValueError("checkpoint was trained on a different embedding cache, "
+                             "or records none; retrain")
+        for key in ("m_fixed", "epsilon", "mode", "d_model", "latent_dim"):
+            if getattr(config, key) != _cast_field(key, meta[key]):
+                raise ValueError(f"run.cfg sets {key}={getattr(config, key)}, the "
+                                 f"checkpoint {key}={meta[key]}; retrain")
 
     with _stage(f"evaluate-{split}"):
         return _split_report(model, dataset, _records_to_score(dataset, split),
                              embeddings, config, time.perf_counter())
-
-
-_SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
 
 
 # What the lanes this process runs or serves share: `(run, work)` of the
@@ -539,11 +544,7 @@ def _fit_run(runs, pre: PreprocessResult, index: int,
     config, run_dir = runs[index]
     if index:
         started = time.perf_counter()
-        run_dir = _make_run_dir(config, run_dir)
-        save_config(config, run_dir / "run.cfg")
-        for name in _SHARED_ARTIFACTS:
-            shutil.copyfile(pre.run_dir / name, run_dir / name)
-        pre = replace(pre, run_dir=run_dir)
+        pre = replace(pre, run_dir=_open_run(config, run_dir, shared=pre.run_dir))
     return _fit(config, pre, started).report
 
 

@@ -1,6 +1,7 @@
 """CLI argument handling, exit codes and delegation onto the pipeline."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,21 @@ def test_evaluate_subcommand(run_dir, tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert "macro-F1" in capsys.readouterr().out
     assert "macro_f1\t-\t" in out.read_text(encoding="utf-8")
+
+
+def test_evaluate_refuses_model_settings_build_stats_rewrote(config_args, run_dir,
+                                                            tmp_path, capsys):
+    # the dictionary bytes stay, so only run.cfg disagrees with the checkpoint
+    rerun = tmp_path / "run"
+    shutil.copytree(run_dir, rerun)
+    assert main(["build-stats", *config_args, "--set", "epsilon=0.45",
+                 "--set", "mode=no_gate", "--out-dir", str(rerun)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "metrics.tsv"
+    assert main(["evaluate", "--run-dir", str(rerun), "--out", str(out)]) == 1
+    assert ("[staleness-check] run.cfg sets epsilon=0.45, the checkpoint epsilon=0.2"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_out_root_env_fallback(config_args, tmp_path, monkeypatch, capsys):

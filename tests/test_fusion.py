@@ -1,5 +1,7 @@
 """Confidence gate, fused attention, classifier head and model modes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -517,4 +519,10 @@ def test_load_model_rejects_mismatched_checkpoint(tmp_path):
     bad = tmp_path / "bad.table"
     save_table(bad, arrays, meta=meta)
     with pytest.raises(FusionError, match="parameter names"):
+        load_model(bad)
+    arrays, _ = load_table(path)
+    arrays["head.w2"] = arrays["head.w2"][:, :1]
+    save_table(bad, arrays, meta=meta)
+    with pytest.raises(FusionError, match=rf"^{re.escape(str(bad))}: checkpoint shape "
+                                          r"mismatch for head\.w2: \(\d+, 1\) vs"):
         load_model(bad)

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -91,6 +92,18 @@ def test_config_rejects_bad_value_and_line(tmp_path):
     path.write_text("dataset=x\njunk line\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=":2:"):
         load_config(path)
+
+
+def test_a_bad_setting_names_the_line_or_override_it_came_from(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("dataset=x\n\nseed=abc\n", encoding="utf-8")
+    with pytest.raises(ConfigError,
+                       match=rf"^{re.escape(str(path))}:3: config key 'seed' expects int"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=r"^override: unknown config key 'sed'"):
+        apply_overrides(RunConfig(), ["sed=1"])
+    with pytest.raises(ConfigError, match=r"^override: expected key=value, got 'seed'"):
+        apply_overrides(RunConfig(), ["seed"])
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -185,6 +198,14 @@ def test_build_stats_writes_dictionary(base_config, tmp_path):
     stats = load_stat_dictionary(dict_path)
     assert sorted(stats.label_vocab.labels) == ["la", "lb"]
     assert total_tokens(stats) > 0
+
+
+def test_build_stats_leaves_the_run_cfg_and_dictionary_train_writes(
+        trained, base_config, tmp_path):
+    build_stats(base_config, tmp_path)
+    for name in ("run.cfg", "stat_dict.tsv"):
+        assert (tmp_path / name).read_bytes() == \
+            (trained.run_dir / name).read_bytes(), name
 
 
 def test_preprocess_artifacts(base_config, tmp_path):
@@ -317,6 +338,50 @@ def test_evaluate_rejects_changed_train_split(base_config, tmp_path, corpus_path
             handle.write(f"la\t-\tlate extra message {i}\n")
     with pytest.raises(StageError, match="train split changed"):
         evaluate(result.run_dir)
+
+
+def test_evaluate_refuses_a_cache_pretrained_again_into_a_trained_run(
+        trained, base_config, tmp_path):
+    # the dictionary is rebuilt byte for byte; only the cache changes
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    preprocess(replace(base_config, vae_epochs=1), run_dir)
+    assert (run_dir / "stat_dict.tsv").read_bytes() == \
+        (trained.run_dir / "stat_dict.tsv").read_bytes()
+    with pytest.raises(StageError, match=r"^\[staleness-check\] checkpoint was "
+                                         "trained on a different embedding cache"):
+        evaluate(run_dir)
+
+
+def test_evaluate_refuses_a_checkpoint_that_records_no_embedding_cache(
+        trained, tmp_path):
+    # the meta a checkpoint carried before it recorded the cache's digest
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    arrays, meta = load_table(run_dir / "model.ckpt")
+    del meta["embeddings_hash"]
+    meta["dict_hash"] = pipeline._file_digest(run_dir / "stat_dict.tsv")
+    meta["train_hash"] = load_stat_dictionary(run_dir / "stat_dict.tsv").built_from
+    save_table(run_dir / "model.ckpt", arrays, meta=meta)
+    with pytest.raises(StageError, match=r"^\[staleness-check\] .*records none; "
+                                         "retrain$"):
+        evaluate(run_dir)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("m_fixed", 5), ("epsilon", 0.45), ("mode", "no_gate"), ("d_model", 4),
+    ("latent_dim", 2)])
+def test_evaluate_refuses_a_run_cfg_whose_model_settings_are_not_the_checkpoints(
+        trained, base_config, tmp_path, key, value):
+    # build-stats rewrites run.cfg but leaves the dictionary and cache bytes
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    build_stats(replace(base_config, **{key: value}), run_dir)
+    trained_with = getattr(base_config, key)
+    with pytest.raises(StageError, match=rf"^\[staleness-check\] run.cfg sets "
+                                         rf"{key}={value}, the checkpoint "
+                                         rf"{key}={trained_with}; retrain$"):
+        evaluate(run_dir)
 
 
 # -- ablation and sweep ----------------------------------------------------------

@@ -25,6 +25,12 @@ from .semantic import (AttentionEncoder, InfoProjection, encode_message,  # noqa
 from .serialize import load_table, save_table
 
 MODES = ("full", "stats_only", "semantic_only", "no_gate")
+# The parameter groups each mode's forward pass reads, the only ones it
+# trains. A mode without "stats" reads no statistics embedding.
+TRAINED_GROUPS = {"full": ("sem", "info", "stats", "head"),
+                  "stats_only": ("stats", "head"),
+                  "semantic_only": ("sem", "info", "head"),
+                  "no_gate": ("sem", "info", "stats", "head")}
 
 
 class FusionError(ValueError):
@@ -137,6 +143,12 @@ class DiagnosisModel:
             for name, tensor in group.items():
                 out[f"{prefix}.{name}"] = tensor
         return out
+
+    def trained_parameters(self) -> dict[str, Tensor]:
+        """The parameters the mode's forward pass reads, in `parameters` order."""
+        groups = TRAINED_GROUPS[self.mode]
+        return {name: tensor for name, tensor in self.parameters().items()
+                if name.split(".")[0] in groups}
 
 
 def build_model(vocab_size: int, n_labels: int, d_model: int, latent_dim: int,
@@ -318,11 +330,11 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
     """Mean cross-entropy of `logits` against `labels`; a finite loss also fills `grads`.
 
     `logits` and `saved` come from `batch_forward`. `grads` maps each name
-    of `model.parameters()` to an array of its shape: its view of the flat
-    gradient vector (`optim.Adam.views`). Each gradient the mode's forward
-    pass reads is written over its array in place; the others are left as
-    they are. Each weight gradient is one GEMM over the batch's B * width
-    rows, so the sums run in another order than the graph's per-message stack.
+    of `model.trained_parameters()` to an array of its shape: its view of
+    the flat gradient vector (`optim.Adam.views`). Each of those gradients
+    is written over its array in place; any other array is left as it is.
+    Each weight gradient is one GEMM over the batch's B * width rows, so
+    the sums run in another order than the graph's per-message stack.
     """
     b = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)

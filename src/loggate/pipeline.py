@@ -208,7 +208,8 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     Rows whose top two logits lie within TIE_GAP are scored again by
     `model` itself, so every row's argmax is the float64 model's. The
     result is float64. Only the argmax of a row is used: dev selection
-    and test metrics both read it.
+    and test metrics both read it. `embeddings` may be None for a mode
+    that reads no statistics embedding.
 
     A split of at least 2 * LANE_MIN_ROWS rows is scored on
     `lanes = min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`,
@@ -240,10 +241,16 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
 
 
 def _forward(model: DiagnosisModel, inputs, rows):
-    """`fusion.batch_forward`'s `(logits, saved)` for `rows` of the padded `inputs`."""
+    """`fusion.batch_forward`'s `(logits, saved)` for `rows` of the padded `inputs`.
+
+    The embeddings are read only in a mode that reads statistics, so a
+    None in their place fails there and only there.
+    """
     ids, slots, message_ids, embeddings = inputs
+    stat_rows = (embeddings[message_ids[rows]]
+                 if "stats" in fusion.TRAINED_GROUPS[model.mode] else None)
     return fusion.batch_forward(model, *fusion.batch_rows(ids, slots, rows),
-                                embeddings[message_ids[rows]])
+                                stat_rows)
 
 
 def _score_range(scorer: DiagnosisModel, inputs, start: int,
@@ -355,41 +362,65 @@ def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
     selection, evaluate on test.
     """
     started = time.perf_counter()
-    return _fit(config, preprocess(config, out_dir), started)
+    pre = preprocess(config, out_dir)
+    model, _, report = _fit(config, pre.dataset, pre.embeddings, started, pre.run_dir)
+    return TrainResult(model, report, pre.dataset, pre.embeddings, pre.run_dir)
 
 
-def _fit(config: RunConfig, pre: PreprocessResult, started: float) -> TrainResult:
-    """Train the classifier on `pre`, save it and score the test split.
+def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None,
+         started: float, run_dir: Path | None = None
+         ) -> tuple[DiagnosisModel, list, MetricsReport]:
+    """Train the classifier and score the test split: `(model, log_rows, report)`.
 
-    An empty test split fails before the classifier trains. The report's
-    wall clock runs from `started` to the end of test scoring.
+    With a `run_dir`, the checkpoint and train log are saved there before
+    scoring and the metrics after. `embeddings` may be None in a mode
+    that reads none. An empty test split fails before the classifier
+    trains. The report's wall clock runs from `started`.
     """
-    dataset, embeddings, run_dir = pre.dataset, pre.embeddings, pre.run_dir
     test_records = _records_to_score(dataset, "test")
     with _stage("train-classifier"):
         model, log_rows = _train_classifier(config, dataset, embeddings)
+    if run_dir:
+        _save_classifier(run_dir, model, log_rows)
+    with _stage("evaluate-test"):
+        report = _split_report(model, dataset, test_records, embeddings, config,
+                               started)
+    if run_dir:
+        _save_report(run_dir, report)
+    return model, log_rows, report
+
+
+def _save_classifier(run_dir: Path, model: DiagnosisModel, log_rows) -> None:
+    """Write the train log and the checkpoint, bound to `run_dir`'s embedding cache."""
+    with _stage("train-classifier"):
         _write_rows(run_dir / "train_log.tsv",
                     ("epoch", "mean_loss", "dev_macro_f1", "selected"), log_rows)
         fusion.save_model(model, run_dir / "model.ckpt", extra_meta={
             "embeddings_hash": _file_digest(run_dir / "embeddings.tbl")})
 
+
+def _save_report(run_dir: Path, report: MetricsReport) -> None:
     with _stage("evaluate-test"):
-        report = _split_report(model, dataset, test_records, embeddings, config,
-                               started)
         write_metrics(report, run_dir / "metrics.tsv")
         (run_dir / "metrics.txt").write_text(format_metrics(report) + "\n",
                                              encoding="utf-8")
-    return TrainResult(model, report, dataset, embeddings, run_dir)
+
+
+def _initial_model(config: RunConfig, dataset: LogDataset) -> DiagnosisModel:
+    return fusion.build_model(
+        FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size,
+        config.d_model, config.latent_dim, config.m_fixed, config.epsilon,
+        config.mode, _child_rng(config.seed, 2))
 
 
 def _train_classifier(config: RunConfig, dataset: LogDataset,
-                      embeddings: np.ndarray):
-    vocab_size = FIRST_WORD_ID + len(dataset.vocab)
-    init_rng = _child_rng(config.seed, 2)
-    model = fusion.build_model(
-        vocab_size, dataset.label_vocab.size, config.d_model, config.latent_dim,
-        config.m_fixed, config.epsilon, config.mode, init_rng)
-    optimizer = Adam(model.parameters(), lr=config.learning_rate)
+                      embeddings: np.ndarray | None):
+    """Train with best-dev selection; Adam holds only the mode's trained parameters.
+
+    Every other parameter keeps its initial value.
+    """
+    model = _initial_model(config, dataset)
+    optimizer = Adam(model.trained_parameters(), lr=config.learning_rate)
     values, grads = optimizer.flatten()
     grad_views = optimizer.views(grads)
     shuffle_rng = _child_rng(config.seed, 3)
@@ -532,58 +563,100 @@ def _run_in_lane(task):
     return run(*work, *task)
 
 
+def _run_dir(runs, pre: PreprocessResult, index: int) -> Path:
+    """Run `index`'s directory: run 0's holds `pre`, any other gets a byte copy."""
+    config, run_dir = runs[index]
+    return _open_run(config, run_dir, shared=pre.run_dir) if index else pre.run_dir
+
+
+def _preprocess_or_fit(runs, index: int | None):
+    """An early lane's task: run 0's preprocessing (`index` None) or run `index`'s fit.
+
+    Run `index` reads no statistics embedding: its fit loads its own
+    dataset, trains with no embedding array and writes nothing.
+    """
+    if index is None:
+        return preprocess(*runs[0])
+    started = time.perf_counter()
+    config = runs[index][0]
+    with _stage("load-dataset"):
+        dataset = _load_stage_dataset(config)
+    return _fit(config, dataset, None, started)
+
+
 def _fit_run(runs, pre: PreprocessResult, index: int,
              started: float = 0.0) -> MetricsReport:
-    """Train run `index` of `runs` on the preprocessing `pre` left in run 0.
-
-    Run 0 trains in `pre.run_dir` and its wall clock runs from `started`.
-    Every later run first gets its own `run.cfg` and a byte copy of run
-    0's preprocessing artifacts; its wall clock covers that copy, its own
-    classifier and its test scoring.
-    """
-    config, run_dir = runs[index]
+    """Train and save run `index` of `runs` on the preprocessing `pre` left in run 0."""
     if index:
         started = time.perf_counter()
-        pre = replace(pre, run_dir=_open_run(config, run_dir, shared=pre.run_dir))
-    return _fit(config, pre, started).report
+    run_dir = _run_dir(runs, pre, index)
+    return _fit(runs[index][0], pre.dataset, pre.embeddings, started, run_dir)[2]
 
 
 def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     """Train every `(config, run_dir)` pair on one preprocessing pass.
 
     The configs may differ only in fields `preprocess` does not read
-    (`mode`, `epsilon`, `d_model`). Every config is validated before any
-    work. The first run preprocesses into its own directory; each later
-    run gets its own `run.cfg` and a byte copy of those artifacts, so
-    every run directory equals what `train` alone would leave.
+    (`mode`, `epsilon`, `d_model`): every config is validated, and one
+    that differs from the first in another field is refused with a
+    ConfigError naming it, before any work. The first run preprocesses
+    into its own directory; each later run gets its own `run.cfg` and a
+    byte copy of those artifacts, so every run directory equals what
+    `train` alone would leave.
 
-    The classifiers then train on `lanes = min(len(runs), CPUs this
-    process may use)` lanes, or on one where the platform cannot fork:
-    run i trains in lane `i % lanes` (`_map_lanes`), so this process
-    trains the first run and every child is forked after preprocessing.
-    Each fit is deterministic and depends only on its config and the
-    shared preprocessing, so the artifacts do not depend on the lane
-    count.
+    Two `_map_lanes` calls run the work. In the first, this process
+    preprocesses while the other lanes train every run whose mode reads
+    no statistics embedding; a checkpoint binds the embedding cache, so
+    this process saves those runs once the lanes join. In the second,
+    the other runs train in ascending order of the parameter entries
+    they train (ties in run order), so this process starts with the
+    smallest. Each fit depends only on its config and the shared
+    preprocessing, so no artifact depends on the lane count.
+
+    Every wall clock ends with its run's test scoring. An early run's
+    covers loading the dataset and its classifier; run 0's otherwise
+    starts with this call, and any other run's covers copying the
+    artifacts and its classifier.
     """
+    first = runs[0][0]
     for config, _ in runs:
         config.validate()
+        for f in fields(RunConfig):
+            if (f.name not in ("mode", "epsilon", "d_model")
+                    and getattr(config, f.name) != getattr(first, f.name)):
+                raise ConfigError(
+                    f"runs sharing preprocessing must agree on {f.name}, got "
+                    f"{getattr(first, f.name)!r} and {getattr(config, f.name)!r}")
     started = time.perf_counter()
-    pre = preprocess(*runs[0])
-    return _map_lanes(_fit_run, (runs, pre),
-                      [(i, started) for i in range(len(runs))],
-                      _lane_count(len(runs)))
+    early = [i for i, (config, _) in enumerate(runs)
+             if "stats" not in fusion.TRAINED_GROUPS[config.mode]]
+    pre, *fits = _map_lanes(_preprocess_or_fit, (runs,),
+                            [(None,)] + [(i,) for i in early],
+                            _lane_count(1 + len(early)))
+    reports = {}
+    for i, (model, log_rows, report) in zip(early, fits):
+        run_dir = _run_dir(runs, pre, i)
+        _save_classifier(run_dir, model, log_rows)
+        _save_report(run_dir, report)
+        reports[i] = report
+    later = sorted((i for i in range(len(runs)) if i not in reports),
+                   key=lambda i: sum(t.values.size for t in _initial_model(
+                       runs[i][0], pre.dataset).trained_parameters().values()))
+    reports.update(zip(later, _map_lanes(_fit_run, (runs, pre),
+                                         [(i, started) for i in later],
+                                         _lane_count(len(later)))))
+    return [reports[i] for i in range(len(runs))]
 
 
 def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsReport]:
     """Full model plus the three ablations, identical settings and seed.
 
     The modes share one preprocessing pass; `<out_dir>/<mode>` holds the
-    files `train` would write there. Their classifiers train on parallel
-    lanes, one per CPU up to four (`_train_sharing_preprocess`). The
-    `full` report's wall clock covers preprocessing, its classifier and
-    its test scoring; each other mode's covers copying the artifacts,
-    its own classifier and its test scoring, timed in the lane that
-    trains it.
+    files `train` would write there. `semantic_only` reads no statistics
+    embedding, so it trains on another lane while this process
+    preprocesses; the other three then train on parallel lanes, one per
+    CPU up to three. `_train_sharing_preprocess` says what each wall
+    clock covers.
     """
     out_dir = Path(out_dir)
     reports = dict(zip(MODES, _train_sharing_preprocess(
@@ -602,12 +675,11 @@ def run_sweep(config: RunConfig, axis: str, grid,
     """One training run per grid value on the chosen axis.
 
     Every point is cast and validated, and duplicates are refused,
-    before any work. The points share one preprocessing pass, then
-    train on parallel lanes, one per CPU up to one per point
-    (`_train_sharing_preprocess`). The first point's wall clock covers
-    preprocessing, its classifier and its test scoring; each later
-    point's covers copying the artifacts, its own classifier and its
-    test scoring, timed in the lane that trains it.
+    before any work. The points share one preprocessing pass and train
+    on parallel lanes, one per CPU up to one per point; in
+    `semantic_only` mode every point trains while this process
+    preprocesses. `_train_sharing_preprocess` says what each wall clock
+    covers.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")

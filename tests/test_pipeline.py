@@ -530,8 +530,8 @@ UNREAD = {"stats_only": {"sem", "info"}, "semantic_only": {"stats"}}
 @pytest.mark.parametrize("mode", sorted(UNREAD))
 def test_a_mode_leaves_the_parameters_it_never_reads_at_their_initial_values(
         ablated, base_config, mode):
-    # Every step moves the whole flat parameter vector; a gradient slice
-    # the mode never writes stays zero, and Adam's step on it must be 0.
+    # Adam holds only the parameters the mode reads; every other one must
+    # keep its initial value bit for bit.
     trained, _ = fusion.load_model(ablated[0] / mode / "model.ckpt")
     initial = fusion.build_model(
         trained.encoder.vocab_size, trained.n_labels, trained.encoder.d_model,
@@ -540,6 +540,23 @@ def test_a_mode_leaves_the_parameters_it_never_reads_at_their_initial_values(
     moved = {name.split(".")[0] for name, t in trained.parameters().items()
              if t.values.tobytes() != initial[name].values.tobytes()}
     assert moved == {name.split(".")[0] for name in initial} - UNREAD[mode]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_adam_holds_only_the_parameters_a_mode_reads(base_config, tmp_path,
+                                                     monkeypatch, mode):
+    held = []
+
+    class Recording(Adam):
+        def __init__(self, params, lr):
+            held.append(list(params))
+            super().__init__(params, lr)
+
+    monkeypatch.setattr(pipeline, "Adam", Recording)
+    train(replace(base_config, mode=mode, classifier_epochs=1), tmp_path)
+    names = fusion.load_model(tmp_path / "model.ckpt")[0].parameters()
+    assert held == [[name for name in names
+                     if name.split(".")[0] not in UNREAD.get(mode, ())]]
 
 
 @pytest.mark.parametrize("name, key, error", [
@@ -785,53 +802,97 @@ def _without_last_column(path: Path) -> list[str]:
 
 def test_lanes_leave_the_same_files_at_every_cpu_count(base_config, tmp_path,
                                                       monkeypatch, no_lane_left):
+    # In the semantic_only sweep every point, the first included, trains
+    # while preprocessing runs, and the first shares its directory with it.
     grid = [0.0, 0.2, 0.35]
+    semantic = replace(base_config, mode="semantic_only")
     for cpus in (1, 2, 8):
         _use_cpus(monkeypatch, cpus)
         run_ablation(base_config, tmp_path / f"cpus{cpus}" / "ablation")
         run_sweep(base_config, "epsilon", grid, tmp_path / f"cpus{cpus}" / "sweep")
-    runs = [f"ablation/{mode}" for mode in MODES] + [f"sweep/epsilon={v}" for v in grid]
+        run_sweep(semantic, "epsilon", grid, tmp_path / f"cpus{cpus}" / "semantic")
+    sweeps = ("sweep", "semantic")
+    runs = [f"ablation/{mode}" for mode in MODES] + [
+        f"{sweep}/epsilon={v}" for sweep in sweeps for v in grid]
     serial = tmp_path / "cpus1"
+    for value in grid:
+        alone = tmp_path / "alone" / f"epsilon={value}"
+        train(replace(semantic, epsilon=value), alone)
+        assert_same_run_files(serial / "semantic" / alone.name, alone)
     for cpus in (2, 8):
         laned = tmp_path / f"cpus{cpus}"
         for run in runs:
             assert_same_run_files(laned / run, serial / run)
         assert (laned / "ablation" / "ablation.tsv").read_bytes() == \
             (serial / "ablation" / "ablation.tsv").read_bytes()
-        # the wall_clock column is the last one
-        assert _without_last_column(laned / "sweep" / "sweep.tsv") == \
-            _without_last_column(serial / "sweep" / "sweep.tsv")
+        for sweep in sweeps:
+            # the wall_clock column is the last one
+            assert _without_last_column(laned / sweep / "sweep.tsv") == \
+                _without_last_column(serial / sweep / "sweep.tsv")
 
 
 @pytest.fixture
 def fit_pids(tmp_path, monkeypatch):
-    """Records the pid each run's classifier trains in; call it for mode -> pid."""
+    """Records each run's classifier fit as it starts.
+
+    Call it for mode -> pid of the process the fit ran in, or with
+    `started=True` for mode -> `time.perf_counter()` at its start (one
+    clock for every process on the platforms that fork).
+    """
     pid_log = tmp_path / "pids.tsv"
     fit = pipeline._fit
 
-    def recording_fit(config, pre, started):
+    def recording_fit(config, *args):
         with pid_log.open("a", encoding="utf-8") as handle:
-            handle.write(f"{config.mode}\t{os.getpid()}\n")
-        return fit(config, pre, started)
+            handle.write(f"{config.mode}\t{os.getpid()}\t{time.perf_counter()!r}\n")
+        return fit(config, *args)
+
+    def read(started=False):
+        lines = (pid_log.read_text(encoding="utf-8").splitlines()
+                 if pid_log.exists() else [])
+        return {mode: float(start) if started else int(pid)
+                for mode, pid, start in (line.split("\t") for line in lines)}
 
     monkeypatch.setattr(pipeline, "_fit", recording_fit)
-    return lambda: {mode: int(pid) for mode, pid in (
-        line.split("\t") for line in pid_log.read_text(encoding="utf-8").splitlines())}
+    return read
+
+
+def _await_fit(fit_pids, mode: str, timeout: float = 10.0) -> bool:
+    """Whether `mode`'s fit starts within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while mode not in fit_pids() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return mode in fit_pids()
 
 
 def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
                                           no_lane_left, fit_pids):
+    # semantic_only reads no statistics embedding, so a child trains it
+    # while this process preprocesses: the cache is held back until that
+    # fit starts, which must happen within the wait.
     _use_cpus(monkeypatch, 2)
+    embed, embedded = statvae.embed_statistics, []
+
+    def held_back(vae, x):
+        _await_fit(fit_pids, "semantic_only")
+        result = embed(vae, x)
+        embedded.append(time.perf_counter())
+        return result
+
+    monkeypatch.setattr(statvae, "embed_statistics", held_back)
     run_ablation(base_config, tmp_path / "ablation")
     pids = fit_pids()
     assert set(pids) == set(MODES)
-    # two lanes: runs 0 and 2 in this process, runs 1 and 3 in the child
+    assert pids["semantic_only"] != os.getpid()
+    assert fit_pids(started=True)["semantic_only"] < embedded[0]
+    # then the other three, fewest trained entries first: stats_only, then
+    # full and no_gate, which tie and keep their order, so this process
+    # trains stats_only and no_gate
     in_parent = {mode for mode, pid in pids.items() if pid == os.getpid()}
-    assert in_parent == {MODES[0], MODES[2]}
-    assert len({pids[MODES[1]], pids[MODES[3]]}) == 1
+    assert in_parent == {"stats_only", "no_gate"}
 
 
-@pytest.mark.parametrize("cpus, in_parent", [(2, {MODES[0], MODES[2]}),
+@pytest.mark.parametrize("cpus, in_parent", [(2, {"stats_only", "no_gate"}),
                                              (None, set(MODES))])
 def test_lanes_count_cpus_without_sched_getaffinity(base_config, tmp_path, monkeypatch,
                                                     no_lane_left, fit_pids, cpus,
@@ -886,6 +947,40 @@ def test_a_failing_child_lane_raises_its_stage_error(base_config, tmp_path,
     assert not (tmp_path / "ablation.tsv").exists()
 
 
+def test_a_failing_vae_pretrain_stops_the_run_while_the_early_lane_trains(
+        base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
+    _use_cpus(monkeypatch, 2)
+    early = []
+
+    def failing(vectors, config):
+        early.append(_await_fit(fit_pids, "semantic_only"))
+        raise FloatingPointError("vae fault")
+
+    monkeypatch.setattr(statvae, "pretrain", failing)
+    with pytest.raises(StageError, match=r"^\[vae-pretrain\] vae fault$") as caught:
+        run_ablation(base_config, tmp_path)
+    assert caught.value.stage == "vae-pretrain"
+    assert early == [True]
+    assert fit_pids()["semantic_only"] != os.getpid()
+    for name in ("train_log.tsv", "model.ckpt", "metrics.tsv", "metrics.txt"):
+        assert not list(tmp_path.rglob(name)), name
+    assert not (tmp_path / "ablation.tsv").exists()
+
+
+@pytest.mark.parametrize("field, changes", [
+    ("seed", {"seed": 8}), ("vae_epochs", {"vae_epochs": 1}),
+    ("train_ratio", {"train_ratio": 0.7, "test_ratio": 0.2}),
+    ("dataset", {"dataset": "x.tsv"})])
+def test_runs_sharing_preprocessing_differ_only_in_mode_epsilon_and_d_model(
+        base_config, tmp_path, field, changes):
+    other = replace(base_config, mode="no_gate", epsilon=0.3, d_model=4, **changes)
+    runs = [(base_config, tmp_path / "a"), (other, tmp_path / "b")]
+    with pytest.raises(ConfigError, match=rf"^runs sharing preprocessing must agree "
+                                          rf"on {field}, got "):
+        pipeline._train_sharing_preprocess(runs)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_path,
                                                              monkeypatch, no_lane_left):
     # Two lanes over 8 points: the child's lane holds points 1, 3, 5 and 7.
@@ -895,10 +990,10 @@ def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_pa
     _use_cpus(monkeypatch, 2)
     parent, fit, forward = os.getpid(), pipeline._fit, fusion.batch_forward
 
-    def slow_child_fit(config, pre, started):
+    def slow_child_fit(config, *args):
         if os.getpid() != parent:
             time.sleep(0.5)
-        return fit(config, pre, started)
+        return fit(config, *args)
 
     def diverging(model, ids, mask, stat_rows):
         if model.epsilon == 0.0:
@@ -1009,7 +1104,9 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     assert len(scored) == len(MODES) * (base_config.classifier_epochs + 1)
     for mode, pid, _, _ in scored:
         assert pid == fitted[mode], mode
-    assert len(set(fitted.values())) == 2
+    # this process, the child training semantic_only during preprocessing,
+    # and the child forked for the later runs
+    assert len(set(fitted.values())) == 3
 
 
 @pytest.mark.parametrize("cpus, lanes", [(2, 2), (None, 1)])

@@ -1,4 +1,4 @@
-"""Corpus ingestion: tokenization, labeled datasets, frequency profiling.
+"""Corpus ingestion: tokenization, labeled datasets, token tables, frequency profiling.
 
 Input format is one record per line, `<label>\t<task_id>\t<message>`.
 The task id is stored untouched (opaque); no model component consumes it.
@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .serialize import load_table, save_table
 
 NUM_TOKEN = "<num>"
 
@@ -97,13 +99,90 @@ FIRST_WORD_ID = 2
 
 
 @dataclass
+class TokenTable:
+    """Every record's token ids, label and split, as flat arrays.
+
+    Record i, the record with message id i, holds the ids
+    `ids[offsets[i]:offsets[i + 1]]`, its tokens in order as
+    `LogDataset.token_ids` maps them, the label id `labels[i]` and the
+    split `SPLIT_NAMES[splits[i]]`; -1 marks a record in no split.
+    """
+
+    ids: np.ndarray      # (total tokens,) int64
+    offsets: np.ndarray  # (N + 1,) int64, from 0, non-decreasing
+    labels: np.ndarray   # (N,) int64
+    splits: np.ndarray   # (N,) int64
+
+    ARRAYS = ("ids", "offsets", "labels", "splits")
+
+    @classmethod
+    def build(cls, vocab: dict[str, int], records: list[LogRecord],
+              splits: dict[str, list[LogRecord]]) -> TokenTable:
+        """The table of `records`, numbered 0..N-1 in order, under `vocab`."""
+        lengths = np.fromiter((len(rec.tokens) for rec in records), np.int64,
+                              count=len(records))
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        ids = np.fromiter((vocab.get(token, UNK_ID) for rec in records
+                           for token in rec.tokens), np.int64, count=int(offsets[-1]))
+        labels = np.fromiter((rec.label_id for rec in records), np.int64,
+                             count=len(records))
+        codes = np.full(len(records), -1, dtype=np.int64)
+        for code, name in enumerate(SPLIT_NAMES):
+            codes[[rec.message_id for rec in splits.get(name, ())]] = code
+        return cls(ids, offsets, labels, codes)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def split_rows(self, split: str) -> np.ndarray:
+        """Message ids of `split`'s records, in file order."""
+        if split not in SPLIT_NAMES:
+            raise CorpusError(f"unknown split {split!r}; expected one of {SPLIT_NAMES}")
+        return np.flatnonzero(self.splits == SPLIT_NAMES.index(split))
+
+    def split_arrays(self, split: str) -> tuple[np.ndarray, ...]:
+        """All the table holds on `split`: its rows, their labels, lengths and ids."""
+        rows = self.split_rows(split)
+        lengths = np.diff(self.offsets)
+        in_split = np.repeat(self.splits == SPLIT_NAMES.index(split), lengths)
+        return rows, self.labels[rows], lengths[rows], self.ids[in_split]
+
+    def pad(self, rows, m_fixed: int) -> tuple[np.ndarray, np.ndarray]:
+        """Padded token ids and key slot counts of records `rows`.
+
+        Row i of the (len(rows), m_fixed) id matrix is `semantic.pad_tokens`'s
+        padding of record `rows[i]`'s ids, and its first `slots[i]`
+        positions are the ones that padding marks as keys. The ids are
+        int32: the matrix holds a whole split.
+        """
+        if m_fixed < 1:
+            raise CorpusError(f"m_fixed must be >= 1, got {m_fixed}")
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.offsets[rows]
+        lengths = np.minimum(self.offsets[rows + 1] - starts, m_fixed)
+        ids = np.full((len(rows), m_fixed), PAD_ID, dtype=np.int32)
+        kept = np.arange(m_fixed) < lengths[:, None]
+        ids[kept] = self.ids[(starts[:, None] + np.arange(m_fixed))[kept]]
+        return ids, np.maximum(lengths, 1)
+
+
+@dataclass
 class LogDataset:
-    """Loaded corpus: records, each split's records, train-split word vocab."""
+    """Loaded corpus: records, each split's records, train-split word vocab.
+
+    `table` holds the same records as token ids under `vocab`; it is
+    built once, with the dataset.
+    """
 
     records: list[LogRecord]
     label_vocab: LabelVocab
     splits: dict[str, list[LogRecord]]  # split name -> its records in file order
     vocab: dict[str, int]
+    table: TokenTable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.table = TokenTable.build(self.vocab, self.records, self.splits)
 
     def split_records(self, split: str) -> list[LogRecord]:
         if split not in SPLIT_NAMES:
@@ -114,24 +193,35 @@ class LogDataset:
         return [self.vocab.get(t, UNK_ID) for t in tokens]
 
 
-def pad_records(vocab: dict[str, int], records: list[LogRecord],
-                m_fixed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded token ids, key slot counts and message ids of `records`.
+def save_token_table(path: str | Path, table: TokenTable, meta: dict[str, str]) -> None:
+    save_table(path, {name: getattr(table, name) for name in TokenTable.ARRAYS}, meta)
 
-    Row i of the (N, m_fixed) id matrix is `semantic.pad_tokens`'s padding
-    of record i's `token_ids`, and its first `slots[i]` positions are the
-    ones that padding marks as keys. The ids are int32: the matrix holds
-    a whole split.
+
+def load_token_table(path: str | Path,
+                     meta_keys) -> tuple[TokenTable, dict[str, str]]:
+    """The table and meta `save_token_table` wrote at `path`.
+
+    A missing file, tensor or `meta_keys` entry, or arrays that do not
+    fit together, fail naming the file.
     """
-    if m_fixed < 1:
-        raise CorpusError(f"m_fixed must be >= 1, got {m_fixed}")
-    lengths = np.array([min(len(rec.tokens), m_fixed) for rec in records], dtype=np.int64)
-    ids = np.full((len(records), m_fixed), PAD_ID, dtype=np.int32)
-    ids[np.arange(m_fixed) < lengths[:, None]] = np.fromiter(
-        (vocab.get(token, UNK_ID) for rec in records for token in rec.tokens[:m_fixed]),
-        dtype=np.int32, count=int(lengths.sum()))
-    message_ids = np.array([rec.message_id for rec in records], dtype=np.int64)
-    return ids, np.maximum(lengths, 1), message_ids
+    if not Path(path).is_file():
+        raise CorpusError(f"{path}: no token table; rerun preprocessing")
+    arrays, meta = load_table(path)
+    for name in TokenTable.ARRAYS:
+        if name not in arrays:
+            raise CorpusError(f"{path}: token table has no {name!r} tensor")
+    for key in meta_keys:
+        if key not in meta:
+            raise CorpusError(f"{path}: token table has no {key!r} meta entry")
+    table = TokenTable(*(arrays[name] for name in TokenTable.ARRAYS))
+    offsets = table.offsets
+    if not (all(getattr(table, name).dtype == np.int64 for name in TokenTable.ARRAYS)
+            and table.ids.ndim == 1 and table.labels.ndim == 1
+            and table.splits.shape == table.labels.shape
+            and offsets.shape == (len(table) + 1,) and offsets[0] == 0
+            and offsets[-1] == len(table.ids) and (np.diff(offsets) >= 0).all()):
+        raise CorpusError(f"{path}: token table arrays do not fit together")
+    return table, meta
 
 
 def _cut_splits(records: list[LogRecord],
@@ -152,7 +242,8 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
     When `known_labels` is given, any other label is an error; otherwise
     the label vocabulary is built in first-appearance order. Lines with a
     label and task id but no message text are kept (empty token list)
-    with a warning; blank lines are skipped.
+    with a warning; blank lines are skipped. The dataset's `table` holds
+    every record's token ids, computed here once.
     """
     path = Path(path)
     records: list[LogRecord] = []

@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import fusion, statvae
-from .corpus import (FIRST_WORD_ID, LogDataset, SplitSpec, load_dataset,
-                     pad_records, train_split_hash)
+from .corpus import (FIRST_WORD_ID, SPLIT_NAMES, LogDataset, SplitSpec, TokenTable,
+                     load_dataset, load_token_table, save_token_table,
+                     train_split_hash)
 from .fusion import MODES, DiagnosisModel
 from .metrics import MetricsReport, compute_metrics, format_metrics, write_metrics
 from .optim import Adam
@@ -198,9 +199,13 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
+def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
                    embeddings: np.ndarray) -> np.ndarray:
-    """(N, n_labels) logits, one row per record, in chunks of EVAL_CHUNK.
+    """(N, n_labels) logits of N records, one row each, in chunks of EVAL_CHUNK.
+
+    `records` holds the records' message ids, which index both the token
+    table `dataset` (a `LogDataset.table` or a run's `tokens.tbl`) and
+    the rows of `embeddings`; `TokenTable.pad` pads them once.
 
     Scores a SCORE_DTYPE constant copy of `model`, so `model` keeps its
     float64 parameters; `fusion.batch_forward` casts the embedding rows
@@ -219,7 +224,8 @@ def collect_logits(model: DiagnosisModel, dataset: LogDataset, records,
     width, it has in one lane, and the logits do not depend on the lane
     count. The float64 re-score runs here after the lanes join.
     """
-    inputs = (*pad_records(dataset.vocab, records, model.m_fixed), embeddings)
+    records = np.asarray(records, dtype=np.int64)
+    inputs = (*dataset.pad(records, model.m_fixed), records, embeddings)
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
     n_rows = len(records)
     lanes = _lane_count(n_rows // LANE_MIN_ROWS)
@@ -264,30 +270,36 @@ def _score_range(scorer: DiagnosisModel, inputs, start: int,
     return logits
 
 
-def _records_to_score(dataset: LogDataset, split: str):
-    """The records of `split`; an empty split fails stage `evaluate-<split>`."""
-    records = dataset.split_records(split)
-    if not records:
+def _rows_to_score(table: TokenTable, split: str) -> np.ndarray:
+    """The message ids of `split`; an empty split fails stage `evaluate-<split>`."""
+    rows = table.split_rows(split)
+    if not rows.size:
         raise StageError(f"evaluate-{split}", f"split {split!r} has no records to score")
-    return records
+    return rows
 
 
-def _split_report(model, dataset, records, embeddings, config,
-                  started: float) -> MetricsReport:
-    """Metrics of `records`; the wall clock runs from `started` to the end of scoring."""
-    true_ids = np.array([rec.label_id for rec in records], dtype=np.int64)
-    preds = collect_logits(model, dataset, records, embeddings).argmax(axis=1)
-    return compute_metrics(true_ids, preds, dataset.label_vocab.labels,
+def _split_report(model, table: TokenTable, rows, embeddings, labels: list[str],
+                  config, started: float) -> MetricsReport:
+    """Metrics of records `rows` of `table`, whose label ids index `labels`.
+
+    The wall clock runs from `started` to the end of scoring.
+    """
+    preds = collect_logits(model, table, rows, embeddings).argmax(axis=1)
+    return compute_metrics(table.labels[rows], preds, labels,
                            config=_config_snapshot(config),
                            wall_clock=time.perf_counter() - started)
 
 
-def _load_stage_dataset(config: RunConfig) -> LogDataset:
+def _dataset_path(config: RunConfig) -> Path:
     if not config.dataset:
         raise ConfigError("config key 'dataset' is required")
+    return Path(config.dataset)
+
+
+def _load_stage_dataset(config: RunConfig) -> LogDataset:
     spec = SplitSpec(config.train_ratio, config.dev_ratio,
                      config.test_ratio, config.seed)
-    return load_dataset(config.dataset, split_spec=spec)
+    return load_dataset(_dataset_path(config), split_spec=spec)
 
 
 def _dictionary_stages(config: RunConfig,
@@ -302,7 +314,12 @@ def _dictionary_stages(config: RunConfig,
     return dataset, stats, dict_path
 
 
-_SHARED_ARTIFACTS = ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl")
+_SHARED_ARTIFACTS = ("stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
+                     "embeddings.tbl")
+# The settings that cut the splits; `tokens.tbl` records them with the
+# corpus file's digest and the dictionary file's.
+_SPLIT_KEYS = ("train_ratio", "dev_ratio", "test_ratio", "seed")
+_TOKENS_META = ("corpus_sha256", "dict_hash") + _SPLIT_KEYS
 
 
 def _open_run(config: RunConfig, out_dir: str | Path, shared: Path | None = None) -> Path:
@@ -322,18 +339,28 @@ def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
 
 
 def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
-    """Stages ahead of the classifier: dataset, dictionary, VAE, cache.
+    """Stages ahead of the classifier: dataset, dictionary, token table, VAE, cache.
 
-    A non-finite VAE loss or embedding stops the run before the VAE
-    checkpoint or the embedding cache is written.
+    `tokens.tbl` saves the dataset's `TokenTable`, which `evaluate`
+    scores from, with the digests of the corpus file and the dictionary
+    file and the split settings. A non-finite VAE loss or embedding
+    stops the run before the VAE checkpoint or the embedding cache is
+    written.
     """
     run_dir = _open_run(config, out_dir)
     dataset, stats, dict_path = _dictionary_stages(config, run_dir)
+    dict_hash = _file_digest(dict_path)
+
+    with _stage("token-table"):
+        save_token_table(run_dir / "tokens.tbl", dataset.table, {
+            "corpus_sha256": _file_digest(_dataset_path(config)),
+            "dict_hash": dict_hash,
+            **{key: str(getattr(config, key)) for key in _SPLIT_KEYS}})
 
     with _stage("vae-pretrain"):
         # records are numbered 0..N-1 in file order, so row i is message i
-        all_vectors = pooled_stats(stats, dataset.records, config.m_fixed)
-        train_ids = [rec.message_id for rec in dataset.split_records("train")]
+        all_vectors = pooled_stats(stats, dataset, config.m_fixed)
+        train_ids = dataset.table.split_rows("train")
         vae_config = statvae.VaeConfig(
             latent_dim=config.latent_dim, epochs=config.vae_epochs,
             batch_size=config.batch_size, learning_rate=config.learning_rate,
@@ -349,8 +376,7 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
         if bad:
             raise FloatingPointError(
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
-        statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings,
-                                     _file_digest(dict_path))
+        statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings, dict_hash)
     return PreprocessResult(dataset, embeddings, run_dir)
 
 
@@ -377,14 +403,14 @@ def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None,
     that reads none. An empty test split fails before the classifier
     trains. The report's wall clock runs from `started`.
     """
-    test_records = _records_to_score(dataset, "test")
+    test_rows = _rows_to_score(dataset.table, "test")
     with _stage("train-classifier"):
         model, log_rows = _train_classifier(config, dataset, embeddings)
     if run_dir:
         _save_classifier(run_dir, model, log_rows)
     with _stage("evaluate-test"):
-        report = _split_report(model, dataset, test_records, embeddings, config,
-                               started)
+        report = _split_report(model, dataset.table, test_rows, embeddings,
+                               dataset.label_vocab.labels, config, started)
     if run_dir:
         _save_report(run_dir, report)
     return model, log_rows, report
@@ -424,15 +450,16 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
     values, grads = optimizer.flatten()
     grad_views = optimizer.views(grads)
     shuffle_rng = _child_rng(config.seed, 3)
-    train_records = dataset.split_records("train")
-    dev_records = dataset.split_records("dev")
-    inputs = (*pad_records(dataset.vocab, train_records, config.m_fixed), embeddings)
-    labels = np.array([rec.label_id for rec in train_records], dtype=np.int64)
+    table = dataset.table
+    train_rows = table.split_rows("train")
+    dev_rows = table.split_rows("dev")
+    inputs = (*table.pad(train_rows, config.m_fixed), train_rows, embeddings)
+    labels = table.labels[train_rows]
     best = values.copy()
     best_f1 = -1.0
     log_rows = []
     for epoch in range(config.classifier_epochs):
-        order = shuffle_rng.permutation(len(train_records))
+        order = shuffle_rng.permutation(len(train_rows))
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
             rows = order[start:start + config.batch_size]
@@ -444,11 +471,12 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
                     f"non-finite loss {value!r} at epoch {epoch} step {step}")
             optimizer.step_flat(values, grads)
             losses.append(value)
-        dev_f1 = (_split_report(model, dataset, dev_records, embeddings, config,
+        dev_f1 = (_split_report(model, table, dev_rows, embeddings,
+                                dataset.label_vocab.labels, config,
                                 time.perf_counter()).macro_f1
-                  if dev_records else float("nan"))
+                  if dev_rows.size else float("nan"))
         # No dev split: every epoch is selected, so the final parameters stay.
-        selected = not dev_records or dev_f1 > best_f1
+        selected = not dev_rows.size or dev_f1 > best_f1
         if selected:
             best_f1 = dev_f1
             best = values.copy()
@@ -467,24 +495,34 @@ def _write_rows(path: Path, header, rows) -> None:
 def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     """Metrics for one split from a finished run's artifacts.
 
-    Refuses stale artifacts: the dictionary must record the train split's
-    digest, the cache the dictionary file's, the checkpoint the cache
-    file's, and `run.cfg` must hold the checkpoint's model settings.
+    The split's token ids and labels come from `tokens.tbl`, so the
+    corpus is read only to take its digest. Refuses stale artifacts: the
+    token table and the cache must record the dictionary file's digest,
+    the checkpoint the cache file's, and `run.cfg` must hold the
+    checkpoint's model settings. When the corpus file's digest or
+    `run.cfg`'s split settings are not the ones the table records, the
+    corpus is loaded and `_check_corpus` refuses it unless every split
+    holds what the table holds.
     """
     run_dir = Path(run_dir)
     with _stage("load-artifacts"):
         config = load_config(run_dir / "run.cfg")
-        dataset = _load_stage_dataset(config)
+        table, table_meta = load_token_table(run_dir / "tokens.tbl", _TOKENS_META)
         stats = load_stat_dictionary(run_dir / "stat_dict.tsv")
         embeddings, cached_hash = statvae.load_embedding_cache(
             run_dir / "embeddings.tbl")
         model, meta = fusion.load_model(run_dir / "model.ckpt")
+        corpus_hash = _file_digest(_dataset_path(config))
 
     with _stage("staleness-check"):
-        if stats.built_from != train_split_hash(dataset):
-            raise ValueError("dataset train split changed since the statistics "
-                             "dictionary was built; retrain")
-        if cached_hash != _file_digest(run_dir / "stat_dict.tsv"):
+        dict_hash = _file_digest(run_dir / "stat_dict.tsv")
+        if table_meta["dict_hash"] != dict_hash:
+            raise ValueError("token table was built with a different statistics "
+                             "dictionary; rerun preprocessing")
+        if table_meta["corpus_sha256"] != corpus_hash or any(
+                table_meta[key] != str(getattr(config, key)) for key in _SPLIT_KEYS):
+            _check_corpus(config, table, stats)
+        if cached_hash != dict_hash:
             raise ValueError("embedding cache was built from a different "
                              "statistics dictionary; rerun preprocessing")
         if meta.get("embeddings_hash") != _file_digest(run_dir / "embeddings.tbl"):
@@ -496,8 +534,27 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
                                  f"checkpoint {key}={meta[key]}; retrain")
 
     with _stage(f"evaluate-{split}"):
-        return _split_report(model, dataset, _records_to_score(dataset, split),
-                             embeddings, config, time.perf_counter())
+        return _split_report(model, table, _rows_to_score(table, split), embeddings,
+                             stats.label_vocab.labels, config, time.perf_counter())
+
+
+def _check_corpus(config: RunConfig, table: TokenTable, stats: StatDictionary) -> None:
+    """Refuse the corpus `run.cfg` names unless it loads into `table` on every split.
+
+    A changed train split fails as one the dictionary was not built
+    from; any other changed split fails naming it.
+    """
+    dataset = _load_stage_dataset(config)
+    if stats.built_from != train_split_hash(dataset):
+        raise ValueError("dataset train split changed since the statistics "
+                         "dictionary was built; retrain")
+    changed = [name for name in SPLIT_NAMES
+               if not all(map(np.array_equal, dataset.table.split_arrays(name),
+                              table.split_arrays(name)))]
+    if changed:
+        raise ValueError(f"the dataset's {' and '.join(changed)} "
+                         f"split{'s' * (len(changed) > 1)} changed since "
+                         "preprocessing; retrain")
 
 
 # What the lanes this process runs or serves share: `(run, work)` of the

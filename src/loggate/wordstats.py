@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (FIRST_WORD_ID, UNK_ID, LabelVocab, LogDataset, LogRecord,
-                     pad_records, train_split_hash)
+                     train_split_hash)
 
 
 class StatError(ValueError):
@@ -88,17 +88,20 @@ def message_stats(stats: StatDictionary, record: LogRecord,
     return MessageStats(matrix, mask, pooled, np.log1p(pooled.astype(np.float64)))
 
 
-def pooled_stats(stats: StatDictionary, records: list[LogRecord],
+def pooled_stats(stats: StatDictionary, dataset: LogDataset,
                  m_fixed: int) -> np.ndarray:
-    """(len(records), n) `message_stats(...).normalized` rows, in one pass.
+    """(N, n) `message_stats(...).normalized` rows of `dataset`'s N records.
 
-    The count rows of each record's `pad_records` ids are summed, one id
-    column at a time, then log1p is applied. Pad and unknown ids read zero
-    rows and integer sums are exact, so each row is `message_stats`'s.
+    The count rows of the records' padded `dataset.table` ids are summed,
+    one id column at a time, then log1p is applied. The ids must be the
+    ones `stats` counts under, as in `build_stat_dictionary(dataset)`.
+    Pad and unknown ids read zero rows and integer sums are exact, so
+    each row is `message_stats`'s.
     """
     if m_fixed < 1:
         raise StatError(f"m_fixed must be >= 1, got {m_fixed}")
-    ids = pad_records(stats.vocab, records, m_fixed)[0]
+    table = dataset.table
+    ids = table.pad(np.arange(len(table)), m_fixed)[0]
     pooled = sum(stats.counts.take(column, axis=0) for column in ids.T)
     return np.log1p(pooled.astype(np.float64))
 

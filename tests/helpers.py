@@ -506,10 +506,10 @@ def reference_split_assignment(ids: list[int], spec: SplitSpec) -> dict[int, str
     return assignment
 
 
-def reference_pooled_stats(stats: StatDictionary, records, m_fixed: int) -> np.ndarray:
-    """`pooled_stats` as one `message_stats` call per record."""
+def reference_pooled_stats(stats: StatDictionary, dataset, m_fixed: int) -> np.ndarray:
+    """`pooled_stats` as one `message_stats` call per record of `dataset`."""
     return np.stack([message_stats(stats, rec, m_fixed).normalized
-                     for rec in records])
+                     for rec in dataset.records])
 
 
 def reference_accumulate(self: Tensor, grad: np.ndarray) -> None:

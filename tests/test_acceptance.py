@@ -99,10 +99,10 @@ def test_criterion_3_zero_band_reduction(tmp_path):
                      epsilon=0.0, vae_epochs=3, classifier_epochs=3, seed=7)
     full = train(base, tmp_path / "full")
     sem = train(replace(base, mode="semantic_only"), tmp_path / "sem")
-    test_records = full.dataset.split_records("test")
-    logits_full = collect_logits(full.model, full.dataset, test_records,
+    test_rows = full.dataset.table.split_rows("test")
+    logits_full = collect_logits(full.model, full.dataset.table, test_rows,
                                  full.embeddings)
-    logits_sem = collect_logits(sem.model, sem.dataset, test_records,
+    logits_sem = collect_logits(sem.model, sem.dataset.table, test_rows,
                                 sem.embeddings)
     gap = float(np.abs(logits_full - logits_sem).max())
 

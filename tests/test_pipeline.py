@@ -14,14 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loggate import fusion, pipeline, statvae
+from loggate import corpus, fusion, pipeline, statvae
 from loggate.autodiff import Tensor
-from loggate.corpus import CorpusError, LogRecord, load_dataset, pad_records, SplitSpec
+from loggate.corpus import CorpusError, LogRecord, load_dataset, SplitSpec, TokenTable
 from loggate.pipeline import (ConfigError, RunConfig, StageError,
                               apply_overrides, build_stats, collect_logits,
                               evaluate, load_config, preprocess, run_ablation,
                               run_sweep, save_config, train)
 from loggate.fusion import MODES
+from loggate.metrics import write_metrics
 from loggate.optim import Adam
 from loggate.semantic import pad_tokens
 from loggate.serialize import load_table, save_table
@@ -236,8 +237,9 @@ def test_train_artifacts_and_report(trained, base_config):
 def test_train_reruns_bit_identical(trained, base_config, tmp_path):
     again = train(base_config, tmp_path)
     assert again.report.macro_f1 == trained.report.macro_f1
-    for name in ("stat_dict.tsv", "vae.ckpt", "vae_log.tsv", "embeddings.tbl",
-                 "model.ckpt", "train_log.tsv", "metrics.tsv", "run.cfg"):
+    for name in ("stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
+                 "embeddings.tbl", "model.ckpt", "train_log.tsv", "metrics.tsv",
+                 "run.cfg"):
         assert (tmp_path / name).read_bytes() == \
             (trained.run_dir / name).read_bytes(), name
 
@@ -384,6 +386,104 @@ def test_evaluate_refuses_a_run_cfg_whose_model_settings_are_not_the_checkpoints
         evaluate(run_dir)
 
 
+def _mini_run(tmp_path: Path):
+    """A run trained on a copy of the mini corpus: (corpus copy, run dir, dataset)."""
+    corpus_copy = tmp_path / "corpus.tsv"
+    corpus_copy.write_bytes(MINI_CORPUS.read_bytes())
+    config = RunConfig(dataset=str(corpus_copy), m_fixed=10, d_model=8, latent_dim=3,
+                       vae_epochs=1, classifier_epochs=1, seed=7)
+    result = train(config, tmp_path / "run")
+    return corpus_copy, result.run_dir, result.dataset
+
+
+def _set_message(corpus_file: Path, message_id: int, text: str) -> None:
+    """Rewrite the message text of line `message_id` (the corpus has no blank line)."""
+    lines = corpus_file.read_text(encoding="utf-8").splitlines(keepends=True)
+    label, task_id, _ = lines[message_id].split("\t", 2)
+    lines[message_id] = f"{label}\t{task_id}\t{text}\n"
+    corpus_file.write_text("".join(lines), encoding="utf-8")
+
+
+def test_evaluate_refuses_a_rewritten_test_split_line(tmp_path):
+    corpus_copy, run_dir, dataset = _mini_run(tmp_path)
+    target = dataset.split_records("test")[0]
+    donor = next(rec for rec in dataset.split_records("train")
+                 if dataset.token_ids(rec.tokens) != dataset.token_ids(target.tokens))
+    _set_message(corpus_copy, target.message_id, " ".join(donor.tokens))
+    for split in ("test", "dev"):
+        with pytest.raises(StageError, match=r"^\[staleness-check\] the dataset's test "
+                                             "split changed since preprocessing; "
+                                             "retrain$"):
+            evaluate(run_dir, split)
+
+
+def test_evaluate_scores_a_corpus_change_no_token_sees(tmp_path, monkeypatch):
+    # a digit run is one <num> token, whatever its digits
+    corpus_copy, run_dir, dataset = _mini_run(tmp_path)
+    before = evaluate(run_dir)
+    target = dataset.split_records("test")[0]
+    text = corpus_copy.read_text(encoding="utf-8").splitlines()[target.message_id]
+    message = text.split("\t", 2)[2]
+    digit = re.search(r"\d", message).start()
+    _set_message(corpus_copy, target.message_id, message[:digit]
+                 + str((int(message[digit]) + 1) % 10) + message[digit + 1:])
+    loads, load = [], pipeline.load_dataset
+
+    def counting(*args, **kwargs):
+        loads.append(args)
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_dataset", counting)
+    after = evaluate(run_dir)
+    assert len(loads) == 1  # the digest differs, so the corpus is compared
+    assert after.macro_f1 == before.macro_f1
+    assert after.confusion.tolist() == before.confusion.tolist()
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"seed": 8}, "dataset train split changed since the statistics dictionary was "
+                  "built; retrain"),
+    ({"train_ratio": 0.7, "test_ratio": 0.2},
+     "dataset train split changed since the statistics dictionary was built; retrain"),
+    # 48 train records either way; the dev and test records move
+    ({"dev_ratio": 0.15, "test_ratio": 0.05},
+     "the dataset's dev and test splits changed since preprocessing; retrain")])
+def test_evaluate_refuses_a_run_cfg_whose_split_settings_changed(trained, tmp_path,
+                                                                edit, message):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    save_config(replace(load_config(run_dir / "run.cfg"), **edit), run_dir / "run.cfg")
+    with pytest.raises(StageError, match=rf"^\[staleness-check\] {message}$"):
+        evaluate(run_dir)
+
+
+def test_evaluate_scores_from_the_token_table_without_tokenizing(ablated, tmp_path,
+                                                                 monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate read the corpus text")
+
+    monkeypatch.setattr(corpus, "tokenize", refuse)
+    monkeypatch.setattr(pipeline, "load_dataset", refuse)
+    out, _ = ablated
+    for mode in MODES:
+        write_metrics(evaluate(out / mode, "test"), tmp_path / mode)
+        assert (tmp_path / mode).read_bytes() == \
+            (out / mode / "metrics.tsv").read_bytes(), mode
+
+
+def test_evaluate_refuses_a_run_without_a_token_table(trained, base_config, tmp_path):
+    # a run directory written before preprocessing saved the token table
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    (run_dir / "tokens.tbl").unlink()
+    with pytest.raises(StageError, match=r"^\[load-artifacts\] .*/tokens.tbl: no token "
+                                         "table; rerun preprocessing$"):
+        evaluate(run_dir)
+    # preprocessing again rewrites every other artifact byte for byte
+    preprocess(base_config, run_dir)
+    assert evaluate(run_dir).macro_f1 == trained.report.macro_f1
+
+
 # -- ablation and sweep ----------------------------------------------------------
 
 
@@ -443,7 +543,7 @@ def test_sweep_refuses_points_that_cast_to_the_same_value(base_config, tmp_path)
 
 
 # Every file a run leaves that carries no wall clock.
-RUN_FILES = ("run.cfg", "stat_dict.tsv", "vae.ckpt", "vae_log.tsv",
+RUN_FILES = ("run.cfg", "stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
              "embeddings.tbl", "model.ckpt", "train_log.tsv", "metrics.tsv")
 
 
@@ -561,7 +661,9 @@ def test_adam_holds_only_the_parameters_a_mode_reads(base_config, tmp_path,
 
 @pytest.mark.parametrize("name, key, error", [
     ("model.ckpt", "vocab_size", fusion.FusionError),
-    ("embeddings.tbl", "message_ids", statvae.VaeError)])
+    ("embeddings.tbl", "message_ids", statvae.VaeError),
+    ("tokens.tbl", "offsets", CorpusError),
+    ("tokens.tbl", "corpus_sha256", CorpusError)])
 def test_evaluate_names_the_file_and_key_a_damaged_artifact_lacks(
         trained, tmp_path, name, key, error):
     run_dir = tmp_path / "run"
@@ -637,26 +739,27 @@ def test_split_token_matrix_is_pad_tokens_row_for_row():
     lengths = [len(rec.tokens) for rec in records]
     assert min(lengths) == 0 and max(lengths) > 16  # empty messages and truncation
     assert any(t not in dataset.vocab for rec in records for t in rec.tokens)
+    table = TokenTable.build(dataset.vocab, records, {"test": records})
     for m_fixed in (1, 6, 16):
-        ids, slots, message_ids = pad_records(dataset.vocab, records, m_fixed)
+        every = rng.permutation(len(records))
+        ids, slots = table.pad(every, m_fixed)
         assert ids.dtype == np.int32 and ids.shape == (len(records), m_fixed)
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(records[j] for j in every):
             want_ids, want_mask = pad_tokens(dataset.token_ids(rec.tokens), m_fixed)
             np.testing.assert_array_equal(ids[i], want_ids)
             assert slots[i] == want_mask.sum()
-            assert message_ids[i] == rec.message_id
         for _ in range(20):
             batch = rng.choice(len(records), size=int(rng.integers(1, 33)))
-            token_ids = [dataset.token_ids(records[i].tokens) for i in batch]
+            token_ids = [dataset.token_ids(records[every[i]].tokens) for i in batch]
             width = min(m_fixed, max(1, max(len(t) for t in token_ids)))
             got_ids, got_mask = fusion.batch_rows(ids, slots, batch)
             for row, t in enumerate(token_ids):
                 want_ids, want_mask = pad_tokens(t, width)
                 np.testing.assert_array_equal(got_ids[row], want_ids)
                 np.testing.assert_array_equal(got_mask[row], want_mask)
-    assert pad_records(dataset.vocab, [], 4)[0].shape == (0, 4)
+    assert table.pad([], 4)[0].shape == (0, 4)
     with pytest.raises(CorpusError, match="m_fixed must be >= 1, got 0"):
-        pad_records(dataset.vocab, records, 0)
+        table.pad(np.arange(len(records)), 0)
 
 
 # -- scoring -------------------------------------------------------------------
@@ -684,6 +787,11 @@ def scored_runs(request, tmp_path_factory):
     return {mode: _scoring_inputs(out / mode) for mode in MODES}
 
 
+def _ids(records) -> np.ndarray:
+    """The message ids of `records`, the rows `collect_logits` scores."""
+    return np.array([rec.message_id for rec in records], dtype=np.int64)
+
+
 def _float64_logits(model, dataset, records, embeddings):
     """Chunked float64 forward through `model` itself."""
     return np.concatenate([fusion.forward(
@@ -697,7 +805,7 @@ def test_scoring_argmax_equals_the_float64_forward(scored_runs):
         for split in ("train", "dev", "test"):
             records = dataset.split_records(split)
             reference = _float64_logits(model, dataset, records, embeddings)
-            logits = collect_logits(model, dataset, records, embeddings)
+            logits = collect_logits(model, dataset.table, _ids(records), embeddings)
             np.testing.assert_array_equal(logits.argmax(axis=1),
                                           reference.argmax(axis=1), f"{mode} {split}")
             np.testing.assert_allclose(logits, reference, rtol=0.0, atol=1e-4,
@@ -734,7 +842,8 @@ def test_scoring_builds_no_graph_and_stays_float32(ablated, monkeypatch):
 
     monkeypatch.setattr(fusion, "batch_forward", recording)
     for model, dataset, embeddings in runs:
-        collect_logits(model, dataset, dataset.split_records("test"), embeddings)
+        collect_logits(model, dataset.table, dataset.table.split_rows("test"),
+                       embeddings)
     assert not made
     assert dtypes == {np.dtype(np.float32)}
 
@@ -745,15 +854,15 @@ def test_rescored_rows_are_the_float64_forward(ablated, monkeypatch):
     for model, dataset, embeddings in runs:
         records = dataset.split_records("test")
         reference = _float64_logits(model, dataset, records, embeddings)
-        logits = collect_logits(model, dataset, records, embeddings)
+        logits = collect_logits(model, dataset.table, _ids(records), embeddings)
         np.testing.assert_array_equal(logits, reference, model.mode)
 
 
 def test_scoring_leaves_the_model_float64_and_trainable(trained):
     params = trained.model.parameters()
     before = {name: t.values.tobytes() for name, t in params.items()}
-    collect_logits(trained.model, trained.dataset,
-                   trained.dataset.split_records("test"), trained.embeddings)
+    table = trained.dataset.table
+    collect_logits(trained.model, table, table.split_rows("test"), trained.embeddings)
     for name, tensor in trained.model.parameters().items():
         assert tensor is params[name], name
         assert tensor.values.dtype == np.float64 and tensor.requires_grad, name
@@ -761,7 +870,8 @@ def test_scoring_leaves_the_model_float64_and_trainable(trained):
 
 
 def test_scoring_no_record_gives_an_empty_block(trained):
-    logits = collect_logits(trained.model, trained.dataset, [], trained.embeddings)
+    logits = collect_logits(trained.model, trained.dataset.table, [],
+                            trained.embeddings)
     assert logits.shape == (0, trained.model.n_labels)
 
 
@@ -770,9 +880,9 @@ def test_scoring_a_single_label_model(trained):
     single = fusion.build_model(model.encoder.vocab_size, 1, model.encoder.d_model,
                                 model.latent_dim, model.m_fixed, model.epsilon,
                                 model.mode, np.random.default_rng(0))
-    records = trained.dataset.split_records("test")
-    logits = collect_logits(single, trained.dataset, records, trained.embeddings)
-    assert logits.shape == (len(records), 1)
+    rows = trained.dataset.table.split_rows("test")
+    logits = collect_logits(single, trained.dataset.table, rows, trained.embeddings)
+    assert logits.shape == (len(rows), 1)
 
 
 # -- training lanes ----------------------------------------------------------------
@@ -1051,14 +1161,14 @@ def _lane_ranges(ranges, n_rows: int, lanes: int) -> None:
 def test_scoring_lanes_give_the_one_lane_logits(ablated, monkeypatch, no_lane_left,
                                                 score_pids):
     model, dataset, embeddings = _scoring_inputs(ablated[0] / "full")
-    records = dataset.records * 6
-    sizes = (0, 1, 5, 31, 33, 100, 257, len(records))
-    assert len(records) % pipeline.EVAL_CHUNK
+    rows = np.tile(np.arange(len(dataset.table)), 6)
+    sizes = (0, 1, 5, 31, 33, 100, 257, len(rows))
+    assert len(rows) % pipeline.EVAL_CHUNK
     gaps = [pipeline.TIE_GAP]
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
     _use_cpus(monkeypatch, 1)
     monkeypatch.setattr(pipeline, "TIE_GAP", -1.0)
-    float32 = collect_logits(model, dataset, records, embeddings)
+    float32 = collect_logits(model, dataset.table, rows, embeddings)
     score_pids()
     top2 = np.sort(float32, axis=1)[:, -2:]
     # half the rows lie within this gap and are scored again in float64
@@ -1067,11 +1177,11 @@ def test_scoring_lanes_give_the_one_lane_logits(ablated, monkeypatch, no_lane_le
         monkeypatch.setattr(pipeline, "TIE_GAP", gap)
         for n_rows in sizes:
             _use_cpus(monkeypatch, 1)
-            one_lane = collect_logits(model, dataset, records[:n_rows], embeddings)
+            one_lane = collect_logits(model, dataset.table, rows[:n_rows], embeddings)
             _lane_ranges(score_pids(), n_rows, 1)
             for cpus in (2, 8):
                 _use_cpus(monkeypatch, cpus)
-                logits = collect_logits(model, dataset, records[:n_rows], embeddings)
+                logits = collect_logits(model, dataset.table, rows[:n_rows], embeddings)
                 np.testing.assert_array_equal(logits, one_lane, f"{cpus} {n_rows}")
                 _lane_ranges(score_pids(), n_rows, max(1, min(cpus, n_rows)))
     assert not np.array_equal(one_lane, float32)
@@ -1080,17 +1190,17 @@ def test_scoring_lanes_give_the_one_lane_logits(ablated, monkeypatch, no_lane_le
 def test_scoring_forks_lanes_only_from_the_threshold(trained, monkeypatch,
                                                      no_lane_left, score_pids):
     _use_cpus(monkeypatch, 2)
-    records = trained.dataset.records
+    rows = np.arange(len(trained.dataset.table))
     fork = os.fork
 
     def no_fork():
         raise AssertionError("a split below the threshold forked")
 
-    for min_rows, lanes in ((len(records) // 2 + 1, 1), (len(records) // 2, 2)):
+    for min_rows, lanes in ((len(rows) // 2 + 1, 1), (len(rows) // 2, 2)):
         monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
         monkeypatch.setattr(os, "fork", no_fork if lanes == 1 else fork)
-        collect_logits(trained.model, trained.dataset, records, trained.embeddings)
-        _lane_ranges(score_pids(), len(records), lanes)
+        collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)
+        _lane_ranges(score_pids(), len(rows), lanes)
 
 
 def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkeypatch,
@@ -1116,9 +1226,9 @@ def test_scoring_lanes_count_cpus_without_sched_getaffinity(trained, monkeypatch
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
-    records = trained.dataset.records
-    collect_logits(trained.model, trained.dataset, records, trained.embeddings)
-    _lane_ranges(score_pids(), len(records), lanes)
+    rows = np.arange(len(trained.dataset.table))
+    collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)
+    _lane_ranges(score_pids(), len(rows), lanes)
 
 
 def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatch,
@@ -1126,9 +1236,9 @@ def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatc
     _use_cpus(monkeypatch, 4)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
-    records = trained.dataset.records
-    collect_logits(trained.model, trained.dataset, records, trained.embeddings)
-    _lane_ranges(score_pids(), len(records), 1)
+    rows = np.arange(len(trained.dataset.table))
+    collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)
+    _lane_ranges(score_pids(), len(rows), 1)
 
 
 def test_a_failing_scoring_lane_raises_its_stage_error(base_config, trained, tmp_path,

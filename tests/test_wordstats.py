@@ -217,11 +217,11 @@ def test_message_stats_pooled_is_column_sum():
 
 
 def test_message_stats_rejects_bad_width():
-    stats, _ = fixture_stats()
+    stats, ds = fixture_stats()
     with pytest.raises(StatError, match="m_fixed"):
         message_stats(stats, LogRecord(0, "-", ["send"], 0), m_fixed=0)
     with pytest.raises(StatError, match="m_fixed"):
-        pooled_stats(stats, [LogRecord(0, "-", ["send"], 0)], m_fixed=0)
+        pooled_stats(stats, ds, m_fixed=0)
 
 
 def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
@@ -234,11 +234,13 @@ def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
             picks = rng.integers(0, len(words), int(rng.integers(0, 9)))
             records.append(LogRecord(i, "-", [words[int(j)] for j in picks], 0))
         m_fixed = int(rng.integers(1, 7))
-        got = pooled_stats(stats, records, m_fixed)
+        dataset = LogDataset(records, stats.label_vocab, {"train": records},
+                             stats.vocab)
+        got = pooled_stats(stats, dataset, m_fixed)
         assert got.shape == (len(records), 2), f"trial {trial}"
         if records:
             assert np.array_equal(
-                got, reference_pooled_stats(stats, records, m_fixed)), f"trial {trial}"
+                got, reference_pooled_stats(stats, dataset, m_fixed)), f"trial {trial}"
 
 
 # -- persistence -------------------------------------------------------------

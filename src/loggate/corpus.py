@@ -243,10 +243,21 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
     the label vocabulary is built in first-appearance order. Lines with a
     label and task id but no message text are kept (empty token list)
     with a warning; blank lines are skipped. The dataset's `table` holds
-    every record's token ids, computed here once.
+    every record's token ids: `read_dataset`, then `tokenize_rest`.
+    """
+    return tokenize_rest(path, *read_dataset(path, split_spec, known_labels))
+
+
+def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
+                 known_labels: list[str] | None = None) -> tuple[LogDataset, list]:
+    """`load_dataset`'s first half: every line parsed and checked, train tokenized.
+
+    Returns the dataset, whose other records hold no tokens yet, and the
+    `(record, line number, message)` of each of those, for `tokenize_rest`.
     """
     path = Path(path)
     records: list[LogRecord] = []
+    pending = []
     labels_seen: list[str] = []
     label_ids: dict[str, int] = {}
     if known_labels is not None:
@@ -271,14 +282,31 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
                         f"{', '.join(labels_seen)}")
                 label_ids[label] = len(labels_seen)
                 labels_seen.append(label)
-            tokens = tokenize(message)
-            if not tokens:
-                warnings.warn(f"{path}:{lineno}: message has no tokens", stacklevel=2)
-            records.append(LogRecord(len(records), task_id, tokens, label_ids[label]))
+            records.append(LogRecord(len(records), task_id, [], label_ids[label]))
+            pending.append((records[-1], lineno, message))
     splits = _cut_splits(records, split_spec or SplitSpec())
+    in_train = {rec.message_id for rec in splits["train"]}
+    _tokenize(path, [entry for entry in pending if entry[0].message_id in in_train])
+    rest = [entry for entry in pending if entry[0].message_id not in in_train]
     train_words = sorted({t for r in splits["train"] for t in r.tokens})
     vocab = {word: FIRST_WORD_ID + i for i, word in enumerate(train_words)}
-    return LogDataset(records, LabelVocab(labels_seen), splits, vocab)
+    return LogDataset(records, LabelVocab(labels_seen), splits, vocab), rest
+
+
+def tokenize_rest(path: str | Path, dataset: LogDataset, rest: list) -> LogDataset:
+    """`load_dataset`'s second half: tokenize `rest`, then rebuild the token table."""
+    _tokenize(Path(path), rest)
+    dataset.table = TokenTable.build(dataset.vocab, dataset.records, dataset.splits)
+    return dataset
+
+
+def _tokenize(path: Path, pending: list) -> None:
+    """Tokenize each `(record, line number, message)`, dropping the text once done."""
+    for i, (rec, lineno, message) in enumerate(pending):
+        pending[i] = None
+        rec.tokens = tokenize(message)
+        if not rec.tokens:
+            warnings.warn(f"{path}:{lineno}: message has no tokens", stacklevel=4)
 
 
 def train_split_hash(dataset: LogDataset) -> str:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import fusion, statvae
 from .corpus import (FIRST_WORD_ID, SPLIT_NAMES, LogDataset, SplitSpec, TokenTable,
-                     load_dataset, load_token_table, save_token_table,
-                     train_split_hash)
+                     load_dataset, load_token_table, read_dataset, save_token_table,
+                     tokenize_rest, train_split_hash)
 from .fusion import MODES, DiagnosisModel
 from .metrics import MetricsReport, compute_metrics, format_metrics, write_metrics
 from .optim import Adam
@@ -42,6 +42,9 @@ TIE_GAP = 1e-3
 # forking and joining a one-worker pool took 6-9 ms; one lane scored
 # 200 rows in 7-11 ms against 17-22 ms on two, 1,000 rows in 28-44 ms
 # against 33-39 ms, and 18,000 rows in 0.57-0.83 s against 0.33-0.47 s.
+# It gates ingest too: `preprocess` forks VAE pretraining only when at
+# least this many records lie outside the train split. Tokenizing 2,048
+# of them takes about 15 ms (18,000 in 0.13 s), more than that fork.
 LANE_MIN_ROWS = 2048
 
 
@@ -296,22 +299,9 @@ def _dataset_path(config: RunConfig) -> Path:
     return Path(config.dataset)
 
 
-def _load_stage_dataset(config: RunConfig) -> LogDataset:
-    spec = SplitSpec(config.train_ratio, config.dev_ratio,
-                     config.test_ratio, config.seed)
-    return load_dataset(_dataset_path(config), split_spec=spec)
-
-
-def _dictionary_stages(config: RunConfig,
-                       run_dir: Path) -> tuple[LogDataset, StatDictionary, Path]:
-    """Load the dataset, then build and save its statistics dictionary."""
-    with _stage("load-dataset"):
-        dataset = _load_stage_dataset(config)
-    with _stage("stat-dictionary"):
-        stats = build_stat_dictionary(dataset)
-        dict_path = run_dir / "stat_dict.tsv"
-        save_stat_dictionary(stats, dict_path)
-    return dataset, stats, dict_path
+def _split_spec(config: RunConfig) -> SplitSpec:
+    return SplitSpec(config.train_ratio, config.dev_ratio, config.test_ratio,
+                     config.seed)
 
 
 _SHARED_ARTIFACTS = ("stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
@@ -335,11 +325,22 @@ def _open_run(config: RunConfig, out_dir: str | Path, shared: Path | None = None
 
 def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
     """Load the dataset and persist its statistics dictionary only."""
-    return _dictionary_stages(config, _open_run(config, out_dir))[2]
+    dict_path = _open_run(config, out_dir) / "stat_dict.tsv"
+    with _stage("load-dataset"):
+        dataset = load_dataset(_dataset_path(config), _split_spec(config))
+    with _stage("stat-dictionary"):
+        save_stat_dictionary(build_stat_dictionary(dataset), dict_path)
+    return dict_path
 
 
 def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     """Stages ahead of the classifier: dataset, dictionary, token table, VAE, cache.
+
+    This process parses every line, tokenizes the train split, builds the
+    dictionary and pools the train rows; then `_ingest_task` pretrains the
+    VAE in lane 1 while this process finishes ingest. Lane 1 forks only if
+    at least LANE_MIN_ROWS records lie outside the train split; else this
+    process runs both tasks, in that order.
 
     `tokens.tbl` saves the dataset's `TokenTable`, which `evaluate`
     scores from, with the digests of the corpus file and the dictionary
@@ -348,24 +349,19 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     written.
     """
     run_dir = _open_run(config, out_dir)
-    dataset, stats, dict_path = _dictionary_stages(config, run_dir)
-    dict_hash = _file_digest(dict_path)
-
-    with _stage("token-table"):
-        save_token_table(run_dir / "tokens.tbl", dataset.table, {
-            "corpus_sha256": _file_digest(_dataset_path(config)),
-            "dict_hash": dict_hash,
-            **{key: str(getattr(config, key)) for key in _SPLIT_KEYS}})
-
+    with _stage("load-dataset"):
+        dataset, rest = read_dataset(_dataset_path(config), _split_spec(config))
+    with _stage("stat-dictionary"):
+        stats = build_stat_dictionary(dataset)
     with _stage("vae-pretrain"):
         # records are numbered 0..N-1 in file order, so row i is message i
-        all_vectors = pooled_stats(stats, dataset, config.m_fixed)
-        train_ids = dataset.table.split_rows("train")
-        vae_config = statvae.VaeConfig(
-            latent_dim=config.latent_dim, epochs=config.vae_epochs,
-            batch_size=config.batch_size, learning_rate=config.learning_rate,
-            seed=int(_child_rng(config.seed, 1).integers(2 ** 31)))
-        vae, curve = statvae.pretrain(all_vectors[train_ids], vae_config)
+        train_vectors = pooled_stats(stats, dataset, config.m_fixed)[
+            dataset.table.split_rows("train")]
+    (all_vectors, dict_hash), (vae, curve) = _map_lanes(
+        _ingest_task, (config, run_dir, dataset, rest, stats, train_vectors),
+        [("rest",), ("pretrain",)], _lane_count(1 + (len(rest) >= LANE_MIN_ROWS)))
+
+    with _stage("vae-pretrain"):
         statvae.save_stat_vae(vae, run_dir / "vae.ckpt")
         _write_rows(run_dir / "vae_log.tsv", ("step", "loss"),
                     [(i, repr(v)) for i, v in enumerate(curve)])
@@ -378,6 +374,31 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
         statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings, dict_hash)
     return PreprocessResult(dataset, embeddings, run_dir)
+
+
+def _ingest_task(config: RunConfig, run_dir: Path, dataset: LogDataset, rest,
+                 stats: StatDictionary, train_vectors: np.ndarray, task: str):
+    """`preprocess`'s lane task: "pretrain" returns `statvae.pretrain`'s result;
+    "rest" tokenizes `rest`, saves the dictionary and `tokens.tbl`, and returns
+    every record's pooled statistics and the dictionary file's digest."""
+    if task == "pretrain":
+        with _stage("vae-pretrain"):
+            return statvae.pretrain(train_vectors, statvae.VaeConfig(
+                latent_dim=config.latent_dim, epochs=config.vae_epochs,
+                batch_size=config.batch_size, learning_rate=config.learning_rate,
+                seed=int(_child_rng(config.seed, 1).integers(2 ** 31))))
+    with _stage("load-dataset"):
+        tokenize_rest(_dataset_path(config), dataset, rest)
+    with _stage("stat-dictionary"):
+        save_stat_dictionary(stats, run_dir / "stat_dict.tsv")
+    dict_hash = _file_digest(run_dir / "stat_dict.tsv")
+    with _stage("token-table"):
+        save_token_table(run_dir / "tokens.tbl", dataset.table, {
+            "corpus_sha256": _file_digest(_dataset_path(config)),
+            "dict_hash": dict_hash,
+            **{key: str(getattr(config, key)) for key in _SPLIT_KEYS}})
+    with _stage("embed-statistics"):
+        return pooled_stats(stats, dataset, config.m_fixed), dict_hash
 
 
 def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
@@ -544,7 +565,7 @@ def _check_corpus(config: RunConfig, table: TokenTable, stats: StatDictionary) -
     A changed train split fails as one the dictionary was not built
     from; any other changed split fails naming it.
     """
-    dataset = _load_stage_dataset(config)
+    dataset = load_dataset(_dataset_path(config), _split_spec(config))
     if stats.built_from != train_split_hash(dataset):
         raise ValueError("dataset train split changed since the statistics "
                          "dictionary was built; retrain")
@@ -637,7 +658,7 @@ def _preprocess_or_fit(runs, index: int | None):
     started = time.perf_counter()
     config = runs[index][0]
     with _stage("load-dataset"):
-        dataset = _load_stage_dataset(config)
+        dataset = load_dataset(_dataset_path(config), _split_spec(config))
     return _fit(config, dataset, None, started)
 
 

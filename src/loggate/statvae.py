@@ -9,13 +9,16 @@ Welling 2014, arXiv 1312.6114). Like the classifier, the VAE trains
 over the one flat layout `optim.Adam.flatten` builds: its ten parameters
 are views into one vector, each step writes its gradients into views of
 one flat gradient vector, and `Adam.step_flat` updates the parameters in
-place. The tests check the step bit for bit against the same loss built
-on the autodiff graph, and the whole of pretraining against the
-per-batch loop over separate arrays and `Adam.step`.
+place; each epoch gathers its shuffled rows once. The tests check the
+step bit for bit against the same loss built on the autodiff graph, and
+the whole of pretraining against the per-batch loop over separate
+arrays and `Adam.step`. Pretraining reads only its vectors, so
+`pipeline.preprocess` may run it in a forked lane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,7 +109,9 @@ def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
     engine's float operations in its order, and the three gradients
     reaching `log_var` are summed in the engine's order (the sample's,
     the KL's 1 + log_var, then its exp(log_var)), so the loss and
-    gradients are bit-equal to the graph-built loss.
+    gradients are bit-equal to the graph-built loss. The engine's
+    `a + b * -1.0` is written `a - b` and its `m ** 2` `np.square(m)`,
+    which give the same bits.
     """
     rows = x.shape[0]
     enc_mask, hidden, mu, log_var = _encoder(p, x)
@@ -116,10 +121,10 @@ def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
     dec_pre = sample @ p["dec_w"] + p["dec_b"]
     dec_mask = dec_pre > 0
     dec_hidden = np.where(dec_mask, dec_pre, 0.0)
-    diff = dec_hidden @ p["out_w"] + p["out_b"] + x * -1.0
-    kl_body = log_var + 1.0 + mu ** 2 * -1.0 + var * -1.0
-    loss = float((diff ** 2).sum() * (0.5 / rows) + kl_body.sum() * (-0.5 / rows))
-    if not np.isfinite(loss):
+    diff = dec_hidden @ p["out_w"] + p["out_b"] - x
+    kl_body = log_var + 1.0 - np.square(mu) - var
+    loss = float(np.square(diff).sum() * (0.5 / rows) + kl_body.sum() * (-0.5 / rows))
+    if not math.isfinite(loss):
         return loss
     g_out = 0.5 / rows * 2.0 * diff
     g_dec = g_out @ p["out_w"].T * dec_mask
@@ -132,7 +137,7 @@ def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
                             ("logvar", hidden, g_log_var), ("dec", sample, g_dec),
                             ("out", dec_hidden, g_out)):
         np.matmul(inputs.T, g, out=grads[f"{name}_w"])
-        g.sum(axis=0, out=grads[f"{name}_b"])
+        np.add.reduce(g, axis=0, out=grads[f"{name}_b"])
     return loss
 
 
@@ -174,10 +179,11 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         noise = rng.standard_normal((n, config.latent_dim))
+        shuffled = x[order]
         for step, start in enumerate(range(0, n, config.batch_size)):
             stop = start + config.batch_size
-            value = _elbo_step(p, x[order[start:stop]], noise[start:stop], g)
-            if not np.isfinite(value):
+            value = _elbo_step(p, shuffled[start:stop], noise[start:stop], g)
+            if not math.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
             optimizer.step_flat(values, grads)
             losses.append(value)

@@ -1283,3 +1283,160 @@ def test_a_failing_parent_scoring_lane_raises_its_stage_error(base_config, tmp_p
             run()
         assert caught.value.stage == "evaluate-test"
     assert not (tmp_path / "metrics.tsv").exists()
+
+
+# -- forked ingest -----------------------------------------------------------------
+
+
+INGEST_FILES = ("run.cfg", "stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
+                "embeddings.tbl")
+
+
+def _ingest_config(dataset=MINI_CORPUS) -> RunConfig:
+    return RunConfig(dataset=str(dataset), m_fixed=10, d_model=16, latent_dim=4,
+                     vae_epochs=2, classifier_epochs=1, seed=7)
+
+
+@pytest.fixture
+def pretrain_pids(tmp_path, monkeypatch):
+    """Records the process of each VAE pretraining; call it for the pids so far."""
+    log = tmp_path / "pretrain-pids.txt"
+    pretrain = statvae.pretrain
+
+    def recording(vectors, config):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return pretrain(vectors, config)
+
+    monkeypatch.setattr(statvae, "pretrain", recording)
+
+    def read():
+        pids = log.read_text(encoding="utf-8").split() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return [int(pid) for pid in pids]
+    return read
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Counts the lane pools made; call it for the count so far."""
+    import concurrent.futures
+
+    made = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    return lambda: len(made)
+
+
+def _mini_corpus_with(tmp_path, edits) -> Path:
+    """A copy of MINI_CORPUS with line number -> new line `edits` applied."""
+    lines = MINI_CORPUS.read_text(encoding="utf-8").splitlines()
+    for lineno, line in edits.items():
+        lines[lineno - 1] = line
+    path = tmp_path / "corpus.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_forked_ingest_leaves_the_serial_bytes_at_every_cpu_count(
+        tmp_path, monkeypatch, no_lane_left, pretrain_pids):
+    config = _ingest_config()
+    _use_cpus(monkeypatch, 2)
+    serial = preprocess(config, tmp_path / "serial")
+    assert pretrain_pids() == [os.getpid()]
+    loaded = load_dataset(MINI_CORPUS)
+    assert [rec.tokens for rec in serial.dataset.records] == \
+        [rec.tokens for rec in loaded.records]
+    for name in TokenTable.ARRAYS:
+        np.testing.assert_array_equal(getattr(serial.dataset.table, name),
+                                      getattr(loaded.table, name))
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    for cpus in (1, 2, 8):
+        _use_cpus(monkeypatch, cpus)
+        result = preprocess(config, tmp_path / f"cpus{cpus}")
+        assert (pretrain_pids() == [os.getpid()]) == (cpus == 1), cpus
+        np.testing.assert_array_equal(result.embeddings, serial.embeddings)
+        for name in INGEST_FILES:
+            assert (tmp_path / f"cpus{cpus}" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes(), (cpus, name)
+
+
+def test_ingest_forks_only_from_the_threshold_and_never_inside_a_lane(
+        base_config, tmp_path, monkeypatch, no_lane_left, pretrain_pids, pools):
+    _use_cpus(monkeypatch, 2)
+    dataset = load_dataset(MINI_CORPUS)
+    outside_train = len(dataset.records) - len(dataset.split_records("train"))
+    for min_rows, forked in ((outside_train + 1, 0), (outside_train, 1)):
+        monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
+        preprocess(_ingest_config(), tmp_path / f"min{min_rows}")
+        assert pools() == forked, min_rows
+        assert (pretrain_pids() != [os.getpid()]) == bool(forked), min_rows
+    # An ablation preprocesses inside its first lane call, which forks
+    # the early semantic_only lane; the second call forks one more.
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    run_ablation(base_config, tmp_path / "ablation")
+    assert pools() == 1 + 2
+    assert pretrain_pids() == [os.getpid()]
+
+
+def test_a_failing_pretrain_lane_raises_its_stage_error(tmp_path, monkeypatch,
+                                                        no_lane_left):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    parent = os.getpid()
+
+    def failing(vectors, config):
+        assert os.getpid() != parent, "pretraining did not fork"
+        raise FloatingPointError("vae fault")
+
+    monkeypatch.setattr(statvae, "pretrain", failing)
+    with pytest.raises(StageError, match=r"^\[vae-pretrain\] vae fault$") as caught:
+        preprocess(_ingest_config(), tmp_path)
+    assert caught.value.stage == "vae-pretrain"
+    for name in ("vae.ckpt", "vae_log.tsv", "embeddings.tbl"):
+        assert not (tmp_path / name).exists(), name
+
+
+def test_a_malformed_test_split_line_fails_before_ingest_forks(tmp_path, monkeypatch,
+                                                               no_lane_left, pools):
+    # no blank lines: message id i sits on line i + 1
+    lineno = load_dataset(MINI_CORPUS).split_records("test")[-1].message_id + 1
+    path = _mini_corpus_with(tmp_path, {lineno: "junk-no-tabs"})
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+
+    def no_fork():
+        raise AssertionError("ingest forked before every line was parsed")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(StageError, match=rf"^\[load-dataset\] {re.escape(str(path))}:"
+                                         rf"{lineno}: expected <label>"):
+        preprocess(_ingest_config(path), tmp_path / "run")
+    assert pools() == 0
+
+
+def test_forked_ingest_warns_on_every_empty_message(tmp_path, monkeypatch,
+                                                  no_lane_left, pretrain_pids):
+    dataset = load_dataset(MINI_CORPUS)
+    lines = MINI_CORPUS.read_text(encoding="utf-8").splitlines()
+    empty = sorted(rec.message_id + 1 for split in corpus.SPLIT_NAMES
+                   for rec in dataset.split_records(split)[:2])
+    edits = {}
+    for lineno in empty:
+        label, task_id, _ = lines[lineno - 1].split("\t")
+        edits[lineno] = f"{label}\t{task_id}\t" + ("" if lineno % 2 else "-- !!")
+    path = _mini_corpus_with(tmp_path, edits)
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    with pytest.warns(UserWarning) as caught:
+        preprocess(_ingest_config(path), tmp_path / "run")
+    assert pretrain_pids() != [os.getpid()]
+    warned = sorted(int(str(w.message).split(":")[-2]) for w in caught
+                    if str(w.message).endswith("message has no tokens"))
+    assert warned == empty
+    assert all(str(w.message).startswith(f"{path}:") for w in caught)

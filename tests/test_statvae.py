@@ -182,6 +182,29 @@ def test_closed_form_step_is_bit_equal_to_the_graph(rows):
             assert np.array_equal(grads[name], graph_grads[name]), (seed, name)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 32])
+def test_closed_form_step_leaves_its_inputs_as_they_were(rows):
+    # The step may write only into `grads`, also when the batch and the
+    # noise are views into larger blocks, as pretrain passes them.
+    vae, vectors = standardized_vae(seed=50)
+    rng = np.random.Generator(np.random.PCG64([rows, 50]))
+    p, block, grads = step_inputs(vae, vectors[rng.permutation(len(vectors))])
+    noise_block = rng.standard_normal((len(vectors), vae.latent_dim))
+    x, noise = block[3:3 + rows], noise_block[3:3 + rows]
+    before = {name: values.copy() for name, values in p.items()}
+    kept = block.copy(), noise_block.copy()
+    for _ in range(2):
+        loss = _elbo_step(p, x, noise, grads)
+        for name, values in p.items():
+            assert np.array_equal(values, before[name]), name
+        assert np.array_equal(block, kept[0]) and np.array_equal(noise_block, kept[1])
+        assert all(np.isfinite(g).all() for g in grads.values())
+    _, _, again = step_inputs(vae, vectors)
+    assert _elbo_step(p, x, noise, again) == loss
+    for name, g in grads.items():
+        assert np.array_equal(again[name], g), name
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_closed_form_step_matches_finite_differences(rows):
     vae, vectors = standardized_vae()

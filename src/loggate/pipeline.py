@@ -14,6 +14,7 @@ import os
 import shutil
 import time
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -237,8 +238,8 @@ def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
     chunks = -(-n_rows // EVAL_CHUNK)
     bounds = [EVAL_CHUNK * (chunks * lane // lanes)
               for lane in range(lanes)] + [n_rows]
-    logits = np.concatenate(_map_lanes(_score_range, (scorer, inputs),
-                                       list(zip(bounds, bounds[1:])), lanes))
+    logits = np.concatenate(_map_lanes([partial(_score_range, scorer, inputs, *bound)
+                                        for bound in zip(bounds, bounds[1:])], lanes))
     if model.n_labels < 2:
         return logits
     top2 = np.partition(logits, -2, axis=1)[:, -2:]
@@ -336,19 +337,27 @@ def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
 def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     """Stages ahead of the classifier: dataset, dictionary, token table, VAE, cache.
 
-    This process parses every line, tokenizes the train split, builds the
-    dictionary and pools the train rows; then `_ingest_task` pretrains the
-    VAE in lane 1 while this process finishes ingest. Lane 1 forks only if
-    at least LANE_MIN_ROWS records lie outside the train split; else this
-    process runs both tasks, in that order.
-
     `tokens.tbl` saves the dataset's `TokenTable`, which `evaluate`
     scores from, with the digests of the corpus file and the dictionary
     file and the split settings. A non-finite VAE loss or embedding
     stops the run before the VAE checkpoint or the embedding cache is
-    written.
+    written. `_preprocess` says which process runs each stage.
     """
-    run_dir = _open_run(config, out_dir)
+    return _preprocess(config, _open_run(config, out_dir), None, 0.0)[0]
+
+
+def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None,
+                started: float):
+    """`preprocess` into `run_dir`, and `_fit` of `beside`, if given, with no embeddings.
+
+    This process parses every line, tokenizes the train split, builds the
+    dictionary and pools the train rows. Then lane 1 runs `_pretrain_vae`
+    while this process runs `_finish_ingest` and fits `beside`, whose
+    clock starts at `started`. Lane 1 forks only if at least
+    LANE_MIN_ROWS records lie outside the train split or `beside` is
+    given; else this process makes every call, in that order. Returns
+    the `PreprocessResult` and a list of the fit's unsaved result, if any.
+    """
     with _stage("load-dataset"):
         dataset, rest = read_dataset(_dataset_path(config), _split_spec(config))
     with _stage("stat-dictionary"):
@@ -357,9 +366,12 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
         # records are numbered 0..N-1 in file order, so row i is message i
         train_vectors = pooled_stats(stats, dataset, config.m_fixed)[
             dataset.table.split_rows("train")]
-    (all_vectors, dict_hash), (vae, curve) = _map_lanes(
-        _ingest_task, (config, run_dir, dataset, rest, stats, train_vectors),
-        [("rest",), ("pretrain",)], _lane_count(1 + (len(rest) >= LANE_MIN_ROWS)))
+    calls = [partial(_finish_ingest, config, run_dir, dataset, rest, stats),
+             partial(_pretrain_vae, config, train_vectors)]
+    if beside is not None:
+        calls.append(partial(_fit, beside, dataset, None, started))
+    (all_vectors, dict_hash), (vae, curve), *fit = _map_lanes(
+        calls, _lane_count(1 + (beside is not None or len(rest) >= LANE_MIN_ROWS)))
 
     with _stage("vae-pretrain"):
         statvae.save_stat_vae(vae, run_dir / "vae.ckpt")
@@ -373,20 +385,22 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
             raise FloatingPointError(
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
         statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings, dict_hash)
-    return PreprocessResult(dataset, embeddings, run_dir)
+    return PreprocessResult(dataset, embeddings, run_dir), fit
 
 
-def _ingest_task(config: RunConfig, run_dir: Path, dataset: LogDataset, rest,
-                 stats: StatDictionary, train_vectors: np.ndarray, task: str):
-    """`preprocess`'s lane task: "pretrain" returns `statvae.pretrain`'s result;
-    "rest" tokenizes `rest`, saves the dictionary and `tokens.tbl`, and returns
-    every record's pooled statistics and the dictionary file's digest."""
-    if task == "pretrain":
-        with _stage("vae-pretrain"):
-            return statvae.pretrain(train_vectors, statvae.VaeConfig(
-                latent_dim=config.latent_dim, epochs=config.vae_epochs,
-                batch_size=config.batch_size, learning_rate=config.learning_rate,
-                seed=int(_child_rng(config.seed, 1).integers(2 ** 31))))
+def _pretrain_vae(config: RunConfig, train_vectors: np.ndarray):
+    """`statvae.pretrain`'s `(vae, curve)` on the train rows' pooled statistics."""
+    with _stage("vae-pretrain"):
+        return statvae.pretrain(train_vectors, statvae.VaeConfig(
+            latent_dim=config.latent_dim, epochs=config.vae_epochs,
+            batch_size=config.batch_size, learning_rate=config.learning_rate,
+            seed=int(_child_rng(config.seed, 1).integers(2 ** 31))))
+
+
+def _finish_ingest(config: RunConfig, run_dir: Path, dataset: LogDataset, rest,
+                   stats: StatDictionary):
+    """Tokenize `rest`, save the dictionary and `tokens.tbl`, and return every
+    record's pooled statistics and the dictionary file's digest."""
     with _stage("load-dataset"):
         tokenize_rest(_dataset_path(config), dataset, rest)
     with _stage("stat-dictionary"):
@@ -453,20 +467,16 @@ def _save_report(run_dir: Path, report: MetricsReport) -> None:
                                              encoding="utf-8")
 
 
-def _initial_model(config: RunConfig, dataset: LogDataset) -> DiagnosisModel:
-    return fusion.build_model(
-        FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size,
-        config.d_model, config.latent_dim, config.m_fixed, config.epsilon,
-        config.mode, _child_rng(config.seed, 2))
-
-
 def _train_classifier(config: RunConfig, dataset: LogDataset,
                       embeddings: np.ndarray | None):
     """Train with best-dev selection; Adam holds only the mode's trained parameters.
 
     Every other parameter keeps its initial value.
     """
-    model = _initial_model(config, dataset)
+    model = fusion.build_model(
+        FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size,
+        config.d_model, config.latent_dim, config.m_fixed, config.epsilon,
+        config.mode, _child_rng(config.seed, 2))
     optimizer = Adam(model.trained_parameters(), lr=config.learning_rate)
     values, grads = optimizer.flatten()
     grad_views = optimizer.views(grads)
@@ -578,11 +588,10 @@ def _check_corpus(config: RunConfig, table: TokenTable, stats: StatDictionary) -
                          "preprocessing; retrain")
 
 
-# What the lanes this process runs or serves share: `(run, work)` of the
-# `_map_lanes` call that forked them. Set in the calling process for the
-# length of that call and inherited by each child. While it is set,
-# `_lane_count` gives one lane, so no lane forks lanes of its own and
-# processes never outnumber CPUs.
+# The calls of the `_map_lanes` call that forked the lanes this process
+# runs or serves, set for the length of that call and inherited by each
+# child. While it is set, `_lane_count` gives one lane, so no lane forks
+# lanes of its own and processes never outnumber CPUs.
 _lane_work = None
 
 
@@ -605,40 +614,38 @@ def _lane_count(work: int) -> int:
     return 1
 
 
-def _map_lanes(run, work, tasks, lanes: int) -> list:
-    """`[run(*work, *task) for task in tasks]`, task i run in lane `i % lanes`.
+def _map_lanes(calls, lanes: int) -> list:
+    """`[call() for call in calls]` of zero-argument calls, call i in lane `i % lanes`.
 
-    This process runs lane 0's tasks in order. Each other lane is one of
-    `lanes - 1` children forked here, which reads `run` and `work` from
-    its copy of this process's memory and sends back only results. When
-    a task fails, the children's tasks not yet started are cancelled,
-    the started ones finish, and the first failure read (this process's
-    own, else the earliest child task's) is re-raised here; no child
-    outlives the call.
+    This process makes lane 0's calls in order. Each other lane is one of
+    `lanes - 1` children forked here, which reads the calls from its copy
+    of this process's memory and sends back only results. When a call
+    fails, the children's calls not yet started are cancelled, the started
+    ones finish, and the first failure read (this process's own, else the
+    earliest child call's) is re-raised here; no child outlives the call.
     """
     if lanes == 1:
-        return [run(*work, *task) for task in tasks]
+        return [call() for call in calls]
     global _lane_work
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(lanes - 1,
                                mp_context=multiprocessing.get_context("fork"))
-    _lane_work = (run, work)
+    _lane_work = calls
     try:
-        futures = {i: pool.submit(_run_in_lane, task)
-                   for i, task in enumerate(tasks) if i % lanes}
-        results = {i: run(*work, *tasks[i]) for i in range(0, len(tasks), lanes)}
+        futures = {i: pool.submit(_run_in_lane, i)
+                   for i in range(len(calls)) if i % lanes}
+        results = {i: calls[i]() for i in range(0, len(calls), lanes)}
         results.update((i, future.result()) for i, future in futures.items())
     finally:
         pool.shutdown(cancel_futures=True)
         _lane_work = None
-    return [results[i] for i in range(len(tasks))]
+    return [results[i] for i in range(len(calls))]
 
 
-def _run_in_lane(task):
-    run, work = _lane_work
-    return run(*work, *task)
+def _run_in_lane(index: int):
+    return _lane_work[index]()
 
 
 def _run_dir(runs, pre: PreprocessResult, index: int) -> Path:
@@ -647,23 +654,7 @@ def _run_dir(runs, pre: PreprocessResult, index: int) -> Path:
     return _open_run(config, run_dir, shared=pre.run_dir) if index else pre.run_dir
 
 
-def _preprocess_or_fit(runs, index: int | None):
-    """An early lane's task: run 0's preprocessing (`index` None) or run `index`'s fit.
-
-    Run `index` reads no statistics embedding: its fit loads its own
-    dataset, trains with no embedding array and writes nothing.
-    """
-    if index is None:
-        return preprocess(*runs[0])
-    started = time.perf_counter()
-    config = runs[index][0]
-    with _stage("load-dataset"):
-        dataset = load_dataset(_dataset_path(config), _split_spec(config))
-    return _fit(config, dataset, None, started)
-
-
-def _fit_run(runs, pre: PreprocessResult, index: int,
-             started: float = 0.0) -> MetricsReport:
+def _fit_run(runs, pre: PreprocessResult, index: int, started: float) -> MetricsReport:
     """Train and save run `index` of `runs` on the preprocessing `pre` left in run 0."""
     if index:
         started = time.perf_counter()
@@ -682,19 +673,18 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     byte copy of those artifacts, so every run directory equals what
     `train` alone would leave.
 
-    Two `_map_lanes` calls run the work. In the first, this process
-    preprocesses while the other lanes train every run whose mode reads
-    no statistics embedding; a checkpoint binds the embedding cache, so
-    this process saves those runs once the lanes join. In the second,
-    the other runs train in ascending order of the parameter entries
-    they train (ties in run order), so this process starts with the
+    The first run whose mode reads no statistics embedding trains beside
+    VAE pretraining (`_preprocess`) and is saved once the embedding
+    cache, which its checkpoint binds, exists. One `_map_lanes` call then
+    trains every other run in ascending order of the parameter groups
+    its mode trains and then `d_model`, which orders them by trained
+    entries (ties in run order), so this process starts with the
     smallest. Each fit depends only on its config and the shared
     preprocessing, so no artifact depends on the lane count.
 
-    Every wall clock ends with its run's test scoring. An early run's
-    covers loading the dataset and its classifier; run 0's otherwise
-    starts with this call, and any other run's covers copying the
-    artifacts and its classifier.
+    Every wall clock ends with its run's test scoring. Run 0's and the
+    beside run's start with this call; any other run's covers copying
+    the artifacts and its classifier.
     """
     first = runs[0][0]
     for config, _ in runs:
@@ -706,23 +696,21 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
                     f"runs sharing preprocessing must agree on {f.name}, got "
                     f"{getattr(first, f.name)!r} and {getattr(config, f.name)!r}")
     started = time.perf_counter()
-    early = [i for i, (config, _) in enumerate(runs)
-             if "stats" not in fusion.TRAINED_GROUPS[config.mode]]
-    pre, *fits = _map_lanes(_preprocess_or_fit, (runs,),
-                            [(None,)] + [(i,) for i in early],
-                            _lane_count(1 + len(early)))
+    beside = next((i for i, (config, _) in enumerate(runs)
+                   if "stats" not in fusion.TRAINED_GROUPS[config.mode]), None)
+    pre, fits = _preprocess(first, _open_run(*runs[0]),
+                            None if beside is None else runs[beside][0], started)
     reports = {}
-    for i, (model, log_rows, report) in zip(early, fits):
-        run_dir = _run_dir(runs, pre, i)
+    for model, log_rows, report in fits:
+        run_dir = _run_dir(runs, pre, beside)
         _save_classifier(run_dir, model, log_rows)
         _save_report(run_dir, report)
-        reports[i] = report
-    later = sorted((i for i in range(len(runs)) if i not in reports),
-                   key=lambda i: sum(t.values.size for t in _initial_model(
-                       runs[i][0], pre.dataset).trained_parameters().values()))
-    reports.update(zip(later, _map_lanes(_fit_run, (runs, pre),
-                                         [(i, started) for i in later],
-                                         _lane_count(len(later)))))
+        reports[beside] = report
+    later = sorted((i for i in range(len(runs)) if i != beside),
+                   key=lambda i: (len(fusion.TRAINED_GROUPS[runs[i][0].mode]),
+                                  runs[i][0].d_model))
+    reports.update(zip(later, _map_lanes([partial(_fit_run, runs, pre, i, started)
+                                          for i in later], _lane_count(len(later)))))
     return [reports[i] for i in range(len(runs))]
 
 
@@ -731,10 +719,10 @@ def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsRep
 
     The modes share one preprocessing pass; `<out_dir>/<mode>` holds the
     files `train` would write there. `semantic_only` reads no statistics
-    embedding, so it trains on another lane while this process
-    preprocesses; the other three then train on parallel lanes, one per
-    CPU up to three. `_train_sharing_preprocess` says what each wall
-    clock covers.
+    embedding, so this process trains it while a forked lane pretrains
+    the VAE; the other three then train on parallel lanes, one per CPU
+    up to three. `_train_sharing_preprocess` says what each wall clock
+    covers.
     """
     out_dir = Path(out_dir)
     reports = dict(zip(MODES, _train_sharing_preprocess(
@@ -755,9 +743,9 @@ def run_sweep(config: RunConfig, axis: str, grid,
     Every point is cast and validated, and duplicates are refused,
     before any work. The points share one preprocessing pass and train
     on parallel lanes, one per CPU up to one per point; in
-    `semantic_only` mode every point trains while this process
-    preprocesses. `_train_sharing_preprocess` says what each wall clock
-    covers.
+    `semantic_only` mode the first point trains while a forked lane
+    pretrains the VAE. `_train_sharing_preprocess` says what each wall
+    clock covers.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")

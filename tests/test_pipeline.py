@@ -912,8 +912,8 @@ def _without_last_column(path: Path) -> list[str]:
 
 def test_lanes_leave_the_same_files_at_every_cpu_count(base_config, tmp_path,
                                                       monkeypatch, no_lane_left):
-    # In the semantic_only sweep every point, the first included, trains
-    # while preprocessing runs, and the first shares its directory with it.
+    # In the semantic_only sweep the first point trains beside VAE
+    # pretraining and shares its directory with the preprocessing.
     grid = [0.0, 0.2, 0.35]
     semantic = replace(base_config, mode="semantic_only")
     for cpus in (1, 2, 8):
@@ -976,34 +976,31 @@ def _await_fit(fit_pids, mode: str, timeout: float = 10.0) -> bool:
 
 
 def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
-                                          no_lane_left, fit_pids):
-    # semantic_only reads no statistics embedding, so a child trains it
-    # while this process preprocesses: the cache is held back until that
-    # fit starts, which must happen within the wait.
+                                          no_lane_left, fit_pids, pretrain_pids):
+    # semantic_only reads no statistics embedding, so this process trains
+    # it while a child pretrains the VAE, before the embeddings exist.
     _use_cpus(monkeypatch, 2)
     embed, embedded = statvae.embed_statistics, []
 
-    def held_back(vae, x):
-        _await_fit(fit_pids, "semantic_only")
-        result = embed(vae, x)
+    def recording(vae, x):
         embedded.append(time.perf_counter())
-        return result
+        return embed(vae, x)
 
-    monkeypatch.setattr(statvae, "embed_statistics", held_back)
+    monkeypatch.setattr(statvae, "embed_statistics", recording)
     run_ablation(base_config, tmp_path / "ablation")
     pids = fit_pids()
     assert set(pids) == set(MODES)
-    assert pids["semantic_only"] != os.getpid()
+    assert pids["semantic_only"] == os.getpid()
+    assert pretrain_pids() not in ([], [os.getpid()])
     assert fit_pids(started=True)["semantic_only"] < embedded[0]
     # then the other three, fewest trained entries first: stats_only, then
-    # full and no_gate, which tie and keep their order, so this process
-    # trains stats_only and no_gate
+    # full and no_gate, which tie and keep their order, so a child trains full
     in_parent = {mode for mode, pid in pids.items() if pid == os.getpid()}
-    assert in_parent == {"stats_only", "no_gate"}
+    assert in_parent == {"semantic_only", "stats_only", "no_gate"}
 
 
-@pytest.mark.parametrize("cpus, in_parent", [(2, {"stats_only", "no_gate"}),
-                                             (None, set(MODES))])
+@pytest.mark.parametrize("cpus, in_parent", [
+    (2, {"semantic_only", "stats_only", "no_gate"}), (None, set(MODES))])
 def test_lanes_count_cpus_without_sched_getaffinity(base_config, tmp_path, monkeypatch,
                                                     no_lane_left, fit_pids, cpus,
                                                     in_parent):
@@ -1057,24 +1054,63 @@ def test_a_failing_child_lane_raises_its_stage_error(base_config, tmp_path,
     assert not (tmp_path / "ablation.tsv").exists()
 
 
-def test_a_failing_vae_pretrain_stops_the_run_while_the_early_lane_trains(
+def test_a_failing_vae_pretrain_stops_the_run_while_semantic_only_trains_beside_it(
         base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
     _use_cpus(monkeypatch, 2)
-    early = []
+    parent = os.getpid()
 
     def failing(vectors, config):
-        early.append(_await_fit(fit_pids, "semantic_only"))
+        # any other failure here fails the match below
+        assert os.getpid() != parent, "pretraining did not fork"
+        assert _await_fit(fit_pids, "semantic_only"), "semantic_only did not train"
         raise FloatingPointError("vae fault")
 
     monkeypatch.setattr(statvae, "pretrain", failing)
     with pytest.raises(StageError, match=r"^\[vae-pretrain\] vae fault$") as caught:
         run_ablation(base_config, tmp_path)
     assert caught.value.stage == "vae-pretrain"
-    assert early == [True]
-    assert fit_pids()["semantic_only"] != os.getpid()
+    assert fit_pids()["semantic_only"] == os.getpid()
     for name in ("train_log.tsv", "model.ckpt", "metrics.tsv", "metrics.txt"):
         assert not list(tmp_path.rglob(name)), name
     assert not (tmp_path / "ablation.tsv").exists()
+
+
+def _trained_entries(config: RunConfig) -> int:
+    dataset = load_dataset(config.dataset, pipeline._split_spec(config))
+    model = fusion.build_model(corpus.FIRST_WORD_ID + len(dataset.vocab),
+                               dataset.label_vocab.size, config.d_model,
+                               config.latent_dim, config.m_fixed, config.epsilon,
+                               config.mode, np.random.default_rng(0))
+    return sum(t.values.size for t in model.trained_parameters().values())
+
+
+@pytest.mark.parametrize("axis, mode, grid", [("ablation", None, None),
+                                              ("hidden_dim", "full", [12, 4, 8]),
+                                              ("hidden_dim", "semantic_only",
+                                               [12, 16, 4, 8])])
+def test_later_runs_start_in_ascending_order_of_trained_entries(
+        base_config, tmp_path, monkeypatch, axis, mode, grid):
+    # On one CPU every fit runs here in order: the first run that reads no
+    # statistics embedding beside pretraining, then the rest, fewest
+    # trained entries first, ties in run order.
+    _use_cpus(monkeypatch, 1)
+    started, fit = [], pipeline._fit
+
+    def recording(config, *args):
+        started.append(config)
+        return fit(config, *args)
+
+    monkeypatch.setattr(pipeline, "_fit", recording)
+    if axis == "ablation":
+        runs = [replace(base_config, mode=m) for m in MODES]
+        run_ablation(base_config, tmp_path)
+    else:
+        runs = [replace(base_config, mode=mode, d_model=v) for v in grid]
+        run_sweep(replace(base_config, mode=mode), axis, grid, tmp_path)
+    beside = [c for c in runs if "stats" not in fusion.TRAINED_GROUPS[c.mode]][:1]
+    later = sorted((c for c in runs if c not in beside), key=_trained_entries)
+    assert started == beside + later
+    assert later != [c for c in runs if c not in beside]
 
 
 @pytest.mark.parametrize("field, changes", [
@@ -1204,7 +1240,8 @@ def test_scoring_forks_lanes_only_from_the_threshold(trained, monkeypatch,
 
 
 def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkeypatch,
-                                                   no_lane_left, fit_pids, score_pids):
+                                                   no_lane_left, fit_pids, score_pids,
+                                                   pools):
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
     run_ablation(base_config, tmp_path / "ablation")
@@ -1214,9 +1251,12 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     assert len(scored) == len(MODES) * (base_config.classifier_epochs + 1)
     for mode, pid, _, _ in scored:
         assert pid == fitted[mode], mode
-    # this process, the child training semantic_only during preprocessing,
-    # and the child forked for the later runs
-    assert len(set(fitted.values())) == 3
+    # this process, which trains semantic_only beside pretraining, and the
+    # child forked for the later runs
+    assert len(set(fitted.values())) == 2
+    # one pool pretrains the VAE and one trains the later runs: no lane
+    # forks scoring lanes
+    assert pools() == 2
 
 
 @pytest.mark.parametrize("cpus, lanes", [(2, 2), (None, 1)])
@@ -1366,7 +1406,7 @@ def test_forked_ingest_leaves_the_serial_bytes_at_every_cpu_count(
                 (tmp_path / "serial" / name).read_bytes(), (cpus, name)
 
 
-def test_ingest_forks_only_from_the_threshold_and_never_inside_a_lane(
+def test_ingest_forks_from_the_threshold_or_beside_a_run_and_never_inside_a_lane(
         base_config, tmp_path, monkeypatch, no_lane_left, pretrain_pids, pools):
     _use_cpus(monkeypatch, 2)
     dataset = load_dataset(MINI_CORPUS)
@@ -1376,12 +1416,15 @@ def test_ingest_forks_only_from_the_threshold_and_never_inside_a_lane(
         preprocess(_ingest_config(), tmp_path / f"min{min_rows}")
         assert pools() == forked, min_rows
         assert (pretrain_pids() != [os.getpid()]) == bool(forked), min_rows
-    # An ablation preprocesses inside its first lane call, which forks
-    # the early semantic_only lane; the second call forks one more.
-    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
-    run_ablation(base_config, tmp_path / "ablation")
-    assert pools() == 1 + 2
-    assert pretrain_pids() == [os.getpid()]
+    # An ablation forks pretraining at any size, to train semantic_only
+    # beside it, and one more pool for the later runs. No lane forks: with
+    # the threshold at 1 every scoring outside a lane would.
+    for min_rows in (10 ** 9, 1):
+        monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
+        forked = pools()
+        run_ablation(base_config, tmp_path / f"ablation{min_rows}")
+        assert pools() - forked == 2, min_rows
+        assert pretrain_pids() not in ([], [os.getpid()]), min_rows
 
 
 def test_a_failing_pretrain_lane_raises_its_stage_error(tmp_path, monkeypatch,
@@ -1400,6 +1443,43 @@ def test_a_failing_pretrain_lane_raises_its_stage_error(tmp_path, monkeypatch,
     assert caught.value.stage == "vae-pretrain"
     for name in ("vae.ckpt", "vae_log.tsv", "embeddings.tbl"):
         assert not (tmp_path / name).exists(), name
+
+
+def test_an_ablation_forking_ingest_leaves_the_serial_bytes_at_every_cpu_count(
+        base_config, tmp_path, monkeypatch, no_lane_left):
+    _use_cpus(monkeypatch, 1)
+    serial = tmp_path / "serial"
+    run_ablation(base_config, serial)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    for cpus in (1, 2, 8):
+        _use_cpus(monkeypatch, cpus)
+        run_ablation(base_config, tmp_path / f"cpus{cpus}")
+        for mode in MODES:
+            assert_same_run_files(tmp_path / f"cpus{cpus}" / mode, serial / mode)
+        assert (tmp_path / f"cpus{cpus}" / "ablation.tsv").read_bytes() == \
+            (serial / "ablation.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_a_fit_diverging_beside_pretraining_stops_the_ablation(
+        base_config, tmp_path, monkeypatch, no_lane_left, fit_pids, cpus):
+    _use_cpus(monkeypatch, cpus)
+    forward = fusion.batch_forward
+
+    def diverging(model, ids, mask, stat_rows):
+        if model.mode == "semantic_only":
+            return np.full((len(ids), model.n_labels), np.nan), {}
+        return forward(model, ids, mask, stat_rows)
+
+    monkeypatch.setattr(fusion, "batch_forward", diverging)
+    with pytest.raises(StageError, match=r"^\[train-classifier\] non-finite loss") \
+            as caught:
+        run_ablation(base_config, tmp_path)
+    assert caught.value.stage == "train-classifier"
+    # no later run started
+    assert fit_pids() == {"semantic_only": os.getpid()}
+    assert not list(tmp_path.rglob("model.ckpt"))
+    assert not (tmp_path / "ablation.tsv").exists()
 
 
 def test_a_malformed_test_split_line_fails_before_ingest_forks(tmp_path, monkeypatch,

@@ -105,7 +105,7 @@ class TokenTable:
     Record i, the record with message id i, holds the ids
     `ids[offsets[i]:offsets[i + 1]]`, its tokens in order as
     `LogDataset.token_ids` maps them, the label id `labels[i]` and the
-    split `SPLIT_NAMES[splits[i]]`; -1 marks a record in no split.
+    split `SPLIT_NAMES[splits[i]]`.
     """
 
     ids: np.ndarray      # (total tokens,) int64
@@ -117,8 +117,9 @@ class TokenTable:
 
     @classmethod
     def build(cls, vocab: dict[str, int], records: list[LogRecord],
-              splits: dict[str, list[LogRecord]]) -> TokenTable:
-        """The table of `records`, numbered 0..N-1 in order, under `vocab`."""
+              splits: np.ndarray) -> TokenTable:
+        """The table of `records`, numbered 0..N-1 in order, under `vocab`, with
+        the int64 split codes `splits` stored as given."""
         lengths = np.fromiter((len(rec.tokens) for rec in records), np.int64,
                               count=len(records))
         offsets = np.zeros(len(records) + 1, dtype=np.int64)
@@ -127,10 +128,7 @@ class TokenTable:
                            for token in rec.tokens), np.int64, count=int(offsets[-1]))
         labels = np.fromiter((rec.label_id for rec in records), np.int64,
                              count=len(records))
-        codes = np.full(len(records), -1, dtype=np.int64)
-        for code, name in enumerate(SPLIT_NAMES):
-            codes[[rec.message_id for rec in splits.get(name, ())]] = code
-        return cls(ids, offsets, labels, codes)
+        return cls(ids, offsets, labels, splits)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -169,25 +167,20 @@ class TokenTable:
 
 @dataclass
 class LogDataset:
-    """Loaded corpus: records, each split's records, train-split word vocab.
+    """Loaded corpus: records, label names, train-split word vocab, token table.
 
-    `table` holds the same records as token ids under `vocab`; it is
-    built once, with the dataset.
+    `table` holds the same records as token ids under `vocab`, and is
+    the one store of each record's split.
     """
 
     records: list[LogRecord]
     label_vocab: LabelVocab
-    splits: dict[str, list[LogRecord]]  # split name -> its records in file order
     vocab: dict[str, int]
-    table: TokenTable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.table = TokenTable.build(self.vocab, self.records, self.splits)
+    table: TokenTable = field(repr=False, compare=False)
 
     def split_records(self, split: str) -> list[LogRecord]:
-        if split not in SPLIT_NAMES:
-            raise CorpusError(f"unknown split {split!r}; expected one of {SPLIT_NAMES}")
-        return list(self.splits[split])
+        """`split`'s records, in file order."""
+        return [self.records[i] for i in self.table.split_rows(split).tolist()]
 
     def token_ids(self, tokens: list[str]) -> list[int]:
         return [self.vocab.get(t, UNK_ID) for t in tokens]
@@ -224,15 +217,13 @@ def load_token_table(path: str | Path,
     return table, meta
 
 
-def _cut_splits(records: list[LogRecord],
-                spec: SplitSpec) -> dict[str, list[LogRecord]]:
-    """Train, dev and test cut in turn from a seeded permutation, in file order."""
+def _cut_splits(n: int, spec: SplitSpec) -> np.ndarray:
+    """The int64 split codes of `n` records: train, dev and test cut in turn
+    from a seeded permutation."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(spec.seed)))
-    order = rng.permutation(len(records))
-    n_train, n_dev, _ = spec.counts(len(records))
-    bounds = (0, n_train, n_train + n_dev, len(records))
-    return {name: [records[i] for i in np.sort(order[start:stop]).tolist()]
-            for name, start, stop in zip(SPLIT_NAMES, bounds, bounds[1:])}
+    codes = np.empty(n, dtype=np.int64)
+    codes[rng.permutation(n)] = np.repeat(np.arange(3), spec.counts(n))
+    return codes
 
 
 def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
@@ -243,7 +234,7 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
     the label vocabulary is built in first-appearance order. Lines with a
     label and task id but no message text are kept (empty token list)
     with a warning; blank lines are skipped. The dataset's `table` holds
-    every record's token ids: `read_dataset`, then `tokenize_rest`.
+    every record's token ids and split: `read_dataset`, then `tokenize_rest`.
     """
     return tokenize_rest(path, *read_dataset(path, split_spec, known_labels))
 
@@ -252,8 +243,9 @@ def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
                  known_labels: list[str] | None = None) -> tuple[LogDataset, list]:
     """`load_dataset`'s first half: every line parsed and checked, train tokenized.
 
-    Returns the dataset, whose other records hold no tokens yet, and the
-    `(record, line number, message)` of each of those, for `tokenize_rest`.
+    Returns the dataset, whose other records hold no tokens yet (nor ids
+    in its table, which holds every record's split), and the `(record,
+    line number, message)` of each of those, for `tokenize_rest`.
     """
     path = Path(path)
     records: list[LogRecord] = []
@@ -284,19 +276,22 @@ def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
                 labels_seen.append(label)
             records.append(LogRecord(len(records), task_id, [], label_ids[label]))
             pending.append((records[-1], lineno, message))
-    splits = _cut_splits(records, split_spec or SplitSpec())
-    in_train = {rec.message_id for rec in splits["train"]}
-    _tokenize(path, [entry for entry in pending if entry[0].message_id in in_train])
-    rest = [entry for entry in pending if entry[0].message_id not in in_train]
-    train_words = sorted({t for r in splits["train"] for t in r.tokens})
+    codes = _cut_splits(len(records), split_spec or SplitSpec())
+    in_train = (codes == 0).tolist()
+    _tokenize(path, [entry for entry, train in zip(pending, in_train) if train])
+    rest = [entry for entry, train in zip(pending, in_train) if not train]
+    train_words = sorted({t for rec, train in zip(records, in_train) if train
+                          for t in rec.tokens})
     vocab = {word: FIRST_WORD_ID + i for i, word in enumerate(train_words)}
-    return LogDataset(records, LabelVocab(labels_seen), splits, vocab), rest
+    return LogDataset(records, LabelVocab(labels_seen), vocab,
+                      TokenTable.build(vocab, records, codes)), rest
 
 
 def tokenize_rest(path: str | Path, dataset: LogDataset, rest: list) -> LogDataset:
-    """`load_dataset`'s second half: tokenize `rest`, then rebuild the token table."""
+    """`load_dataset`'s second half: tokenize `rest`, then rebuild the table's ids."""
     _tokenize(Path(path), rest)
-    dataset.table = TokenTable.build(dataset.vocab, dataset.records, dataset.splits)
+    dataset.table = TokenTable.build(dataset.vocab, dataset.records,
+                                     dataset.table.splits)
     return dataset
 
 

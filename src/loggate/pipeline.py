@@ -598,19 +598,16 @@ _lane_work = None
 def _lane_count(work: int) -> int:
     """Lanes for `work` units: one per CPU this process may use, at most `work`.
 
-    One lane, this process, when lanes already run here or where `fork`
-    is no start method (Windows): the lanes inherit their work unpickled.
+    One lane, this process, when lanes already run here or where the OS
+    cannot fork (Windows, where `os.fork` is missing): the lanes inherit
+    their work unpickled.
     """
     # sched_getaffinity is missing on macOS and Windows
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     lanes = min(work, cpus)
-    if lanes > 1 and _lane_work is None:
-        # Imported here: only a call with two or more lanes pays its memory.
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            return lanes
+    if lanes > 1 and _lane_work is None and hasattr(os, "fork"):
+        return lanes
     return 1
 
 

@@ -39,19 +39,17 @@ def build_stat_dictionary(dataset: LogDataset) -> StatDictionary:
     """Count token occurrences per label over the training split.
 
     A word repeated inside one message counts once per occurrence, not
-    once per message.
+    once per message. The ids and labels are read from `dataset.table`;
+    every train id must be a word id of `dataset.vocab`.
     """
-    train = dataset.split_records("train")
-    if not train:
+    rows, labels, lengths, ids = dataset.table.split_arrays("train")
+    if not len(rows):
         raise StatError("cannot build statistics dictionary: train split is empty")
-    ids = np.fromiter((dataset.vocab.get(token, UNK_ID)
-                       for rec in train for token in rec.tokens), dtype=np.int64)
-    if (ids < FIRST_WORD_ID).any():
+    words = FIRST_WORD_ID + len(dataset.vocab)
+    if ((ids < FIRST_WORD_ID) | (ids >= words)).any():
         raise StatError("a train-split word has no id in the dataset vocabulary")
-    labels = np.fromiter((rec.label_id for rec in train for _ in rec.tokens), np.int64)
-    counts = np.zeros((FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size),
-                      dtype=np.int64)
-    np.add.at(counts, (ids, labels), 1)
+    counts = np.zeros((words, dataset.label_vocab.size), dtype=np.int64)
+    np.add.at(counts, (ids, np.repeat(labels, lengths)), 1)
     return StatDictionary(dataset.label_vocab, dataset.vocab, counts,
                           train_split_hash(dataset))
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from loggate.corpus import (CorpusError, CorpusProfile, LabelVocab, SplitSpec,
-                            load_dataset, profile_corpus, tokenize,
+                            load_dataset, profile_corpus, read_dataset, tokenize,
                             train_split_hash, write_profile, NUM_TOKEN,
-                            PAD_ID, UNK_ID, FIRST_WORD_ID)
+                            PAD_ID, SPLIT_NAMES, UNK_ID, FIRST_WORD_ID)
 
 from helpers import brute_force_profile, random_text, reference_split_assignment
 
@@ -148,9 +148,9 @@ def test_load_dataset_split_deterministic(tmp_path):
     path = _write_corpus(tmp_path / "c.tsv", lines)
     first = load_dataset(path, SplitSpec(0.6, 0.2, 0.2, seed=11))
     second = load_dataset(path, SplitSpec(0.6, 0.2, 0.2, seed=11))
-    assert first.splits == second.splits
+    assert np.array_equal(first.table.splits, second.table.splits)
     third = load_dataset(path, SplitSpec(0.6, 0.2, 0.2, seed=12))
-    assert first.splits != third.splits
+    assert not np.array_equal(first.table.splits, third.table.splits)
 
 
 def test_splits_match_the_per_position_assignment(tmp_path):
@@ -165,6 +165,10 @@ def test_splits_match_the_per_position_assignment(tmp_path):
         _write_corpus(path, [f"lab{i % 3}\t-\tmsg w{i}" for i in range(n)])
         ds = load_dataset(path, spec)
         assigned = reference_split_assignment([r.message_id for r in ds.records], spec)
+        codes = [SPLIT_NAMES.index(assigned[r.message_id]) for r in ds.records]
+        assert ds.table.splits.tolist() == codes, (n, spec)
+        assert np.array_equal(read_dataset(path, spec)[0].table.splits,
+                              ds.table.splits), (n, spec)
         for name in ("train", "dev", "test"):
             expect = [r for r in ds.records if assigned[r.message_id] == name]
             got = ds.split_records(name)

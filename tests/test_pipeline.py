@@ -739,7 +739,8 @@ def test_split_token_matrix_is_pad_tokens_row_for_row():
     lengths = [len(rec.tokens) for rec in records]
     assert min(lengths) == 0 and max(lengths) > 16  # empty messages and truncation
     assert any(t not in dataset.vocab for rec in records for t in rec.tokens)
-    table = TokenTable.build(dataset.vocab, records, {"test": records})
+    table = TokenTable.build(dataset.vocab, records,
+                             np.full(len(records), 2, dtype=np.int64))
     for m_fixed in (1, 6, 16):
         every = rng.permutation(len(records))
         ids, slots = table.pad(every, m_fixed)
@@ -1017,7 +1018,7 @@ def test_every_run_trains_here_where_fork_is_no_start_method(base_config, tmp_pa
                                                              monkeypatch, no_lane_left,
                                                              fit_pids):
     _use_cpus(monkeypatch, 4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     run_ablation(base_config, tmp_path / "ablation")
     assert fit_pids() == {mode: os.getpid() for mode in MODES}
 
@@ -1274,7 +1275,7 @@ def test_scoring_lanes_count_cpus_without_sched_getaffinity(trained, monkeypatch
 def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatch,
                                                              no_lane_left, score_pids):
     _use_cpus(monkeypatch, 4)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
     rows = np.arange(len(trained.dataset.table))
     collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from loggate.corpus import (FIRST_WORD_ID, PAD_ID, SPLIT_NAMES, UNK_ID, LabelVocab,
-                            LogDataset, LogRecord, load_dataset, tokenize)
+                            LogDataset, LogRecord, TokenTable, load_dataset, tokenize)
 from loggate.wordstats import (StatDictionary, StatError, build_stat_dictionary,
                                load_stat_dictionary, message_stats, pooled_stats,
                                save_stat_dictionary)
@@ -22,14 +22,12 @@ def make_dataset(rows, labels):
     """rows: (message, label_name, split) triples; the word vocab is
     `load_dataset`'s: the sorted train words, numbered from FIRST_WORD_ID."""
     label_vocab = LabelVocab(list(labels))
-    records = []
-    splits = {name: [] for name in SPLIT_NAMES}
-    for i, (message, label, split) in enumerate(rows):
-        records.append(LogRecord(i, "-", tokenize(message),
-                                 label_vocab.labels.index(label)))
-        splits[split].append(records[-1])
-    return LogDataset(records, label_vocab, splits,
-                      word_ids(t for r in splits["train"] for t in r.tokens))
+    records = [LogRecord(i, "-", tokenize(message), label_vocab.labels.index(label))
+               for i, (message, label, _) in enumerate(rows)]
+    codes = np.array([SPLIT_NAMES.index(split) for _, _, split in rows], dtype=np.int64)
+    vocab = word_ids(t for r, code in zip(records, codes) if code == 0 for t in r.tokens)
+    return LogDataset(records, label_vocab, vocab,
+                      TokenTable.build(vocab, records, codes))
 
 
 def word_ids(words):
@@ -234,8 +232,8 @@ def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
             picks = rng.integers(0, len(words), int(rng.integers(0, 9)))
             records.append(LogRecord(i, "-", [words[int(j)] for j in picks], 0))
         m_fixed = int(rng.integers(1, 7))
-        dataset = LogDataset(records, stats.label_vocab, {"train": records},
-                             stats.vocab)
+        dataset = LogDataset(records, stats.label_vocab, stats.vocab, TokenTable.build(
+            stats.vocab, records, np.zeros(len(records), dtype=np.int64)))
         got = pooled_stats(stats, dataset, m_fixed)
         assert got.shape == (len(records), 2), f"trial {trial}"
         if records:

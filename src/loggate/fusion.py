@@ -6,7 +6,8 @@ band around 0.5, attended over token positions, pooled and classified.
 
 Training and scoring run `batch_forward` and `batch_backward`, plain
 numpy. `forward` and the block functions build the same model as an
-autodiff graph, the oracle the tests hold those two to.
+autodiff graph, the oracle the tests hold those two to. `batch_forward`
+works in place in the arrays it makes, which keeps the graph's bits.
 """
 
 from __future__ import annotations
@@ -230,10 +231,17 @@ def batch_rows(ids: np.ndarray, slots: np.ndarray,
 
 
 def _softmax_keys(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """`ad.softmax_rows(scores, valid=mask[:, None, :])` on plain arrays."""
-    scores = np.where(mask[:, None, :], scores, -np.inf)
-    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return weights / weights.sum(axis=-1, keepdims=True)
+    """`ad.softmax_rows(scores, valid=mask[:, None, :])` on plain arrays.
+
+    Works in place: pad keys of `scores` become -inf and then the
+    weights, which are returned. Every step is the graph op's, on the
+    same operands, so the weights keep its bits.
+    """
+    np.copyto(scores, -np.inf, where=~mask[:, None, :])
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -241,9 +249,20 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2).copy()
 
 
-def _relu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    positive = a > 0
-    return positive, np.where(positive, a, a.dtype.type(0))
+def _affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """`x @ weight + bias` in a fresh array, the bias added in place."""
+    out = np.matmul(x, weight)
+    out += bias
+    return out
+
+
+def _relu(a: np.ndarray) -> np.ndarray:
+    """`a` with every entry not above zero set to +0.0, in place.
+
+    Bit for bit `np.where(a > 0, a, 0)` for every value but NaN, which
+    stays NaN instead of becoming 0.
+    """
+    return np.maximum(a, 0, out=a)
 
 
 def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
@@ -252,11 +271,19 @@ def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
 
     `ids` and `mask` are (B, width) as `batch_rows` makes them;
     `stat_rows` is (B, latent_dim) and ignored in `semantic_only` mode.
-    Plain numpy: every operation, operand order and cast repeats the
-    graph `forward` builds for the same batch, so the logits are
-    bit-equal to `forward`'s, in float64 and float32 alike. Every
-    constant (positions, pool weights, statistics rows) takes the
-    parameters' dtype.
+    Plain numpy: every operation, operand pair and cast is the one in
+    the graph `forward` builds for the same batch, so the logits are
+    bit-equal to `forward`'s, in float64 and float32 alike, unless a NaN
+    appears. Biases, residual sums, ReLUs and softmaxes are written in
+    place into arrays this call made, and a sum may take its two
+    operands in the other order; neither changes a bit. Every constant
+    (positions, pool weights, statistics rows) takes the parameters'
+    dtype.
+
+    A ReLU here passes a NaN on where `ad.relu` zeroes it, so a NaN
+    parameter makes the logits, and a training step's loss, NaN.
+    `saved` holds no ReLU masks: `batch_backward` reads them off the
+    outputs `hidden`, `ffn` and `info`.
     """
     p = {name: t.values for name, t in model.parameters().items()}
     dtype = p["head.w1"].dtype
@@ -264,34 +291,39 @@ def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
     saved: dict[str, np.ndarray] = {}
     if model.mode != "semantic_only":
         stat_in = np.asarray(stat_rows, dtype=dtype)[:, None, :]
-        stat = np.matmul(stat_in, p["stats.weight"]) + p["stats.bias"]
+        stat = _affine(stat_in, p["stats.weight"], p["stats.bias"])
         saved.update(stat_in=stat_in, stat=stat)
     if model.mode == "stats_only":
         pooled = stat.reshape(-1, d)
     else:
         # encoder
-        x0 = p["sem.tok_emb"][ids] + np.asarray(
-            sinusoidal_positions(ids.shape[1], d), dtype=dtype)
-        q = np.matmul(x0, p["sem.wq"]) + p["sem.bq"]
-        k = np.matmul(x0, p["sem.wk"]) + p["sem.bk"]
-        v = np.matmul(x0, p["sem.wv"]) + p["sem.bv"]
-        scale = np.asarray(1.0 / np.sqrt(d), dtype=dtype)
-        self_weights = _softmax_keys(np.matmul(q, _swap(k)) * scale, mask)
+        x0 = p["sem.tok_emb"][ids]
+        x0 += np.asarray(sinusoidal_positions(ids.shape[1], d), dtype=dtype)
+        q = _affine(x0, p["sem.wq"], p["sem.bq"])
+        k = _affine(x0, p["sem.wk"], p["sem.bk"])
+        v = _affine(x0, p["sem.wv"], p["sem.bv"])
+        scores = np.matmul(q, _swap(k))
+        scores *= np.asarray(1.0 / np.sqrt(d), dtype=dtype)
+        self_weights = _softmax_keys(scores, mask)
         mixed = np.matmul(self_weights, v)
-        x1 = x0 + (np.matmul(mixed, p["sem.wo"]) + p["sem.bo"])
-        ffn_open, ffn = _relu(np.matmul(x1, p["sem.ffn_w1"]) + p["sem.ffn_b1"])
-        feats = x1 + np.matmul(ffn, p["sem.ffn_w2"]) + p["sem.ffn_b2"]
+        x1 = _affine(mixed, p["sem.wo"], p["sem.bo"])
+        x1 += x0
+        ffn = _relu(_affine(x1, p["sem.ffn_w1"], p["sem.ffn_b1"]))
+        feats = np.matmul(ffn, p["sem.ffn_w2"])
+        feats += x1
+        feats += p["sem.ffn_b2"]
         # information projection, gate and global attention
-        info = np.matmul(feats, _swap(p["info.weight"])) + p["info.bias"]
-        info_open, fused = _relu(info)
+        info = _affine(feats, _swap(p["info.weight"]), p["info.bias"])
+        fused = np.maximum(info, 0)  # not in place: the backward reads info
         if model.mode == "no_gate":
-            fused = fused + stat
+            fused += stat
         elif model.mode == "full":
             e = np.exp(-np.abs(info))
-            conf = np.where(info >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+            total = 1.0 + e
+            conf = np.where(info >= 0, 1.0 / total, e / total)
             band = np.asarray(np.abs(conf - 0.5) <= model.epsilon, dtype=dtype)
             gated = conf * band
-            fused = fused + gated * stat
+            fused += gated * stat
             saved.update(conf=conf, band=band, gated=gated)
         global_weights = _softmax_keys(np.matmul(fused, _swap(feats)), mask)
         attended = np.matmul(global_weights, feats)
@@ -299,12 +331,11 @@ def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
         pool = np.asarray(mask3 / mask3.sum(axis=-1, keepdims=True), dtype=dtype)
         pooled = np.matmul(pool, attended).reshape(-1, d)
         saved.update(ids=ids, x0=x0, q=q, k=k, v=v, self_weights=self_weights,
-                     mixed=mixed, x1=x1, ffn_open=ffn_open, ffn=ffn,
-                     feats=feats, info_open=info_open, fused=fused,
-                     global_weights=global_weights, pool=pool)
-    head_open, hidden = _relu(np.matmul(pooled, p["head.w1"]) + p["head.b1"])
-    logits = np.matmul(hidden, p["head.w2"]) + p["head.b2"]
-    saved.update(pooled=pooled, head_open=head_open, hidden=hidden)
+                     mixed=mixed, x1=x1, ffn=ffn, feats=feats, info=info,
+                     fused=fused, global_weights=global_weights, pool=pool)
+    hidden = _relu(_affine(pooled, p["head.w1"], p["head.b1"]))
+    logits = _affine(hidden, p["head.w2"], p["head.b2"])
+    saved.update(pooled=pooled, hidden=hidden)
     return logits, saved
 
 
@@ -349,7 +380,7 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
     g[np.arange(b), labels] -= 1.0
     g /= b
     _affine_grads(grads, "head.w2", "head.b2", s["hidden"], g)
-    g = (g @ p["head.w2"].T) * s["head_open"]
+    g = (g @ p["head.w2"].T) * (s["hidden"] > 0)
     _affine_grads(grads, "head.w1", "head.b1", s["pooled"], g)
     g_pooled = g @ p["head.w1"].T
     if model.mode == "stats_only":
@@ -363,7 +394,7 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
         g_feats = (np.matmul(_swap(attention), g_attended)
                    + np.matmul(_swap(g_scores), fused))
         # gate and information projection
-        g_info = g_fused * s["info_open"]
+        g_info = g_fused * (s["info"] > 0)
         if model.mode == "full":
             conf = s["conf"]
             g_info = g_info + g_fused * s["stat"] * s["band"] * conf * (1.0 - conf)
@@ -377,7 +408,7 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
         g_feats += _rows_times(g_info, p["info.weight"])
         # encoder: FFN block, then the self-attention block
         _affine_grads(grads, "sem.ffn_w2", "sem.ffn_b2", s["ffn"], g_feats)
-        g = _rows_times(g_feats, p["sem.ffn_w2"].T) * s["ffn_open"]
+        g = _rows_times(g_feats, p["sem.ffn_w2"].T) * (s["ffn"] > 0)
         _affine_grads(grads, "sem.ffn_w1", "sem.ffn_b1", s["x1"], g)
         g_x1 = g_feats + _rows_times(g, p["sem.ffn_w1"].T)
         _affine_grads(grads, "sem.wo", "sem.bo", s["mixed"], g_x1)

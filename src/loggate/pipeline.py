@@ -32,20 +32,25 @@ from .wordstats import (StatDictionary, build_stat_dictionary,  # noqa: F401
                         save_stat_dictionary)
 
 
-EVAL_CHUNK = 32  # records per forward pass when scoring: one default training batch
+# Records per forward pass when scoring. On a 2-core VM one lane scored
+# 18,000 rows in 0.46-0.70 s at 32, 0.37-0.51 s at 64 and 0.37-0.50 s at
+# 128, where a default train's peak RSS rose by 1.7 MB.
+EVAL_CHUNK = 64
 SCORE_DTYPE = np.float32  # scoring arithmetic; training stays float64
 # A row whose two largest SCORE_DTYPE logits lie within this gap is scored
 # again in float64. Over 66,800 scored rows the float32 logits were within
 # 2.4e-5 of the float64 ones (largest |logit| 12), and one float64 top-2 gap
 # was 2.8e-7: float32 alone flipped that prediction.
 TIE_GAP = 1e-3
-# Fewest rows of a split per scoring lane (64 chunks). On a 2-core VM,
-# forking and joining a one-worker pool took 6-9 ms; one lane scored
-# 200 rows in 7-11 ms against 17-22 ms on two, 1,000 rows in 28-44 ms
-# against 33-39 ms, and 18,000 rows in 0.57-0.83 s against 0.33-0.47 s.
+# Fewest rows of a split per scoring lane (32 chunks). On a 2-core VM,
+# one lane scored 200 rows in 6-9 ms against 18-43 ms on two, 1,000 rows
+# in 22-33 ms against 33-38 ms, 2,048 rows in 42-61 ms against 36-50 ms,
+# 4,096 rows in 96-120 ms against 74-84 ms, and 18,000 rows in
+# 0.41-0.51 s against 0.26-0.30 s.
 # It gates ingest too: `preprocess` forks VAE pretraining only when at
 # least this many records lie outside the train split. Tokenizing 2,048
-# of them takes about 15 ms (18,000 in 0.13 s), more than that fork.
+# of them takes about 15 ms (18,000 in 0.13 s), about what a second lane
+# costs over 200 rows above.
 LANE_MIN_ROWS = 2048
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loggate import autodiff as ad
+from loggate import fusion
 from loggate.autodiff import ShapeError, Tensor
 from loggate.corpus import UNK_ID
 from loggate.fusion import (MODES, ClassifierHead, DiagnosisModel, FusionError,
@@ -479,6 +480,20 @@ def test_closed_form_step_matches_the_graph():
             scale = largest if name == "sem.bk" else np.abs(grad).max()
             err = np.abs(got[name] - grad).max()
             assert err <= 1e-12 * scale, f"{case} {name}: {err:.2e} of {scale:.2e}"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_numpy_relu_is_the_masked_relu_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    values = np.array([-0.0, 0.0, info.tiny, -info.tiny, info.smallest_subnormal,
+                       -info.smallest_subnormal, info.tiny / 4, -info.tiny / 4,
+                       np.inf, -np.inf, -1.0, 2.0], dtype=dtype)
+    # long enough for vector loops and their scalar tails
+    for a in (values, np.tile(values, 9), np.tile(values, 9).reshape(3, 6, 6)):
+        want = np.where(a > 0, a, dtype(0))
+        got = fusion._relu(a.copy())
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    assert np.isnan(fusion._relu(np.array([np.nan], dtype=dtype))).all()
 
 
 def test_forward_refuses_an_empty_batch():

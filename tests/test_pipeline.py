@@ -284,6 +284,21 @@ def test_non_finite_classifier_loss_stops_before_checkpoint(base_config, tmp_pat
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_a_nan_weight_stops_training(base_config, tmp_path, monkeypatch):
+    build_model = fusion.build_model
+
+    def poisoned(*args, **kwargs):
+        model = build_model(*args, **kwargs)
+        model.encoder.parameters()["ffn_w1"].values[0, 0] = np.nan
+        return model
+
+    monkeypatch.setattr(fusion, "build_model", poisoned)
+    with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss "
+                                         r"nan at epoch 0 step 0"):
+        train(base_config, tmp_path)
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # -- evaluate ------------------------------------------------------------------
 
 
@@ -813,6 +828,16 @@ def test_scoring_argmax_equals_the_float64_forward(scored_runs):
                                        err_msg=f"{mode} {split}")
 
 
+def test_predictions_do_not_depend_on_the_scoring_chunk(ablated, monkeypatch):
+    model, dataset, embeddings = _scoring_inputs(ablated[0] / "full")
+    records = dataset.records * 6
+    reference = _float64_logits(model, dataset, records, embeddings).argmax(axis=1)
+    for chunk in (1, 32, 64):
+        monkeypatch.setattr(pipeline, "EVAL_CHUNK", chunk)
+        logits = collect_logits(model, dataset.table, _ids(records), embeddings)
+        np.testing.assert_array_equal(logits.argmax(axis=1), reference, f"chunk {chunk}")
+
+
 def _record_results(monkeypatch) -> list:
     """(dtype, has a graph record) of every op result from now on."""
     made = []
@@ -1304,9 +1329,11 @@ def test_a_failing_scoring_lane_raises_its_stage_error(base_config, trained, tmp
 
 def test_a_failing_parent_scoring_lane_raises_its_stage_error(base_config, tmp_path,
                                                               monkeypatch, no_lane_left):
-    # 42 test rows: this process's lane scores the first chunk, the child the rest
+    # 42 test rows in chunks of 32: this process's lane scores the first
+    # chunk, the child the rest
     config = replace(base_config, classifier_epochs=0, train_ratio=0.3, dev_ratio=0.0,
                      test_ratio=0.7)
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 32)
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
     parent, forward = os.getpid(), fusion.batch_forward

@@ -3,7 +3,8 @@
 `flatten` moves every parameter into one float64 vector, in table order,
 and makes each `.values` its view; the moments `m` and `v` and the
 gradient vector share that layout. `step_flat` runs each Adam expression
-once over the whole vector, in place. Every operation is elementwise, so
+once over the whole vector, in place, taking no slice of it. Every
+operation is elementwise, so
 the result is bit for bit the per-parameter loop's, and a gradient slice
 that stays zero keeps zero moments and steps by exactly 0. `step`, over
 separate arrays with a `.grad` each, serves only the autodiff graph
@@ -72,7 +73,7 @@ class Adam:
             if vec.shape != self.m.shape:
                 raise ValueError(f"flat {name} has shape {vec.shape}, "
                                  f"parameters have {self.m.shape}")
-        self._update(grads, [slice(None)])
+        self._update(grads)
         values -= grads
 
     def step(self) -> None:
@@ -92,13 +93,15 @@ class Adam:
         for p, sl in live:
             p.values -= flat[sl].reshape(p.values.shape)
 
-    def _update(self, flat: np.ndarray, slices) -> None:
-        """Advance the moments over `slices` of `flat`, leaving the step there."""
+    def _update(self, flat: np.ndarray, slices=None) -> None:
+        """Advance the moments over `slices` of `flat`, or all of it without
+        slicing, leaving the step there."""
         self.step_count += 1
         c1 = 1.0 - BETA1 ** self.step_count
         c2 = 1.0 - BETA2 ** self.step_count
-        for sl in slices:
-            g, m, v = flat[sl], self.m[sl], self.v[sl]
+        parts = [(flat, self.m, self.v)] if slices is None else \
+            [(flat[sl], self.m[sl], self.v[sl]) for sl in slices]
+        for g, m, v in parts:
             tmp = np.empty_like(g)
             # The update formula above, in place, leaving the step in `g`.
             # Only the operand order of the products differs from the

@@ -9,11 +9,16 @@ Welling 2014, arXiv 1312.6114). Like the classifier, the VAE trains
 over the one flat layout `optim.Adam.flatten` builds: its ten parameters
 are views into one vector, each step writes its gradients into views of
 one flat gradient vector, and `Adam.step_flat` updates the parameters in
-place; each epoch gathers its shuffled rows once. The tests check the
-step bit for bit against the same loss built on the autodiff graph, and
-the whole of pretraining against the per-batch loop over separate
-arrays and `Adam.step`. Pretraining reads only its vectors, so
-`pipeline.preprocess` may run it in a forked lane.
+place. A step is about fifty numpy calls on arrays of at most (batch,
+hidden_dim), so it writes every intermediate with `out=` into one
+`StepWorkspace`, which keeps one set of buffers per batch size
+(the full batch and a short last one), and each epoch gathers its
+shuffled rows and draws its noise into the same two blocks, so every
+batch is a fixed view. The tests check the step bit for bit against the
+same loss built on the autodiff graph, and the whole of pretraining
+against the per-batch loop over separate arrays and `Adam.step`.
+Pretraining reads only its vectors, so `pipeline.preprocess` may run it
+in a forked lane. Embedding runs only the posterior-mean head.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .fusion import _relu
 from .optim import Adam
 from .serialize import load_table, save_table
 
@@ -85,16 +91,50 @@ def _standardize(vae: StatVae, x: np.ndarray) -> np.ndarray:
     return (x - vae.in_mean) / vae.in_std
 
 
-def _encoder(p: dict[str, np.ndarray], x: np.ndarray):
-    """Hidden-unit mask, hidden layer, posterior mean and log-variance.
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """`x @ w + b` of 2-D operands in `out` or a fresh array.
 
-    `x` is a standardized (b, n) batch and `p` the parameter arrays.
+    Every product here is `np.dot`, which for 2-D float64 operands calls
+    the BLAS routine `np.matmul` calls (gemm, or gemv where a side is one
+    row or column), with less wrapper overhead: the bits are the same,
+    and the graph tests compare them with the engine's `np.matmul`.
     """
-    pre = x @ p["enc_w"] + p["enc_b"]
-    mask = pre > 0
-    hidden = np.where(mask, pre, 0.0)
-    return mask, hidden, hidden @ p["mu_w"] + p["mu_b"], \
-        hidden @ p["logvar_w"] + p["logvar_b"]
+    out = np.dot(x, w, out=out)
+    out += b
+    return out
+
+
+class StepWorkspace(dict):
+    """The arrays `_elbo_step` writes: each parameter's gradient array, by
+    name, plus the step's intermediates for each batch size it has seen.
+
+    `pretrain` passes one as the step's `grads`, holding views of its flat
+    gradient vector, so a run allocates intermediates only for its first
+    full batch and its short last batch.
+    """
+
+    def __init__(self, grads: dict[str, np.ndarray]):
+        super().__init__(grads)
+        self._by_rows: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def buffers(self, rows: int, n: int, h: int, z: int) -> tuple[np.ndarray, ...]:
+        work = self._by_rows.get(rows)
+        if work is None:
+            work = self._by_rows[rows] = _step_buffers(rows, n, h, z)
+        return work
+
+
+def _step_buffers(rows: int, n: int, h: int, z: int) -> tuple[np.ndarray, ...]:
+    """Fresh intermediates of one step over a (rows, n) batch, in the
+    order `_elbo_step` unpacks them."""
+    wide, narrow = (rows, h), (rows, z)
+    return (np.empty(wide), np.empty(wide, dtype=bool),  # hidden, enc_mask
+            # mu, log_var, std, var, sample, mu_square, kl_body, g_sample
+            *(np.empty(narrow) for _ in range(8)),
+            np.empty(wide), np.empty(wide, dtype=bool),  # dec_hidden, dec_mask
+            np.empty((rows, n)), np.empty((rows, n)),  # diff, diff_square
+            *(np.empty(wide) for _ in range(3)))  # g_dec, g_enc, g_enc_part
 
 
 def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
@@ -111,33 +151,71 @@ def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
     the KL's 1 + log_var, then its exp(log_var)), so the loss and
     gradients are bit-equal to the graph-built loss. The engine's
     `a + b * -1.0` is written `a - b` and its `m ** 2` `np.square(m)`,
-    which give the same bits.
+    and a sum may swap its two operands (`a + b == b + a` exactly); each
+    gives the same bits.
+
+    Every intermediate is written in place with `out=`: into the
+    buffers of `grads` if it is a `StepWorkspace`, else into fresh ones.
+    A gradient overwrites the forward value it no longer needs: `diff`
+    becomes the output's gradient, `mu` its own, and the sample's
+    gradient that of `log_var`. The ReLUs are the classifier's in-place
+    `fusion._relu`, so a NaN pre-activation makes the loss NaN where the
+    graph's masked ReLU would zero it.
     """
-    rows = x.shape[0]
-    enc_mask, hidden, mu, log_var = _encoder(p, x)
-    std = np.exp(log_var * 0.5)
-    var = np.exp(log_var)
-    sample = mu + std * noise
-    dec_pre = sample @ p["dec_w"] + p["dec_b"]
-    dec_mask = dec_pre > 0
-    dec_hidden = np.where(dec_mask, dec_pre, 0.0)
-    diff = dec_hidden @ p["out_w"] + p["out_b"] - x
-    kl_body = log_var + 1.0 - np.square(mu) - var
-    loss = float(np.square(diff).sum() * (0.5 / rows) + kl_body.sum() * (-0.5 / rows))
+    rows, n = x.shape
+    h, z = p["mu_w"].shape
+    (hidden, enc_mask, mu, log_var, std, var, sample, mu_square, kl_body, g_sample,
+     dec_hidden, dec_mask, diff, diff_square, g_dec, g_enc, g_enc_part) = (
+        grads.buffers(rows, n, h, z) if isinstance(grads, StepWorkspace)
+        else _step_buffers(rows, n, h, z))
+    _affine(x, p["enc_w"], p["enc_b"], hidden)
+    np.greater(hidden, 0, out=enc_mask)
+    _relu(hidden)
+    _affine(hidden, p["mu_w"], p["mu_b"], mu)
+    _affine(hidden, p["logvar_w"], p["logvar_b"], log_var)
+    np.multiply(log_var, 0.5, out=std)
+    np.exp(std, out=std)
+    np.exp(log_var, out=var)
+    np.multiply(std, noise, out=sample)
+    sample += mu
+    _affine(sample, p["dec_w"], p["dec_b"], dec_hidden)
+    np.greater(dec_hidden, 0, out=dec_mask)
+    _relu(dec_hidden)
+    _affine(dec_hidden, p["out_w"], p["out_b"], diff)
+    diff -= x
+    np.add(log_var, 1.0, out=kl_body)
+    kl_body -= np.square(mu, out=mu_square)
+    kl_body -= var
+    loss = float(np.add.reduce(np.square(diff, out=diff_square), axis=None) * (0.5 / rows)
+                 + np.add.reduce(kl_body, axis=None) * (-0.5 / rows))
     if not math.isfinite(loss):
         return loss
-    g_out = 0.5 / rows * 2.0 * diff
-    g_dec = g_out @ p["out_w"].T * dec_mask
-    g_sample = g_dec @ p["dec_w"].T
+    g_out = diff
+    g_out *= 0.5 / rows * 2.0
+    np.dot(g_out, p["out_w"].T, out=g_dec)
+    g_dec *= dec_mask
+    np.dot(g_dec, p["dec_w"].T, out=g_sample)
     kl_grad = -0.5 / rows * -1.0
-    g_mu = g_sample + kl_grad * 2.0 * mu
-    g_log_var = g_sample * noise * std * 0.5 + -0.5 / rows + kl_grad * var
-    g_enc = (g_mu @ p["mu_w"].T + g_log_var @ p["logvar_w"].T) * enc_mask
-    for name, inputs, g in (("enc", x, g_enc), ("mu", hidden, g_mu),
-                            ("logvar", hidden, g_log_var), ("dec", sample, g_dec),
-                            ("out", dec_hidden, g_out)):
-        np.matmul(inputs.T, g, out=grads[f"{name}_w"])
-        np.add.reduce(g, axis=0, out=grads[f"{name}_b"])
+    g_mu = mu
+    g_mu *= kl_grad * 2.0
+    g_mu += g_sample
+    g_log_var = g_sample
+    g_log_var *= noise
+    g_log_var *= std
+    g_log_var *= 0.5
+    g_log_var += -0.5 / rows
+    var *= kl_grad
+    g_log_var += var
+    np.dot(g_mu, p["mu_w"].T, out=g_enc)
+    g_enc += np.dot(g_log_var, p["logvar_w"].T, out=g_enc_part)
+    g_enc *= enc_mask
+    for weight, bias, inputs, g in (("enc_w", "enc_b", x, g_enc),
+                                    ("mu_w", "mu_b", hidden, g_mu),
+                                    ("logvar_w", "logvar_b", hidden, g_log_var),
+                                    ("dec_w", "dec_b", sample, g_dec),
+                                    ("out_w", "out_b", dec_hidden, g_out)):
+        np.dot(inputs.T, g, out=grads[weight])
+        np.add.reduce(g, axis=0, out=grads[bias])
     return loss
 
 
@@ -149,10 +227,13 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     Each epoch draws its permutation, then one noise row per vector,
     which is the stream a per-batch noise draw would read. The ten
     parameters are views into one flat vector that Adam updates in
-    place from a flat gradient vector. A non-finite step loss stops
-    training with a VaeError naming the epoch and the step within it; so
-    does a non-positive `batch_size`, `latent_dim` or `hidden_dim`, or a
-    negative `epochs`, before any training.
+    place from a flat gradient vector, whose views `_elbo_step` fills
+    through one `StepWorkspace`. Each epoch gathers its shuffled rows and
+    draws its noise into the same two blocks, so every batch is a fixed
+    view. A non-finite step loss stops training with a VaeError naming
+    the epoch and the step within it; so does a non-positive
+    `batch_size`, `latent_dim` or `hidden_dim`, or a negative `epochs`,
+    before any training.
     """
     for name in ("batch_size", "latent_dim", "hidden_dim"):
         if getattr(config, name) <= 0:
@@ -171,18 +252,21 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     vae.in_std = np.where(std < 1e-6, 1.0, std)
     optimizer = Adam(vae.params, lr=config.learning_rate)
     values, grads = optimizer.flatten()
-    p, g = optimizer.views(values), optimizer.views(grads)
+    p, work = optimizer.views(values), StepWorkspace(optimizer.views(grads))
     # Elementwise, so each row has the bits a per-batch standardization gives.
     x = _standardize(vae, vectors)
     losses: list[float] = []
     n = x.shape[0]
+    shuffled, noise = np.empty_like(x), np.empty((n, config.latent_dim))
+    batches = [(shuffled[start:start + config.batch_size],
+                noise[start:start + config.batch_size])
+               for start in range(0, n, config.batch_size)]
     for epoch in range(config.epochs):
         order = rng.permutation(n)
-        noise = rng.standard_normal((n, config.latent_dim))
-        shuffled = x[order]
-        for step, start in enumerate(range(0, n, config.batch_size)):
-            stop = start + config.batch_size
-            value = _elbo_step(p, shuffled[start:stop], noise[start:stop], g)
+        rng.standard_normal(out=noise)
+        np.take(x, order, axis=0, out=shuffled)
+        for step, (batch, batch_noise) in enumerate(batches):
+            value = _elbo_step(p, batch, batch_noise, work)
             if not math.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
             optimizer.step_flat(values, grads)
@@ -193,14 +277,16 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
 def embed_statistics(vae: StatVae, x: np.ndarray) -> np.ndarray:
     """Deterministic embedding: the posterior mean, no sampling.
 
-    Takes a (rows, n) batch and returns (rows, latent_dim) float64.
+    Takes a (rows, n) batch and returns (rows, latent_dim) float64. Only
+    the mean head runs; its hidden layer is the step's, ReLU included.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != vae.input_dim:
         raise VaeError(f"expected a (rows, {vae.input_dim}) statistics batch, "
                        f"got shape {x.shape}")
     p = {name: t.values for name, t in vae.params.items()}
-    return _encoder(p, _standardize(vae, x))[2]
+    hidden = _relu(_affine(_standardize(vae, x), p["enc_w"], p["enc_b"]))
+    return _affine(hidden, p["mu_w"], p["mu_b"])
 
 
 def save_stat_vae(vae: StatVae, path: str | Path) -> None:

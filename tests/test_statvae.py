@@ -205,6 +205,39 @@ def test_closed_form_step_leaves_its_inputs_as_they_were(rows):
         assert np.array_equal(again[name], g), name
 
 
+def test_one_workspace_gives_the_bits_of_fresh_steps():
+    # Batches of 16, 8 and 16 rows: the second 16-row step reuses the
+    # buffers the first one wrote, after the 8-row step used its own.
+    vae, vectors = standardized_vae(seed=60)
+    rng = np.random.Generator(np.random.PCG64(60))
+    p, block, _ = step_inputs(vae, vectors[rng.permutation(len(vectors))])
+    work = statvae.StepWorkspace(
+        {name: np.full_like(t.values, np.nan) for name, t in vae.params.items()})
+    start = 0
+    for rows in (16, 8, 16):
+        x = block[start:start + rows]
+        noise = rng.standard_normal((rows, vae.latent_dim))
+        _, _, fresh = step_inputs(vae, vectors)
+        assert _elbo_step(p, x, noise, work) == _elbo_step(p, x, noise, fresh)
+        for name, g in fresh.items():
+            assert work[name].tobytes() == g.tobytes(), (rows, name)
+        start += rows
+
+
+def test_a_nan_weight_stops_pretraining(monkeypatch):
+    # The masked ReLU would zero the NaN hidden unit and train on; the
+    # step's ReLU passes it on, so step 0's loss is NaN.
+    def poisoned(*args, **kwargs):
+        vae = init_stat_vae(*args, **kwargs)
+        vae.params["enc_w"].values[0, 0] = np.nan
+        return vae
+
+    monkeypatch.setattr(statvae, "init_stat_vae", poisoned)
+    config = VaeConfig(latent_dim=2, hidden_dim=8, epochs=2, batch_size=16, seed=4)
+    with pytest.raises(VaeError, match=r"non-finite loss nan at epoch 0 step 0"):
+        pretrain(training_vectors(40, 5), config)
+
+
 @pytest.mark.parametrize("rows", [1, 7])
 def test_closed_form_step_matches_finite_differences(rows):
     vae, vectors = standardized_vae()
@@ -320,13 +353,15 @@ def test_pretrain_is_bit_equal_to_the_per_batch_loop(case):
 @pytest.mark.parametrize("n, b, latent", [(10, 5, 3), (11, 4, 2), (3, 8, 4),
                                           (1, 1, 1), (37, 16, 16)])
 def test_one_noise_block_reads_the_per_batch_stream(n, b, latent):
-    """pretrain draws each epoch's noise as one block; the stream must be
-    the per-batch draws', short last batch included."""
+    """pretrain draws each epoch's noise as one block, into the same array
+    every epoch; the stream must be the per-batch draws', short last batch
+    included."""
     block = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n * b)))
     loop = np.random.Generator(np.random.PCG64(np.random.SeedSequence(n * b)))
+    noise = np.empty((n, latent))
     for _ in range(2):
         assert np.array_equal(block.permutation(n), loop.permutation(n))
-        noise = block.standard_normal((n, latent))
+        block.standard_normal(out=noise)
         for start in range(0, n, b):
             rows = min(b, n - start)
             assert np.array_equal(noise[start:start + b],

@@ -476,7 +476,11 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
                       embeddings: np.ndarray | None):
     """Train with best-dev selection; Adam holds only the mode's trained parameters.
 
-    Every other parameter keeps its initial value.
+    Every other parameter keeps its initial value. An epoch is selected
+    only if its dev macro-F1 is strictly above the best so far, so after
+    an epoch that scores exactly 1.0 none can be: training stops there,
+    and the log ends at that epoch. Without a dev split every epoch is
+    selected and every epoch trains.
     """
     model = fusion.build_model(
         FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size,
@@ -518,6 +522,8 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
             best = values.copy()
         log_rows.append((epoch, repr(float(np.mean(losses))) if losses else "nan",
                          repr(dev_f1), int(selected)))
+        if dev_f1 == 1.0:
+            break
     values[...] = best
     return model, log_rows
 

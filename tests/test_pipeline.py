@@ -1,5 +1,6 @@
 """Config handling and the staged train/evaluate/ablation/sweep pipeline."""
 
+import math
 import multiprocessing
 import os
 import pickle
@@ -242,6 +243,47 @@ def test_train_reruns_bit_identical(trained, base_config, tmp_path):
                  "run.cfg"):
         assert (tmp_path / name).read_bytes() == \
             (trained.run_dir / name).read_bytes(), name
+
+
+def _scripted_dev_scores(monkeypatch, scores):
+    """Make each dev scoring report the next of `scores` as its macro-F1."""
+    report, left = pipeline._split_report, list(scores)
+
+    def scripted(model, table, rows, *args):
+        real = report(model, table, rows, *args)
+        if np.array_equal(rows, table.split_rows("dev")):
+            return replace(real, macro_f1=left.pop(0))
+        return real
+
+    monkeypatch.setattr(pipeline, "_split_report", scripted)
+
+
+def _logged_dev_scores(run_dir):
+    rows = (run_dir / "train_log.tsv").read_text(encoding="utf-8").splitlines()[1:]
+    return [(float(row.split("\t")[2]), int(row.split("\t")[3])) for row in rows]
+
+
+@pytest.mark.parametrize("scores, logged", [
+    ([0.5, 1.0, 0.75], [(0.5, 1), (1.0, 1)]),
+    ([1.0, 1.0, 1.0], [(1.0, 1)]),
+    ([0.5, 0.9, 0.999], [(0.5, 1), (0.9, 1), (0.999, 1)]),
+    ([0.9, 0.5, 0.75], [(0.9, 1), (0.5, 0), (0.75, 0)])])
+def test_training_stops_after_a_perfect_dev_score(base_config, tmp_path, monkeypatch,
+                                                  scores, logged):
+    _scripted_dev_scores(monkeypatch, scores)
+    train(base_config, tmp_path)
+    assert _logged_dev_scores(tmp_path) == logged
+    assert load_config(tmp_path / "run.cfg").classifier_epochs == 3
+
+
+def test_a_run_without_a_dev_split_never_stops_early(base_config, tmp_path,
+                                                     monkeypatch):
+    config = replace(base_config, train_ratio=0.9, dev_ratio=0.0, test_ratio=0.1)
+    _scripted_dev_scores(monkeypatch, [])  # a dev scoring would fail here
+    train(config, tmp_path)
+    logged = _logged_dev_scores(tmp_path)
+    assert len(logged) == config.classifier_epochs
+    assert all(math.isnan(f1) and selected == 1 for f1, selected in logged)
 
 
 def test_zero_epoch_runs(base_config, tmp_path):
@@ -1273,8 +1315,11 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     run_ablation(base_config, tmp_path / "ablation")
     fitted = fit_pids()
     scored = score_pids()
-    # dev scoring every epoch plus the test split, one range each
-    assert len(scored) == len(MODES) * (base_config.classifier_epochs + 1)
+    # dev scoring every logged epoch plus the test split, one range each; a
+    # run stops early after a dev macro-F1 of 1.0
+    epochs = [len((tmp_path / "ablation" / mode / "train_log.tsv")
+                  .read_text(encoding="utf-8").splitlines()) - 1 for mode in MODES]
+    assert len(scored) == sum(epochs) + len(MODES)
     for mode, pid, _, _ in scored:
         assert pid == fitted[mode], mode
     # this process, which trains semantic_only beside pretraining, and the

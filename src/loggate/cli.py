@@ -63,7 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="grid sweep over one hyperparameter")
     add_config_args(p)
-    p.add_argument("--axis", choices=sorted(pipeline.SWEEP_AXES), required=True)
+    p.add_argument("--axis", choices=sorted(pipeline.SWEEP_AXES), required=True,
+                   help="epsilon, or hidden_dim: the classifier's d_model "
+                        "(the VAE's hidden width stays 64)")
     p.add_argument("--grid", required=True,
                    help="comma-separated values, e.g. 0,0.1,0.2")
 

@@ -194,8 +194,9 @@ def load_token_table(path: str | Path,
                      meta_keys) -> tuple[TokenTable, dict[str, str]]:
     """The table and meta `save_token_table` wrote at `path`.
 
-    A missing file, tensor or `meta_keys` entry, or arrays that do not
-    fit together, fail naming the file.
+    A missing file, tensor or `meta_keys` entry, arrays that do not fit
+    together, or a token id below `UNK_ID`, a negative label id or a
+    split code outside `SPLIT_NAMES` fail naming the file.
     """
     if not Path(path).is_file():
         raise CorpusError(f"{path}: no token table; rerun preprocessing")
@@ -214,6 +215,14 @@ def load_token_table(path: str | Path,
             and offsets.shape == (len(table) + 1,) and offsets[0] == 0
             and offsets[-1] == len(table.ids) and (np.diff(offsets) >= 0).all()):
         raise CorpusError(f"{path}: token table arrays do not fit together")
+    splits = table.splits
+    for what, values, bad, why in (
+            ("token id", table.ids, table.ids < UNK_ID, f"below UNK_ID={UNK_ID}"),
+            ("label id", table.labels, table.labels < 0, "negative"),
+            ("split code", splits, (splits < 0) | (splits >= len(SPLIT_NAMES)),
+             f"not a code of {SPLIT_NAMES}")):
+        if bad.any():
+            raise CorpusError(f"{path}: token table holds {what} {values[bad][0]}, {why}")
     return table, meta
 
 

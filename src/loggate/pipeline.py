@@ -368,9 +368,8 @@ def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None,
     with _stage("stat-dictionary"):
         stats = build_stat_dictionary(dataset)
     with _stage("vae-pretrain"):
-        # records are numbered 0..N-1 in file order, so row i is message i
-        train_vectors = pooled_stats(stats, dataset, config.m_fixed)[
-            dataset.table.split_rows("train")]
+        train_vectors = pooled_stats(stats, dataset, dataset.table.split_rows("train"),
+                                     config.m_fixed)
     calls = [partial(_finish_ingest, config, run_dir, dataset, rest, stats),
              partial(_pretrain_vae, config, train_vectors)]
     if beside is not None:
@@ -417,7 +416,8 @@ def _finish_ingest(config: RunConfig, run_dir: Path, dataset: LogDataset, rest,
             "dict_hash": dict_hash,
             **{key: str(getattr(config, key)) for key in _SPLIT_KEYS}})
     with _stage("embed-statistics"):
-        return pooled_stats(stats, dataset, config.m_fixed), dict_hash
+        return pooled_stats(stats, dataset, np.arange(len(dataset.table)),
+                            config.m_fixed), dict_hash
 
 
 def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
@@ -541,10 +541,11 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     corpus is read only to take its digest. Refuses stale artifacts: the
     token table and the cache must record the dictionary file's digest,
     the checkpoint the cache file's, and `run.cfg` must hold the
-    checkpoint's model settings. When the corpus file's digest or
-    `run.cfg`'s split settings are not the ones the table records, the
-    corpus is loaded and `_check_corpus` refuses it unless every split
-    holds what the table holds.
+    checkpoint's model settings, and the table's token and label ids must
+    lie below the checkpoint's vocab_size and n_labels. When the corpus
+    file's digest or `run.cfg`'s split settings are not the ones the
+    table records, the corpus is loaded and `_check_corpus` refuses it
+    unless every split holds what the table holds.
     """
     run_dir = Path(run_dir)
     with _stage("load-artifacts"):
@@ -574,6 +575,13 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
             if getattr(config, key) != _cast_field(key, meta[key]):
                 raise ValueError(f"run.cfg sets {key}={getattr(config, key)}, the "
                                  f"checkpoint {key}={meta[key]}; retrain")
+        for what, values, key, size in (
+                ("token id", table.ids, "vocab_size", model.encoder.vocab_size),
+                ("label id", table.labels, "n_labels", model.n_labels)):
+            top = int(values.max(initial=0))
+            if top >= size:
+                raise ValueError(f"{run_dir / 'tokens.tbl'}: {what} {top} is not below "
+                                 f"the checkpoint's {key} {size}; rerun preprocessing")
 
     with _stage(f"evaluate-{split}"):
         return _split_report(model, table, _rows_to_score(table, split), embeddings,

@@ -10,13 +10,13 @@ over the one flat layout `optim.Adam.flatten` builds: its ten parameters
 are views into one vector, each step writes its gradients into views of
 one flat gradient vector, and `Adam.step_flat` updates the parameters in
 place. A step is about fifty numpy calls on arrays of at most (batch,
-hidden_dim), so it writes every intermediate with `out=` into one
-`StepWorkspace`, which keeps one set of buffers per batch size
-(the full batch and a short last one), and each epoch gathers its
-shuffled rows and draws its noise into the same two blocks, so every
-batch is a fixed view. The tests check the step bit for bit against the
-same loss built on the autodiff graph, and the whole of pretraining
-against the per-batch loop over separate arrays and `Adam.step`.
+hidden_dim), so it writes every intermediate with `out=` into buffers
+its caller passes: `pretrain` allocates one set per batch size (the
+full batch and a short last one), and each epoch gathers its shuffled
+rows and draws its noise into the same two blocks, so every batch is a
+fixed view. The tests check the step bit for bit against the same loss
+built on the autodiff graph, and the whole of pretraining against the
+per-batch loop over separate arrays and `Adam.step`.
 Pretraining reads only its vectors, so `pipeline.preprocess` may run it
 in a forked lane. Embedding runs only the posterior-mean head.
 """
@@ -105,26 +105,6 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out
 
 
-class StepWorkspace(dict):
-    """The arrays `_elbo_step` writes: each parameter's gradient array, by
-    name, plus the step's intermediates for each batch size it has seen.
-
-    `pretrain` passes one as the step's `grads`, holding views of its flat
-    gradient vector, so a run allocates intermediates only for its first
-    full batch and its short last batch.
-    """
-
-    def __init__(self, grads: dict[str, np.ndarray]):
-        super().__init__(grads)
-        self._by_rows: dict[int, tuple[np.ndarray, ...]] = {}
-
-    def buffers(self, rows: int, n: int, h: int, z: int) -> tuple[np.ndarray, ...]:
-        work = self._by_rows.get(rows)
-        if work is None:
-            work = self._by_rows[rows] = _step_buffers(rows, n, h, z)
-        return work
-
-
 def _step_buffers(rows: int, n: int, h: int, z: int) -> tuple[np.ndarray, ...]:
     """Fresh intermediates of one step over a (rows, n) batch, in the
     order `_elbo_step` unpacks them."""
@@ -138,7 +118,7 @@ def _step_buffers(rows: int, n: int, h: int, z: int) -> tuple[np.ndarray, ...]:
 
 
 def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
-               grads: dict[str, np.ndarray]) -> float:
+               grads: dict[str, np.ndarray], work: tuple[np.ndarray, ...]) -> float:
     """Negated ELBO of one standardized batch; a finite loss also fills `grads`.
 
     `p` holds the parameter arrays and `grads` one array of each
@@ -154,20 +134,17 @@ def _elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
     and a sum may swap its two operands (`a + b == b + a` exactly); each
     gives the same bits.
 
-    Every intermediate is written in place with `out=`: into the
-    buffers of `grads` if it is a `StepWorkspace`, else into fresh ones.
-    A gradient overwrites the forward value it no longer needs: `diff`
-    becomes the output's gradient, `mu` its own, and the sample's
-    gradient that of `log_var`. The ReLUs are the classifier's in-place
-    `fusion._relu`, so a NaN pre-activation makes the loss NaN where the
-    graph's masked ReLU would zero it.
+    Every intermediate is written in place with `out=` into `work`, the
+    `_step_buffers` of `x`'s shape and the parameters' sizes. A gradient
+    overwrites the forward value it no longer needs: `diff` becomes the
+    output's gradient, `mu` its own, and the sample's gradient that of
+    `log_var`. The ReLUs are the classifier's in-place `fusion._relu`, so
+    a NaN pre-activation makes the loss NaN where the graph's masked ReLU
+    would zero it.
     """
-    rows, n = x.shape
-    h, z = p["mu_w"].shape
+    rows = x.shape[0]
     (hidden, enc_mask, mu, log_var, std, var, sample, mu_square, kl_body, g_sample,
-     dec_hidden, dec_mask, diff, diff_square, g_dec, g_enc, g_enc_part) = (
-        grads.buffers(rows, n, h, z) if isinstance(grads, StepWorkspace)
-        else _step_buffers(rows, n, h, z))
+     dec_hidden, dec_mask, diff, diff_square, g_dec, g_enc, g_enc_part) = work
     _affine(x, p["enc_w"], p["enc_b"], hidden)
     np.greater(hidden, 0, out=enc_mask)
     _relu(hidden)
@@ -227,13 +204,14 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     Each epoch draws its permutation, then one noise row per vector,
     which is the stream a per-batch noise draw would read. The ten
     parameters are views into one flat vector that Adam updates in
-    place from a flat gradient vector, whose views `_elbo_step` fills
-    through one `StepWorkspace`. Each epoch gathers its shuffled rows and
-    draws its noise into the same two blocks, so every batch is a fixed
-    view. A non-finite step loss stops training with a VaeError naming
-    the epoch and the step within it; so does a non-positive
-    `batch_size`, `latent_dim` or `hidden_dim`, or a negative `epochs`,
-    before any training.
+    place from a flat gradient vector, whose views `_elbo_step` fills.
+    Each epoch gathers its shuffled rows and draws its noise into the
+    same two blocks, so every batch is a fixed view, and each step writes
+    its intermediates into the one set of `_step_buffers` allocated for
+    its batch size. A non-finite step loss stops training with a
+    VaeError naming the epoch and the step within it; so does a
+    non-positive `batch_size`, `latent_dim` or `hidden_dim`, or a
+    negative `epochs`, before any training.
     """
     for name in ("batch_size", "latent_dim", "hidden_dim"):
         if getattr(config, name) <= 0:
@@ -252,7 +230,7 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     vae.in_std = np.where(std < 1e-6, 1.0, std)
     optimizer = Adam(vae.params, lr=config.learning_rate)
     values, grads = optimizer.flatten()
-    p, work = optimizer.views(values), StepWorkspace(optimizer.views(grads))
+    p, grad_views = optimizer.views(values), optimizer.views(grads)
     # Elementwise, so each row has the bits a per-batch standardization gives.
     x = _standardize(vae, vectors)
     losses: list[float] = []
@@ -261,12 +239,14 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     batches = [(shuffled[start:start + config.batch_size],
                 noise[start:start + config.batch_size])
                for start in range(0, n, config.batch_size)]
+    work = {rows: _step_buffers(rows, x.shape[1], config.hidden_dim, config.latent_dim)
+            for rows in {len(batch) for batch, _ in batches}}
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         rng.standard_normal(out=noise)
         np.take(x, order, axis=0, out=shuffled)
         for step, (batch, batch_noise) in enumerate(batches):
-            value = _elbo_step(p, batch, batch_noise, work)
+            value = _elbo_step(p, batch, batch_noise, grad_views, work[len(batch)])
             if not math.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
             optimizer.step_flat(values, grads)

@@ -86,9 +86,10 @@ def message_stats(stats: StatDictionary, record: LogRecord,
     return MessageStats(matrix, mask, pooled, np.log1p(pooled.astype(np.float64)))
 
 
-def pooled_stats(stats: StatDictionary, dataset: LogDataset,
+def pooled_stats(stats: StatDictionary, dataset: LogDataset, rows,
                  m_fixed: int) -> np.ndarray:
-    """(N, n) `message_stats(...).normalized` rows of `dataset`'s N records.
+    """(len(rows), n) `message_stats(...).normalized` rows of `dataset`'s
+    records with message ids `rows`, in that order.
 
     The count rows of the records' padded `dataset.table` ids are summed,
     one id column at a time, then log1p is applied. The ids must be the
@@ -98,8 +99,7 @@ def pooled_stats(stats: StatDictionary, dataset: LogDataset,
     """
     if m_fixed < 1:
         raise StatError(f"m_fixed must be >= 1, got {m_fixed}")
-    table = dataset.table
-    ids = table.pad(np.arange(len(table)), m_fixed)[0]
+    ids = dataset.table.pad(rows, m_fixed)[0]
     pooled = sum(stats.counts.take(column, axis=0) for column in ids.T)
     return np.log1p(pooled.astype(np.float64))
 

@@ -283,13 +283,19 @@ def graph_elbo_step(p: dict[str, np.ndarray], x: np.ndarray, noise: np.ndarray,
     return float(loss.values)
 
 
+def fresh_buffers(p: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Fresh `statvae._elbo_step` intermediates for the batch `x` under the
+    parameter arrays `p`."""
+    return statvae._step_buffers(*x.shape, *p["mu_w"].shape)
+
+
 def reference_pretrain(vectors: np.ndarray, config: VaeConfig
                        ) -> tuple[StatVae, list[float]]:
     """`statvae.pretrain` as the per-batch loop over separate arrays.
 
     Each step standardizes its batch, draws its own noise, writes the
-    closed-form gradients into fresh arrays set as each tensor's `.grad`,
-    and takes `Adam.step` over the ten tensors.
+    closed-form gradients, through fresh intermediates, into fresh arrays
+    set as each tensor's `.grad`, and takes `Adam.step` over the ten tensors.
     """
     vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float64))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(config.seed)))
@@ -309,7 +315,7 @@ def reference_pretrain(vectors: np.ndarray, config: VaeConfig
             x = (batch - vae.in_mean) / vae.in_std
             p = {name: t.values for name, t in vae.params.items()}
             grads = {name: np.empty_like(t.values) for name, t in vae.params.items()}
-            value = statvae._elbo_step(p, x, noise, grads)
+            value = statvae._elbo_step(p, x, noise, grads, fresh_buffers(p, x))
             if not np.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
             for name, t in vae.params.items():
@@ -506,10 +512,11 @@ def reference_split_assignment(ids: list[int], spec: SplitSpec) -> dict[int, str
     return assignment
 
 
-def reference_pooled_stats(stats: StatDictionary, dataset, m_fixed: int) -> np.ndarray:
-    """`pooled_stats` as one `message_stats` call per record of `dataset`."""
-    return np.stack([message_stats(stats, rec, m_fixed).normalized
-                     for rec in dataset.records])
+def reference_pooled_stats(stats: StatDictionary, dataset, rows,
+                           m_fixed: int) -> np.ndarray:
+    """`pooled_stats` as one `message_stats` call per message id in `rows`."""
+    return np.stack([message_stats(stats, dataset.records[i], m_fixed).normalized
+                     for i in rows])
 
 
 def reference_accumulate(self: Tensor, grad: np.ndarray) -> None:

@@ -735,6 +735,35 @@ def test_evaluate_names_the_file_and_key_a_damaged_artifact_lacks(
     assert isinstance(failure.value.__cause__, error)
 
 
+# A test-split record's token id, label id or split code, and the stage
+# that refuses it; None is the checkpoint's vocab_size or n_labels.
+@pytest.mark.parametrize("name, value, stage", [
+    ("ids", -5, "load-artifacts"),
+    ("ids", corpus.PAD_ID, "load-artifacts"),
+    ("labels", -1, "load-artifacts"),
+    ("splits", 7, "load-artifacts"),
+    ("splits", -1, "load-artifacts"),
+    ("ids", None, "staleness-check"),
+    ("labels", None, "staleness-check")])
+def test_evaluate_names_the_file_of_an_out_of_range_token_table_value(
+        trained, tmp_path, name, value, stage):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    arrays, meta = load_table(run_dir / "tokens.tbl")
+    if value is None:
+        model = fusion.load_model(run_dir / "model.ckpt")[0]
+        value = model.encoder.vocab_size if name == "ids" else model.n_labels
+    row = np.flatnonzero((arrays["splits"] == 2) & (np.diff(arrays["offsets"]) > 0))[0]
+    index = arrays["offsets"][row] if name == "ids" else row
+    arrays[name][index] = value
+    save_table(run_dir / "tokens.tbl", arrays, meta=meta)
+    with pytest.raises(StageError, match=rf"^\[{stage}\] .*/tokens.tbl: .* {value}\b") \
+            as failure:
+        evaluate(run_dir)
+    assert isinstance(failure.value.__cause__,
+                      CorpusError if stage == "load-artifacts" else ValueError)
+
+
 @pytest.mark.parametrize("key, value", [("vocab_size", "abc"), ("epsilon", "x")])
 def test_evaluate_names_the_file_and_key_of_a_damaged_checkpoint_value(
         trained, tmp_path, key, value):

@@ -14,8 +14,8 @@ from loggate.statvae import (VaeConfig, VaeError, _elbo_step, embed_statistics,
                              init_stat_vae, load_embedding_cache, pretrain,
                              save_embedding_cache, save_stat_vae)
 
-from helpers import (LatentCode, check_gradients, elbo_loss, graph_elbo,
-                     graph_elbo_step, graph_encode, kl_divergence,
+from helpers import (LatentCode, check_gradients, elbo_loss, fresh_buffers,
+                     graph_elbo, graph_elbo_step, graph_encode, kl_divergence,
                      load_stat_vae, monte_carlo_kl, reference_pretrain, rel_err)
 
 
@@ -174,7 +174,7 @@ def test_closed_form_step_is_bit_equal_to_the_graph(rows):
         batch = vectors[rng.permutation(len(vectors))[:rows]]
         noise = rng.standard_normal((rows, vae.latent_dim))
         p, x, grads = step_inputs(vae, batch)
-        loss = _elbo_step(p, x, noise, grads)
+        loss = _elbo_step(p, x, noise, grads, fresh_buffers(p, x))
         _, _, graph_grads = step_inputs(vae, batch)
         assert graph_elbo_step(p, x, noise, graph_grads) == loss
         assert len(grads) == 10
@@ -184,8 +184,8 @@ def test_closed_form_step_is_bit_equal_to_the_graph(rows):
 
 @pytest.mark.parametrize("rows", [1, 7, 32])
 def test_closed_form_step_leaves_its_inputs_as_they_were(rows):
-    # The step may write only into `grads`, also when the batch and the
-    # noise are views into larger blocks, as pretrain passes them.
+    # The step may write only into `grads` and its buffers, also when the
+    # batch and the noise are views into larger blocks, as pretrain passes them.
     vae, vectors = standardized_vae(seed=50)
     rng = np.random.Generator(np.random.PCG64([rows, 50]))
     p, block, grads = step_inputs(vae, vectors[rng.permutation(len(vectors))])
@@ -194,33 +194,34 @@ def test_closed_form_step_leaves_its_inputs_as_they_were(rows):
     before = {name: values.copy() for name, values in p.items()}
     kept = block.copy(), noise_block.copy()
     for _ in range(2):
-        loss = _elbo_step(p, x, noise, grads)
+        loss = _elbo_step(p, x, noise, grads, fresh_buffers(p, x))
         for name, values in p.items():
             assert np.array_equal(values, before[name]), name
         assert np.array_equal(block, kept[0]) and np.array_equal(noise_block, kept[1])
         assert all(np.isfinite(g).all() for g in grads.values())
     _, _, again = step_inputs(vae, vectors)
-    assert _elbo_step(p, x, noise, again) == loss
+    assert _elbo_step(p, x, noise, again, fresh_buffers(p, x)) == loss
     for name, g in grads.items():
         assert np.array_equal(again[name], g), name
 
 
 def test_one_workspace_gives_the_bits_of_fresh_steps():
-    # Batches of 16, 8 and 16 rows: the second 16-row step reuses the
-    # buffers the first one wrote, after the 8-row step used its own.
+    # Batches of 16, 8 and 16 rows through one buffer set per size: the
+    # second 16-row step reuses the buffers the first one wrote, after the
+    # 8-row step used its own.
     vae, vectors = standardized_vae(seed=60)
     rng = np.random.Generator(np.random.PCG64(60))
-    p, block, _ = step_inputs(vae, vectors[rng.permutation(len(vectors))])
-    work = statvae.StepWorkspace(
-        {name: np.full_like(t.values, np.nan) for name, t in vae.params.items()})
+    p, block, grads = step_inputs(vae, vectors[rng.permutation(len(vectors))])
+    work = {rows: fresh_buffers(p, block[:rows]) for rows in (16, 8)}
     start = 0
     for rows in (16, 8, 16):
         x = block[start:start + rows]
         noise = rng.standard_normal((rows, vae.latent_dim))
         _, _, fresh = step_inputs(vae, vectors)
-        assert _elbo_step(p, x, noise, work) == _elbo_step(p, x, noise, fresh)
+        assert (_elbo_step(p, x, noise, grads, work[rows])
+                == _elbo_step(p, x, noise, fresh, fresh_buffers(p, x)))
         for name, g in fresh.items():
-            assert work[name].tobytes() == g.tobytes(), (rows, name)
+            assert grads[name].tobytes() == g.tobytes(), (rows, name)
         start += rows
 
 
@@ -245,7 +246,7 @@ def test_closed_form_step_matches_finite_differences(rows):
     batch = vectors[rng.permutation(len(vectors))[:rows]]
     noise = rng.standard_normal((rows, vae.latent_dim))
     p, x, grads = step_inputs(vae, batch)
-    _elbo_step(p, x, noise, grads)
+    _elbo_step(p, x, noise, grads, fresh_buffers(p, x))
     scratch = {name: np.empty_like(g) for name, g in grads.items()}
     eps = 1e-6
     worst = 0.0
@@ -254,9 +255,9 @@ def test_closed_form_step_matches_finite_differences(rows):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            plus = _elbo_step(p, x, noise, scratch)
+            plus = _elbo_step(p, x, noise, scratch, fresh_buffers(p, x))
             flat[i] = orig - eps
-            minus = _elbo_step(p, x, noise, scratch)
+            minus = _elbo_step(p, x, noise, scratch, fresh_buffers(p, x))
             flat[i] = orig
             numeric = (plus - minus) / (2 * eps)
             worst = max(worst, rel_err(grads[name].reshape(-1)[i], numeric))
@@ -307,7 +308,7 @@ def test_pretrain_on_the_graph_step_is_identical(monkeypatch):
     vae, losses = pretrain(vectors, config)
     calls = []
 
-    def counted_graph_step(p, x, noise, grads):
+    def counted_graph_step(p, x, noise, grads, work):
         calls.append(x.shape[0])
         return graph_elbo_step(p, x, noise, grads)
 
@@ -317,6 +318,21 @@ def test_pretrain_on_the_graph_step_is_identical(monkeypatch):
     assert losses == graph_losses
     for name, t in vae.params.items():
         np.testing.assert_array_equal(t.values, graph_vae.params[name].values)
+
+
+@pytest.mark.parametrize("rows, sizes", [(48, [16]), (41, [9, 16]), (9, [9])])
+def test_pretrain_allocates_one_buffer_set_per_batch_size(monkeypatch, rows, sizes):
+    allocated = []
+
+    def counted_buffers(batch_rows, *shape):
+        allocated.append(batch_rows)
+        return step_buffers(batch_rows, *shape)
+
+    step_buffers = statvae._step_buffers
+    monkeypatch.setattr(statvae, "_step_buffers", counted_buffers)
+    config = VaeConfig(latent_dim=2, hidden_dim=6, epochs=3, batch_size=16, seed=13)
+    pretrain(training_vectors(rows, 5), config)
+    assert sorted(allocated) == sizes
 
 
 REFERENCE_CASES = {

@@ -219,7 +219,7 @@ def test_message_stats_rejects_bad_width():
     with pytest.raises(StatError, match="m_fixed"):
         message_stats(stats, LogRecord(0, "-", ["send"], 0), m_fixed=0)
     with pytest.raises(StatError, match="m_fixed"):
-        pooled_stats(stats, ds, m_fixed=0)
+        pooled_stats(stats, ds, [0], m_fixed=0)
 
 
 def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
@@ -234,11 +234,14 @@ def test_pooled_stats_equal_message_stats_rows_bit_for_bit():
         m_fixed = int(rng.integers(1, 7))
         dataset = LogDataset(records, stats.label_vocab, stats.vocab, TokenTable.build(
             stats.vocab, records, np.zeros(len(records), dtype=np.int64)))
-        got = pooled_stats(stats, dataset, m_fixed)
-        assert got.shape == (len(records), 2), f"trial {trial}"
-        if records:
-            assert np.array_equal(
-                got, reference_pooled_stats(stats, dataset, m_fixed)), f"trial {trial}"
+        # any message ids, in any order, repeats included
+        rows = rng.integers(0, max(len(records), 1),
+                            int(rng.integers(0, 2 * len(records) + 1)))
+        got = pooled_stats(stats, dataset, rows, m_fixed)
+        assert got.shape == (len(rows), 2), f"trial {trial}"
+        if len(rows):
+            assert np.array_equal(got, reference_pooled_stats(
+                stats, dataset, rows, m_fixed)), f"trial {trial}"
 
 
 # -- persistence -------------------------------------------------------------

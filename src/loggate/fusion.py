@@ -362,7 +362,7 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
 
     `logits` and `saved` come from `batch_forward`. `grads` maps each name
     of `model.trained_parameters()` to an array of its shape: its view of
-    the flat gradient vector (`optim.Adam.views`). Each of those gradients
+    the flat gradient vector (`optim.Adam.grad_views`). Each of those gradients
     is written over its array in place; any other array is left as it is.
     Each weight gradient is one GEMM over the batch's B * width rows, so
     the sums run in another order than the graph's per-message stack.

@@ -1,14 +1,16 @@
 """Adam optimizer with bias correction, over one flat parameter layout.
 
-`flatten` moves every parameter into one float64 vector, in table order,
-and makes each `.values` its view; the moments `m` and `v` and the
-gradient vector share that layout. `step_flat` runs each Adam expression
-once over the whole vector, in place, taking no slice of it. Every
-operation is elementwise, so
-the result is bit for bit the per-parameter loop's, and a gradient slice
-that stays zero keeps zero moments and steps by exactly 0. `step`, over
-separate arrays with a `.grad` each, serves only the autodiff graph
-path: no run calls it.
+`Adam` owns that layout: when it is built it moves every parameter into
+one float64 vector, `values`, in table order, and makes each `.values`
+its view. The moments `m` and `v` and the gradient vector `grads` share
+the layout; `grad_views` holds each parameter's view of `grads`, shaped
+like the parameter, for a closed-form step to write into. `step_flat`
+runs each Adam expression once over the whole vector, in place, taking
+no slice of it. Every operation is elementwise, so the result is bit
+for bit the per-parameter loop's, and a gradient slice that stays zero
+keeps zero moments and steps by exactly 0. `step`, over separate arrays
+with a `.grad` each, serves only the autodiff graph path: no run calls
+it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class Adam:
     1/(1-b^t) bias corrections. In `step`, parameters with no gradient
     (or an all-zero gradient since the moments stay zero) are left
     untouched, moments included. A gradient whose shape differs from its
-    parameter's, or a flat vector of another length, raises ValueError.
+    parameter's raises ValueError.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -44,40 +46,26 @@ class Adam:
             start += p.values.size
         self.m = np.zeros(start)
         self.v = np.zeros(start)
+        self.values = np.empty(start)
+        self.grads = np.zeros(start)
+        self.grad_views: dict[str, np.ndarray] = {}
+        for name, p in params.items():
+            sl, shape = self._slices[name], p.values.shape
+            self.values[sl] = p.values.reshape(-1)
+            p.values = self.values[sl].reshape(shape)
+            self.grad_views[name] = self.grads[sl].reshape(shape)
 
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        """Each parameter's slice of a flat vector, shaped like the parameter."""
-        return {name: flat[sl].reshape(self.params[name].values.shape)
-                for name, sl in self._slices.items()}
+    def step_flat(self) -> None:
+        """One step of every parameter from `grads`, in place.
 
-    def flatten(self) -> tuple[np.ndarray, np.ndarray]:
-        """One flat vector holding every parameter, and a zero gradient vector.
-
-        Each parameter's `.values` becomes its view of the value vector
-        (see `views`), holding the same numbers.
+        Every parameter takes its gradient slice, so every moment moves.
+        `grads` is overwritten with the step.
         """
-        values = np.empty(self.m.size)
-        for view, p in zip(self.views(values).values(), self.params.values()):
-            view[...] = p.values
-            p.values = view
-        return values, np.zeros(self.m.size)
-
-    def step_flat(self, values: np.ndarray, grads: np.ndarray) -> None:
-        """One step of every parameter, held flat in `values`, in place.
-
-        `values` and `grads` are float64 vectors laid out like `m` (see
-        `flatten`). Every parameter takes its gradient slice, so every
-        moment moves. `grads` is overwritten with the step.
-        """
-        for name, vec in (("values", values), ("grads", grads)):
-            if vec.shape != self.m.shape:
-                raise ValueError(f"flat {name} has shape {vec.shape}, "
-                                 f"parameters have {self.m.shape}")
-        self._update(grads)
-        values -= grads
+        self._update(self.grads)
+        self.values -= self.grads
 
     def step(self) -> None:
-        flat = np.empty(self.m.size)  # the gathered gradients, then the step
+        """One step of every parameter with a `.grad`, gathered into `grads`."""
         live = []
         for name, p in self.params.items():
             g = p.grad
@@ -87,11 +75,11 @@ class Adam:
                 raise ValueError(f"gradient of {name!r} has shape {g.shape}, "
                                  f"parameter has {p.values.shape}")
             sl = self._slices[name]
-            flat[sl] = g.reshape(-1)
+            self.grads[sl] = g.reshape(-1)
             live.append((p, sl))
-        self._update(flat, [sl for _, sl in live])
+        self._update(self.grads, [sl for _, sl in live])
         for p, sl in live:
-            p.values -= flat[sl].reshape(p.values.shape)
+            p.values -= self.grads[sl].reshape(p.values.shape)
 
     def _update(self, flat: np.ndarray, slices=None) -> None:
         """Advance the moments over `slices` of `flat`, or all of it without

@@ -487,15 +487,13 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
         config.d_model, config.latent_dim, config.m_fixed, config.epsilon,
         config.mode, _child_rng(config.seed, 2))
     optimizer = Adam(model.trained_parameters(), lr=config.learning_rate)
-    values, grads = optimizer.flatten()
-    grad_views = optimizer.views(grads)
     shuffle_rng = _child_rng(config.seed, 3)
     table = dataset.table
     train_rows = table.split_rows("train")
     dev_rows = table.split_rows("dev")
     inputs = (*table.pad(train_rows, config.m_fixed), train_rows, embeddings)
     labels = table.labels[train_rows]
-    best = values.copy()
+    best = optimizer.values.copy()
     best_f1 = -1.0
     log_rows = []
     for epoch in range(config.classifier_epochs):
@@ -505,11 +503,11 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
             rows = order[start:start + config.batch_size]
             logits, saved = _forward(model, inputs, rows)
             value = fusion.batch_backward(model, logits, saved, labels[rows],
-                                          grad_views)
+                                          optimizer.grad_views)
             if not np.isfinite(value):
                 raise FloatingPointError(
                     f"non-finite loss {value!r} at epoch {epoch} step {step}")
-            optimizer.step_flat(values, grads)
+            optimizer.step_flat()
             losses.append(value)
         dev_f1 = (_split_report(model, table, dev_rows, embeddings,
                                 dataset.label_vocab.labels, config,
@@ -519,12 +517,12 @@ def _train_classifier(config: RunConfig, dataset: LogDataset,
         selected = not dev_rows.size or dev_f1 > best_f1
         if selected:
             best_f1 = dev_f1
-            best = values.copy()
+            best = optimizer.values.copy()
         log_rows.append((epoch, repr(float(np.mean(losses))) if losses else "nan",
                          repr(dev_f1), int(selected)))
         if dev_f1 == 1.0:
             break
-    values[...] = best
+    optimizer.values[...] = best
     return model, log_rows
 
 

@@ -6,10 +6,10 @@ sampling happens only while pretraining. Pretraining builds no autodiff
 graph: each step computes the negated ELBO and its closed-form gradient
 in plain numpy (reparameterized sample, analytic Gaussian KL; Kingma &
 Welling 2014, arXiv 1312.6114). Like the classifier, the VAE trains
-over the one flat layout `optim.Adam.flatten` builds: its ten parameters
-are views into one vector, each step writes its gradients into views of
-one flat gradient vector, and `Adam.step_flat` updates the parameters in
-place. A step is about fifty numpy calls on arrays of at most (batch,
+over the one flat layout its `optim.Adam` owns: its ten parameters are
+views into the optimizer's value vector, each step writes its gradients
+into the optimizer's `grad_views`, and `Adam.step_flat` updates the
+parameters in place. A step is about fifty numpy calls on arrays of at most (batch,
 hidden_dim), so it writes every intermediate with `out=` into buffers
 its caller passes: `pretrain` allocates one set per batch size (the
 full batch and a short last one), and each epoch gathers its shuffled
@@ -203,8 +203,9 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     order and reparameterization noise all come from one seeded stream.
     Each epoch draws its permutation, then one noise row per vector,
     which is the stream a per-batch noise draw would read. The ten
-    parameters are views into one flat vector that Adam updates in
-    place from a flat gradient vector, whose views `_elbo_step` fills.
+    parameters are views into the optimizer's flat vector, which Adam
+    updates in place from the gradients `_elbo_step` writes into its
+    `grad_views`.
     Each epoch gathers its shuffled rows and draws its noise into the
     same two blocks, so every batch is a fixed view, and each step writes
     its intermediates into the one set of `_step_buffers` allocated for
@@ -229,8 +230,7 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
     vae.in_mean = mean
     vae.in_std = np.where(std < 1e-6, 1.0, std)
     optimizer = Adam(vae.params, lr=config.learning_rate)
-    values, grads = optimizer.flatten()
-    p, grad_views = optimizer.views(values), optimizer.views(grads)
+    p = {name: t.values for name, t in vae.params.items()}
     # Elementwise, so each row has the bits a per-batch standardization gives.
     x = _standardize(vae, vectors)
     losses: list[float] = []
@@ -246,10 +246,11 @@ def pretrain(vectors: np.ndarray, config: VaeConfig) -> tuple[StatVae, list[floa
         rng.standard_normal(out=noise)
         np.take(x, order, axis=0, out=shuffled)
         for step, (batch, batch_noise) in enumerate(batches):
-            value = _elbo_step(p, batch, batch_noise, grad_views, work[len(batch)])
+            value = _elbo_step(p, batch, batch_noise, optimizer.grad_views,
+                               work[len(batch)])
             if not math.isfinite(value):
                 raise VaeError(f"non-finite loss {value!r} at epoch {epoch} step {step}")
-            optimizer.step_flat(values, grads)
+            optimizer.step_flat()
             losses.append(value)
     return vae, losses
 

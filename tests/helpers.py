@@ -445,8 +445,9 @@ class ReferenceAdam:
     """The per-parameter Adam loop, one parameter's moments at a time.
 
     Same contract as `optim.Adam`; its moments are kept per parameter
-    in `m[name]` and `v[name]`. The flat entry (`flatten`, `views`,
-    `step_flat`) runs the same loop over each parameter's view.
+    in `m[name]` and `v[name]`. It lays the parameters out as `Adam`
+    does (`values`, `grads`, `grad_views`), and `step_flat` runs the same
+    loop with each parameter's gradient view as its `.grad`.
     """
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3):
@@ -455,6 +456,14 @@ class ReferenceAdam:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.values) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.values) for k, p in params.items()}
+        self.values = np.concatenate([p.values.reshape(-1) for p in params.values()])
+        self.grads = np.zeros(self.values.size)
+        self.grad_views, start = {}, 0
+        for name, p in params.items():
+            stop = start + p.values.size
+            p.values = self.values[start:stop].reshape(p.values.shape)
+            self.grad_views[name] = self.grads[start:stop].reshape(p.values.shape)
+            start = stop
 
     def step(self) -> None:
         self.step_count += 1
@@ -472,21 +481,8 @@ class ReferenceAdam:
             v += (1.0 - BETA2) * np.square(g)
             p.values -= self.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
-    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        out, start = {}, 0
-        for name, p in self.params.items():
-            out[name] = flat[start:start + p.values.size].reshape(p.values.shape)
-            start += p.values.size
-        return out
-
-    def flatten(self) -> tuple[np.ndarray, np.ndarray]:
-        values = np.concatenate([p.values.reshape(-1) for p in self.params.values()])
-        for name, view in self.views(values).items():
-            self.params[name].values = view
-        return values, np.zeros(values.size)
-
-    def step_flat(self, values: np.ndarray, grads: np.ndarray) -> None:
-        for name, g in self.views(grads).items():
+    def step_flat(self) -> None:
+        for name, g in self.grad_views.items():
             self.params[name].grad = g
         self.step()
 

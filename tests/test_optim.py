@@ -132,32 +132,58 @@ def test_flat_step_matches_the_per_parameter_loop_bit_for_bit():
         lr = float(rng.uniform(1e-3, 0.5))
         opt = Adam({n: ad.parameter(p.values) for n, p in loop.items()}, lr=lr)
         ref = ReferenceAdam(loop, lr=lr)
-        values, grads = np.empty(opt.m.size), np.empty(opt.m.size)
-        value_views, grad_views = opt.views(values), opt.views(grads)
-        for name in names:
-            value_views[name][...] = loop[name].values
         for step in range(50):
             for i, name in enumerate(names):
                 g = rng.standard_normal(shapes[i]) * 10.0 ** rng.integers(-3, 3)
-                grad_views[name][...] = g
+                opt.grad_views[name][...] = g
                 loop[name].grad = g
-            opt.step_flat(values, grads)
+            opt.step_flat()
             ref.step()
             where = f"trial {trial} step {step}"
             for name in names:
-                assert np.array_equal(value_views[name], loop[name].values), where
+                assert np.array_equal(opt.params[name].values, loop[name].values), where
             assert np.array_equal(opt.m, np.concatenate(
                 [ref.m[n].reshape(-1) for n in names])), where
             assert np.array_equal(opt.v, np.concatenate(
                 [ref.v[n].reshape(-1) for n in names])), where
 
 
-@pytest.mark.parametrize("values_size, grads_size", [(2, 3), (3, 2), (4, 4)])
-def test_flat_vectors_of_another_length_are_refused(values_size, grads_size):
-    p = ad.parameter([1.0, 2.0, 3.0])
-    opt = Adam({"p": p}, lr=0.1)
-    values, grads = np.ones(values_size), np.ones(grads_size)
-    with pytest.raises(ValueError, match="flat"):
-        opt.step_flat(values, grads)
-    assert opt.step_count == 0 and not opt.m.any()
-    np.testing.assert_array_equal(values, np.ones(values_size))
+def test_building_adam_lays_every_parameter_out_in_its_value_vector():
+    rng = np.random.Generator(np.random.PCG64(31))
+    for trial in range(20):
+        count = int(rng.integers(1, 7))
+        shapes = [SHAPES[int(i)] for i in rng.integers(0, len(SHAPES), count)]
+        init = [rng.standard_normal(shape) for shape in shapes]
+        names = [f"p{i}" for i in range(count)]
+        flat = {n: ad.parameter(x.copy()) for n, x in zip(names, init)}
+        loop = {n: ad.parameter(x.copy()) for n, x in zip(names, init)}
+        lr = float(rng.uniform(1e-3, 0.5))
+        opt, ref = Adam(flat, lr=lr), ReferenceAdam(loop, lr=lr)
+        where = f"trial {trial}"
+        # the numbers stay, and each parameter is its slice of `values`
+        assert np.array_equal(opt.values, np.concatenate(
+            [x.reshape(-1) for x in init])), where
+        start = 0
+        for name, x in zip(names, init):
+            values = flat[name].values
+            assert values.base is opt.values and values.shape == x.shape, where
+            assert np.array_equal(values, x), where
+            offset = (values.__array_interface__["data"][0]
+                      - opt.values.__array_interface__["data"][0])
+            # a zero-size view holds no memory, so it has no offset to check
+            assert offset == start * opt.values.itemsize or not x.size, where
+            grad = opt.grad_views[name]
+            assert grad.base is opt.grads and grad.shape == x.shape, where
+            start += x.size
+        for step in range(20):
+            for i, name in enumerate(names):
+                g = rng.standard_normal(shapes[i]) * 10.0 ** rng.integers(-3, 3)
+                live = rng.random() < 0.7
+                flat[name].grad = g.copy() if live else None
+                loop[name].grad = g.copy() if live else None
+            opt.step()
+            ref.step()
+            for name in names:
+                assert np.array_equal(flat[name].values, loop[name].values), where
+                assert flat[name].values.base is opt.values, where
+            assert np.array_equal(opt.values, ref.values), where

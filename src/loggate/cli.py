@@ -17,7 +17,9 @@ def _resolve_config(args) -> pipeline.RunConfig:
         config = pipeline.load_config(args.config)
     else:
         config = pipeline.RunConfig()
-    return pipeline.apply_overrides(config, args.set or [])
+    # A repeated `--set` key takes its last value; a config file's may not repeat.
+    last = {pair.partition("=")[0].strip(): pair for pair in args.set or []}
+    return pipeline.apply_overrides(config, last.values())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -154,14 +154,21 @@ def apply_overrides(config: RunConfig, pairs) -> RunConfig:
 
 
 def _with_settings(config: RunConfig, items) -> RunConfig:
-    """Valid `config` with `(where, "key=value")` items applied; errors name `where`."""
-    updates = {}
+    """Valid `config` with `(where, "key=value")` items applied; errors name `where`.
+
+    A key given twice among `items` is refused, naming both places.
+    """
+    updates, places = {}, {}
     for where, text in items:
         key, equals, raw = (part.strip() for part in text.partition("="))
         try:
             if not equals:
                 raise ConfigError(f"expected key=value, got {text.strip()!r}")
+            if key in places:
+                raise ConfigError(f"config key {key!r} is given twice, first at "
+                                  f"{places[key]}")
             updates[key] = _cast_field(key, raw)
+            places[key] = where
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
     merged = replace(config, **updates)
@@ -447,7 +454,7 @@ def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None,
     with _stage("train-classifier"):
         model, log_rows = _train_classifier(config, dataset, embeddings)
     if run_dir:
-        _save_classifier(run_dir, model, log_rows)
+        _save_classifier(run_dir, config, model, log_rows)
     with _stage("evaluate-test"):
         report = _split_report(model, dataset.table, test_rows, embeddings,
                                dataset.label_vocab.labels, config, started)
@@ -456,13 +463,18 @@ def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None,
     return model, log_rows, report
 
 
-def _save_classifier(run_dir: Path, model: DiagnosisModel, log_rows) -> None:
-    """Write the train log and the checkpoint, bound to `run_dir`'s embedding cache."""
+def _save_classifier(run_dir: Path, config: RunConfig, model: DiagnosisModel,
+                     log_rows) -> None:
+    """Write the train log and the checkpoint, bound to `run_dir`'s embedding cache
+    and token table and to `config`'s training-only settings."""
     with _stage("train-classifier"):
         _write_rows(run_dir / "train_log.tsv",
                     ("epoch", "mean_loss", "dev_macro_f1", "selected"), log_rows)
         fusion.save_model(model, run_dir / "model.ckpt", extra_meta={
-            "embeddings_hash": _file_digest(run_dir / "embeddings.tbl")})
+            "embeddings_hash": _file_digest(run_dir / "embeddings.tbl"),
+            "tokens_hash": _file_digest(run_dir / "tokens.tbl"),
+            **{key: str(getattr(config, key)) for key in
+               ("learning_rate", "batch_size", "vae_epochs", "classifier_epochs")}})
 
 
 def _save_report(run_dir: Path, report: MetricsReport) -> None:
@@ -538,9 +550,10 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     The split's token ids and labels come from `tokens.tbl`, so the
     corpus is read only to take its digest. Refuses stale artifacts: the
     token table and the cache must record the dictionary file's digest,
-    the checkpoint the cache file's, and `run.cfg` must hold the
-    checkpoint's model settings, and the table's token and label ids must
-    lie below the checkpoint's vocab_size and n_labels. When the corpus
+    the checkpoint the cache file's and the token table file's, and
+    `run.cfg` must hold the checkpoint's model and training settings, and
+    the table's token and label ids must lie below the checkpoint's
+    vocab_size and n_labels. When the corpus
     file's digest or `run.cfg`'s split settings are not the ones the
     table records, the corpus is loaded and `_check_corpus` refuses it
     unless every split holds what the table holds.
@@ -569,7 +582,10 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
         if meta.get("embeddings_hash") != _file_digest(run_dir / "embeddings.tbl"):
             raise ValueError("checkpoint was trained on a different embedding cache, "
                              "or records none; retrain")
-        for key in ("m_fixed", "epsilon", "mode", "d_model", "latent_dim"):
+        for key in ("m_fixed", "epsilon", "mode", "d_model", "latent_dim",
+                    "learning_rate", "batch_size", "vae_epochs", "classifier_epochs"):
+            if key not in meta:
+                raise ValueError(f"checkpoint records no {key}; retrain")
             if getattr(config, key) != _cast_field(key, meta[key]):
                 raise ValueError(f"run.cfg sets {key}={getattr(config, key)}, the "
                                  f"checkpoint {key}={meta[key]}; retrain")
@@ -580,6 +596,9 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
             if top >= size:
                 raise ValueError(f"{run_dir / 'tokens.tbl'}: {what} {top} is not below "
                                  f"the checkpoint's {key} {size}; rerun preprocessing")
+        if meta.get("tokens_hash") != _file_digest(run_dir / "tokens.tbl"):
+            raise ValueError(f"{run_dir / 'tokens.tbl'}: the checkpoint was trained on "
+                             "a different token table, or records none; retrain")
 
     with _stage(f"evaluate-{split}"):
         return _split_report(model, table, _rows_to_score(table, split), embeddings,
@@ -717,7 +736,7 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     reports = {}
     for model, log_rows, report in fits:
         run_dir = _run_dir(runs, pre, beside)
-        _save_classifier(run_dir, model, log_rows)
+        _save_classifier(run_dir, runs[beside][0], model, log_rows)
         _save_report(run_dir, report)
         reports[beside] = report
     later = sorted((i for i in range(len(runs)) if i != beside),

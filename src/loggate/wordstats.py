@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (FIRST_WORD_ID, UNK_ID, LabelVocab, LogDataset, LogRecord,
-                     train_split_hash)
+from .corpus import (FIRST_WORD_ID, UNK_ID, CorpusError, LabelVocab, LogDataset,
+                     LogRecord, train_split_hash)
 
 
 class StatError(ValueError):
@@ -130,6 +130,10 @@ def load_stat_dictionary(path: str | Path) -> StatDictionary:
             or not text[1].startswith("# train_hash: "):
         raise StatError(f"{path}: not a statistics dictionary file")
     labels = text[0][len("# labels: "):].split(",")
+    try:
+        label_vocab = LabelVocab(labels)
+    except CorpusError as exc:
+        raise StatError(f"{path}:1: {exc}") from None
     built_from = text[1][len("# train_hash: "):]
     vocab: dict[str, int] = {}
     rows = [[0] * len(labels)] * FIRST_WORD_ID
@@ -148,5 +152,5 @@ def load_stat_dictionary(path: str | Path) -> StatDictionary:
         if vocab.setdefault(word, len(rows)) != len(rows):
             raise StatError(f"{path}:{lineno}: word {word!r} is listed twice")
         rows.append(row)
-    return StatDictionary(LabelVocab(labels), vocab, np.array(rows, dtype=np.int64),
+    return StatDictionary(label_vocab, vocab, np.array(rows, dtype=np.int64),
                           built_from)

@@ -106,6 +106,17 @@ def test_a_bad_setting_names_the_line_or_override_it_came_from(tmp_path):
         apply_overrides(RunConfig(), ["sed=1"])
     with pytest.raises(ConfigError, match=r"^override: expected key=value, got 'seed'"):
         apply_overrides(RunConfig(), ["seed"])
+    path.write_text("epsilon=0.1\nseed=3\nepsilon=0.3\n", encoding="utf-8")
+    where = re.escape(str(path))
+    with pytest.raises(ConfigError, match=rf"^{where}:3: config key 'epsilon' is "
+                                          rf"given twice, first at {where}:1$"):
+        load_config(path)
+    with pytest.raises(ConfigError, match=r"^override: config key 'seed' is given "
+                                          r"twice, first at override$"):
+        apply_overrides(RunConfig(), ["seed=3", "seed=4"])
+    # a file key that an override sets again comes from two calls
+    path.write_text("seed=3\n", encoding="utf-8")
+    assert apply_overrides(load_config(path), ["seed=4"]).seed == 4
 
 
 @pytest.mark.parametrize("overrides,message", [
@@ -429,7 +440,8 @@ def test_evaluate_refuses_a_checkpoint_that_records_no_embedding_cache(
 
 @pytest.mark.parametrize("key, value", [
     ("m_fixed", 5), ("epsilon", 0.45), ("mode", "no_gate"), ("d_model", 4),
-    ("latent_dim", 2)])
+    ("latent_dim", 2), ("learning_rate", 0.5), ("batch_size", 8), ("vae_epochs", 4),
+    ("classifier_epochs", 9)])
 def test_evaluate_refuses_a_run_cfg_whose_model_settings_are_not_the_checkpoints(
         trained, base_config, tmp_path, key, value):
     # build-stats rewrites run.cfg but leaves the dictionary and cache bytes
@@ -440,6 +452,34 @@ def test_evaluate_refuses_a_run_cfg_whose_model_settings_are_not_the_checkpoints
     with pytest.raises(StageError, match=rf"^\[staleness-check\] run.cfg sets "
                                          rf"{key}={value}, the checkpoint "
                                          rf"{key}={trained_with}; retrain$"):
+        evaluate(run_dir)
+
+
+def test_evaluate_refuses_a_checkpoint_that_records_no_training_settings(
+        trained, tmp_path):
+    # the meta a checkpoint carried before it recorded them
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    arrays, meta = load_table(run_dir / "model.ckpt")
+    for key in ("learning_rate", "batch_size", "vae_epochs", "classifier_epochs",
+                "tokens_hash"):
+        del meta[key]
+    save_table(run_dir / "model.ckpt", arrays, meta=meta)
+    with pytest.raises(StageError, match=r"^\[staleness-check\] checkpoint records "
+                                         "no learning_rate; retrain$"):
+        evaluate(run_dir)
+
+
+def test_evaluate_refuses_a_token_table_edited_under_intact_meta(trained, tmp_path):
+    # every label moved to the next one: in range, but not what trained the model
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained.run_dir, run_dir)
+    arrays, meta = load_table(run_dir / "tokens.tbl")
+    arrays["labels"] = (arrays["labels"] + 1) % trained.model.n_labels
+    save_table(run_dir / "tokens.tbl", arrays, meta=meta)
+    with pytest.raises(StageError, match=r"^\[staleness-check\] .*/tokens.tbl: the "
+                                         "checkpoint was trained on a different "
+                                         "token table, or records none; retrain$"):
         evaluate(run_dir)
 
 

@@ -290,6 +290,14 @@ def test_load_rejects_count_rows_of_the_wrong_width(tmp_path):
         load_stat_dictionary(path)
 
 
+def test_load_names_the_file_of_a_label_line_that_repeats_a_label(tmp_path):
+    path = tmp_path / "stats.tsv"
+    path.write_text("# labels: a,a,a,a\n# train_hash: h\nw\t1,0,0,0\n",
+                    encoding="utf-8")
+    with pytest.raises(StatError, match=r"stats.tsv:1: duplicate label names"):
+        load_stat_dictionary(path)
+
+
 def test_load_rejects_a_word_listed_twice(tmp_path):
     path = tmp_path / "stats.tsv"
     path.write_text("# labels: disk\n# train_hash: h\nw\t1\nx\t2\nw\t3\n",

@@ -17,8 +17,10 @@ def _resolve_config(args) -> pipeline.RunConfig:
         config = pipeline.load_config(args.config)
     else:
         config = pipeline.RunConfig()
-    # A repeated `--set` key takes its last value; a config file's may not repeat.
-    last = {pair.partition("=")[0].strip(): pair for pair in args.set or []}
+    # A repeated `--set` key takes its last value; a config file's may not
+    # repeat. A pair without "=" is kept apart, so it is still refused.
+    last = {(pair.partition("=")[0].strip(), "=" in pair): pair
+            for pair in args.set or []}
     return pipeline.apply_overrides(config, last.values())
 
 

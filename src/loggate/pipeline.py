@@ -550,13 +550,14 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     The split's token ids and labels come from `tokens.tbl`, so the
     corpus is read only to take its digest. Refuses stale artifacts: the
     token table and the cache must record the dictionary file's digest,
-    the checkpoint the cache file's and the token table file's, and
-    `run.cfg` must hold the checkpoint's model and training settings, and
+    the checkpoint the cache file's and the token table file's, `run.cfg`
+    must hold the model and training settings the checkpoint records, and
     the table's token and label ids must lie below the checkpoint's
-    vocab_size and n_labels. When the corpus
-    file's digest or `run.cfg`'s split settings are not the ones the
-    table records, the corpus is loaded and `_check_corpus` refuses it
-    unless every split holds what the table holds.
+    vocab_size and n_labels. A checkpoint that records no such digest or
+    setting is refused too. When the corpus file's digest or `run.cfg`'s
+    split settings are not the ones the table records, the corpus is
+    loaded and `_check_corpus` refuses it unless every split holds what
+    the table holds.
     """
     run_dir = Path(run_dir)
     with _stage("load-artifacts"):

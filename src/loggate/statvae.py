@@ -9,14 +9,14 @@ Welling 2014, arXiv 1312.6114). Like the classifier, the VAE trains
 over the one flat layout its `optim.Adam` owns: its ten parameters are
 views into the optimizer's value vector, each step writes its gradients
 into the optimizer's `grad_views`, and `Adam.step_flat` updates the
-parameters in place. A step is about fifty numpy calls on arrays of at most (batch,
-hidden_dim), so it writes every intermediate with `out=` into buffers
-its caller passes: `pretrain` allocates one set per batch size (the
-full batch and a short last one), and each epoch gathers its shuffled
-rows and draws its noise into the same two blocks, so every batch is a
-fixed view. The tests check the step bit for bit against the same loss
-built on the autodiff graph, and the whole of pretraining against the
-per-batch loop over separate arrays and `Adam.step`.
+parameters in place. A step is about fifty numpy calls on arrays of at
+most (batch, hidden_dim), so it writes every intermediate with `out=`
+into buffers its caller passes: `pretrain` allocates one set per batch
+size (the full batch and a short last one), and each epoch gathers its
+shuffled rows and draws its noise into the same two blocks, so every
+batch is a fixed view. The tests check the step bit for bit against the
+same loss built on the autodiff graph, and the whole of pretraining
+against the per-batch loop over separate arrays and `Adam.step`.
 Pretraining reads only its vectors, so `pipeline.preprocess` may run it
 in a forked lane. Embedding runs only the posterior-mean head.
 """

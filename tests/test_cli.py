@@ -74,6 +74,16 @@ def test_bad_override_reports_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_a_repeated_set_key_takes_its_last_value(corpus_path, tmp_path, capsys):
+    assert main(["build-stats", "--set", f"dataset={corpus_path}", "--set", "seed=3",
+                 "--set", "seed=4", "--out-dir", str(tmp_path)]) == 0
+    assert "seed=4\n" in (tmp_path / "run.cfg").read_text(encoding="utf-8")
+    # a later well-formed pair does not hide a malformed one
+    assert main(["build-stats", "--set", f"dataset={corpus_path}", "--set", "seed",
+                 "--set", "seed=4", "--out-dir", str(tmp_path)]) == 1
+    assert "override: expected key=value, got 'seed'" in capsys.readouterr().err
+
+
 def test_a_negative_seed_fails_before_any_file_is_written(config_args, tmp_path,
                                                           capsys):
     out = tmp_path / "run"

@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import math
 import os
+import pickle
 import shutil
+import signal
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -33,8 +37,11 @@ from .wordstats import (StatDictionary, build_stat_dictionary,  # noqa: F401
 
 
 # Records per forward pass when scoring. On a 2-core VM one lane scored
-# 18,000 rows in 0.46-0.70 s at 32, 0.37-0.51 s at 64 and 0.37-0.50 s at
-# 128, where a default train's peak RSS rose by 1.7 MB.
+# the 18,000 width-sorted test rows of diagnose-10x in 0.240 s at 32,
+# 0.208 s at 64, 0.197 s at 128 and 0.374 s at 256 (medians of 15 runs
+# alternating in one process with unsorted rows, which took 0.274, 0.246,
+# 0.233 and 0.424 s). Unsorted, 128 raised a default train's peak RSS by
+# 1.7 MB; no 10-pair series has tested it sorted.
 EVAL_CHUNK = 64
 SCORE_DTYPE = np.float32  # scoring arithmetic; training stays float64
 # A row whose two largest SCORE_DTYPE logits lie within this gap is scored
@@ -42,15 +49,17 @@ SCORE_DTYPE = np.float32  # scoring arithmetic; training stays float64
 # 2.4e-5 of the float64 ones (largest |logit| 12), and one float64 top-2 gap
 # was 2.8e-7: float32 alone flipped that prediction.
 TIE_GAP = 1e-3
-# Fewest rows of a split per scoring lane (32 chunks). On a 2-core VM,
-# one lane scored 200 rows in 6-9 ms against 18-43 ms on two, 1,000 rows
-# in 22-33 ms against 33-38 ms, 2,048 rows in 42-61 ms against 36-50 ms,
-# 4,096 rows in 96-120 ms against 74-84 ms, and 18,000 rows in
-# 0.41-0.51 s against 0.26-0.30 s.
+# Fewest rows of a split per scoring lane (32 chunks). On a 2-core VM
+# (medians of 9, one and two lanes alternating in one process), one lane
+# scored 200 rows in 3.1 ms against 5.6 ms on two, 1,000 rows in 12.0 ms
+# against 10.4 ms, 2,048 rows in 23 ms against 18 ms, 4,096 rows in 47 ms
+# against 33 ms and 18,000 rows in 0.204 s against 0.127 s. Two lanes pay
+# from about 1,000 rows, but no benchmark workload scores a split of 200
+# to 4,096 rows, so no 10-pair series has tested a lower value.
 # It gates ingest too: `preprocess` forks VAE pretraining only when at
 # least this many records lie outside the train split. Tokenizing 2,048
-# of them takes about 15 ms (18,000 in 0.13 s), about what a second lane
-# costs over 200 rows above.
+# of them takes about 15 ms (18,000 in 0.13 s); a forked lane starts
+# about 2 ms after the call.
 LANE_MIN_ROWS = 2048
 
 
@@ -232,34 +241,58 @@ def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
     and test metrics both read it. `embeddings` may be None for a mode
     that reads no statistics embedding.
 
-    A split of at least 2 * LANE_MIN_ROWS rows is scored on
-    `lanes = min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`,
-    `_map_lanes`): lane i scores the i-th of `lanes` contiguous ranges of
-    rows, lane 0 in this process. Every range starts on a multiple of
-    EVAL_CHUNK, so each chunk holds the rows, and is padded to the
-    width, it has in one lane, and the logits do not depend on the lane
-    count. The float64 re-score runs here after the lanes join.
+    The rows are scored in a stable sort by padded width, so a chunk
+    pads little. A split of at least 2 * LANE_MIN_ROWS rows is scored on
+    `min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`,
+    `_map_lanes`): lane i scores the i-th of the contiguous ranges of
+    sorted rows that `_lane_bounds` cuts, lane 0 in this process. Every
+    range starts on a multiple of EVAL_CHUNK, so each chunk holds the
+    rows, and is padded to the width, it has in one lane, and the logits
+    do not depend on the lane count. The float64 re-score runs here after
+    the lanes join, on the tied rows in the caller's order.
     """
     records = np.asarray(records, dtype=np.int64)
-    inputs = (*dataset.pad(records, model.m_fixed), records, embeddings)
+    ids, slots = dataset.pad(records, model.m_fixed)
+    # numpy sorts keys of at most 16 bits stably by radix; its int64 sorts
+    # paged in about 0.4 MB more code and raised a default train's peak RSS.
+    order = np.argsort(slots.astype(np.min_scalar_type(model.m_fixed)), kind="stable")
+    inputs = (ids[order], slots[order], records[order], embeddings)
+    del ids
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
-    n_rows = len(records)
-    lanes = _lane_count(n_rows // LANE_MIN_ROWS)
-    # lane i scores rows [bounds[i], bounds[i + 1]): whole chunks but for
-    # the split's last one
-    chunks = -(-n_rows // EVAL_CHUNK)
-    bounds = [EVAL_CHUNK * (chunks * lane // lanes)
-              for lane in range(lanes)] + [n_rows]
-    logits = np.concatenate(_map_lanes([partial(_score_range, scorer, inputs, *bound)
-                                        for bound in zip(bounds, bounds[1:])], lanes))
+    bounds = _lane_bounds(inputs[1], _lane_count(len(records) // LANE_MIN_ROWS))
+    logits = np.empty((len(records), model.n_labels))
+    logits[order] = np.concatenate(_map_lanes(
+        [partial(_score_range, scorer, inputs, *bound) for bound in zip(bounds, bounds[1:])],
+        len(bounds) - 1))
     if model.n_labels < 2:
         return logits
     top2 = np.partition(logits, -2, axis=1)[:, -2:]
     ties = np.flatnonzero(top2[:, 1] - top2[:, 0] <= TIE_GAP)
+    rank = np.empty_like(order)  # row i of the caller's order is row rank[i] of inputs
+    rank[order] = np.arange(len(order))
     for start in range(0, ties.size, EVAL_CHUNK):
         rows = ties[start:start + EVAL_CHUNK]
-        logits[rows] = _forward(model, inputs, rows)[0]
+        logits[rows] = _forward(model, inputs, rank[rows])[0]
     return logits
+
+
+def _lane_bounds(slots: np.ndarray, lanes: int) -> list[int]:
+    """Row bounds of `lanes` ranges that split width-sorted rows by padded tokens.
+
+    `slots` holds the rows' widths in ascending order. Lane i scores rows
+    [bounds[i], bounds[i + 1]): whole chunks of EVAL_CHUNK rows but for
+    the split's last one, each padded to its last row's width. Each cut is
+    the chunk boundary nearest an even share of the padded tokens, so lane
+    0's range is empty only when the split is, and later lanes' ranges may
+    be empty only when there are fewer chunks than lanes.
+    """
+    n_rows = len(slots)
+    starts = np.arange(0, n_rows, EVAL_CHUNK)
+    stops = np.minimum(starts + EVAL_CHUNK, n_rows)
+    done = np.concatenate(([0], np.cumsum((stops - starts) * slots[stops - 1])))
+    cuts = np.abs(lanes * done[:, None] - done[-1] * np.arange(1, lanes)).argmin(axis=0)
+    cuts = np.maximum.accumulate(np.maximum(cuts, 1))
+    return [0, *np.minimum(EVAL_CHUNK * cuts, n_rows).tolist(), n_rows]
 
 
 def _forward(model: DiagnosisModel, inputs, rows):
@@ -625,11 +658,11 @@ def _check_corpus(config: RunConfig, table: TokenTable, stats: StatDictionary) -
                          "preprocessing; retrain")
 
 
-# The calls of the `_map_lanes` call that forked the lanes this process
-# runs or serves, set for the length of that call and inherited by each
-# child. While it is set, `_lane_count` gives one lane, so no lane forks
-# lanes of its own and processes never outnumber CPUs.
-_lane_work = None
+# True in a process that runs lanes: for the length of a `_map_lanes`
+# call that forked, and in each child it forks. While it is set,
+# `_lane_count` gives one lane, so no lane forks lanes of its own and
+# processes never outnumber CPUs.
+_in_lanes = False
 
 
 def _lane_count(work: int) -> int:
@@ -643,7 +676,7 @@ def _lane_count(work: int) -> int:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     lanes = min(work, cpus)
-    if lanes > 1 and _lane_work is None and hasattr(os, "fork"):
+    if lanes > 1 and not _in_lanes and hasattr(os, "fork"):
         return lanes
     return 1
 
@@ -651,35 +684,145 @@ def _lane_count(work: int) -> int:
 def _map_lanes(calls, lanes: int) -> list:
     """`[call() for call in calls]` of zero-argument calls, call i in lane `i % lanes`.
 
-    This process makes lane 0's calls in order. Each other lane is one of
-    `lanes - 1` children forked here, which reads the calls from its copy
-    of this process's memory and sends back only results. When a call
-    fails, the children's calls not yet started are cancelled, the started
-    ones finish, and the first failure read (this process's own, else the
-    earliest child call's) is re-raised here; no child outlives the call.
+    This process makes lane 0's calls in order. Each other lane is a
+    child forked here at the start, which makes its calls from its copy
+    of this process's memory and pickles each result back through a pipe
+    of its own. Once a call fails, a flag in memory that every lane
+    shares stops each lane before its next call, so no queued call
+    starts and the started ones finish. The first failure read (this
+    process's own, else the earliest child call's) is re-raised here; a
+    child that exits without a result fails at its first missing call,
+    with an error naming its lane. No child outlives the call.
     """
     if lanes == 1:
         return [call() for call in calls]
-    global _lane_work
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    global _in_lanes
+    # imported here, as in `_join_lanes`, so a run that never forks never loads them
+    import mmap
 
-    pool = ProcessPoolExecutor(lanes - 1,
-                               mp_context=multiprocessing.get_context("fork"))
-    _lane_work = calls
+    failed = mmap.mmap(-1, 1)  # shared; byte 0 is set once a call fails
+    children, results = {}, {}
+    _in_lanes = True
+    _flush_std_streams()  # else a child would write the buffered text again
     try:
-        futures = {i: pool.submit(_run_in_lane, i)
-                   for i in range(len(calls)) if i % lanes}
-        results = {i: calls[i]() for i in range(0, len(calls), lanes)}
-        results.update((i, future.result()) for i, future in futures.items())
+        for lane in range(1, lanes):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _serve_lane(calls, lane, lanes, write_end, failed)
+            os.close(write_end)
+            children[read_end] = lane, pid
+        for index in range(0, len(calls), lanes):
+            if failed[0]:
+                break
+            results[index] = calls[index]()
+    except BaseException:
+        failed[0] = 1
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
-        _lane_work = None
+        _in_lanes = False
+        joined, failures = _join_lanes(children, calls, lanes, failed)
+    if failures:
+        raise failures[min(failures)]
+    results.update(joined)
     return [results[i] for i in range(len(calls))]
 
 
-def _run_in_lane(index: int):
-    return _lane_work[index]()
+def _serve_lane(calls, lane: int, lanes: int, fd: int, failed) -> None:
+    """Make lane `lane`'s calls in this forked child, then exit; never returns.
+
+    Writes each call's `(index, ok, result or failure)` to pipe `fd`,
+    pickled, as soon as the call ends. A failure sets `failed`, and no
+    call starts once it is set.
+    """
+    code = 1
+    try:
+        with open(fd, "wb") as out:
+            for index in range(lane, len(calls), lanes):
+                if failed[0]:
+                    break
+                try:
+                    frame = pickle.dumps((index, True, calls[index]()))
+                except BaseException as exc:
+                    failed[0] = 1
+                    frame = _failure_frame(index, lane, exc)
+                out.write(frame)
+                out.flush()
+        code = 0
+    finally:
+        _flush_std_streams()
+        os._exit(code)
+
+
+def _failure_frame(index: int, lane: int, exc: BaseException) -> bytes:
+    """The pickled frame of call `index`'s failure `exc`.
+
+    A failure that does not survive pickling is sent as a RuntimeError
+    that names the lane and the failure's type and message.
+    """
+    try:
+        frame = pickle.dumps((index, False, exc))
+        pickle.loads(frame)  # an exception whose __init__ wants other arguments fails here
+        return frame
+    except Exception:
+        return pickle.dumps((index, False, RuntimeError(
+            f"lane {lane}: {type(exc).__name__}: {exc}")))
+
+
+def _join_lanes(children, calls, lanes: int, failed) -> tuple[dict, dict]:
+    """Read every child's frames, reap it, and return `(results, failures)` by call.
+
+    `children` maps each child's pipe to its lane and pid; the pipes are
+    read as data arrives, so no child blocks on a full one. A child that
+    returned nothing for a call that no failure cancelled fails at that
+    call and sets `failed`. If this wait is interrupted, every child not
+    yet reaped is killed and reaped.
+    """
+    import select
+
+    received = {fd: bytearray() for fd in children}
+    results, failures = {}, {}
+    ready = select.poll()
+    for fd in children:
+        ready.register(fd, select.POLLIN)
+    try:
+        while received:
+            for fd, _ in ready.poll():
+                data = os.read(fd, 1 << 16)
+                if data:
+                    received[fd] += data
+                    continue
+                ready.unregister(fd)
+                lane, pid = children[fd]
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                data = received.pop(fd)
+                os.close(fd)
+                stream = io.BytesIO(data)
+                # a frame cut short by a child that died writing it ends the stream
+                with contextlib.suppress(Exception):
+                    while stream.tell() < len(data):
+                        index, ok, value = pickle.load(stream)
+                        (results if ok else failures)[index] = value
+                lost = [i for i in range(lane, len(calls), lanes)
+                        if i not in results and i not in failures]
+                if lost and (code or not failed[0]):
+                    failed[0] = 1
+                    failures[lost[0]] = RuntimeError(
+                        f"lane {lane} (exit code {code}) returned no result for "
+                        f"call {lost[0]}")
+        return results, failures
+    finally:
+        for fd in received:
+            pid = children[fd][1]
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(Exception):
+            stream.flush()
 
 
 def _run_dir(runs, pre: PreprocessResult, index: int) -> Path:

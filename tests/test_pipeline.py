@@ -1,15 +1,16 @@
 """Config handling and the staged train/evaluate/ablation/sweep pipeline."""
 
 import math
-import multiprocessing
 import os
 import pickle
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from loggate.metrics import write_metrics
 from loggate.optim import Adam
 from loggate.semantic import pad_tokens
 from loggate.serialize import load_table, save_table
-from loggate.synth import (LabelSpec, SynthSpec, generate_synthetic,
+from loggate.synth import (Injection, LabelSpec, SynthSpec, generate_synthetic,
                            make_default_spec, word_bank)
 from loggate.wordstats import StatError, load_stat_dictionary
 
@@ -1039,7 +1040,18 @@ def _use_cpus(monkeypatch, count: int) -> None:
 @pytest.fixture
 def no_lane_left():
     yield
-    assert multiprocessing.active_children() == []
+    # ChildProcessError: this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _has_child() -> bool:
+    """Whether this process has a child, running or exited; reaps none."""
+    try:
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+    except ChildProcessError:
+        return False
+    return True
 
 
 def _without_last_column(path: Path) -> list[str]:
@@ -1159,16 +1171,27 @@ def test_every_run_trains_here_where_fork_is_no_start_method(base_config, tmp_pa
     assert fit_pids() == {mode: os.getpid() for mode in MODES}
 
 
-def test_importing_the_entry_points_loads_no_process_pool():
-    # a module-level import of either raised a default train's peak RSS by 1.6 MB
-    code = ("import sys, loggate.pipeline, loggate.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+def _process_pool_modules_after(code: str) -> str:
+    """The process-pool modules loaded after running `code` in a fresh interpreter."""
+    code += ("; import sys; "
+             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
     src = str(Path(pipeline.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_the_entry_points_loads_no_process_pool():
+    # a module-level import of either raised a default train's peak RSS by 1.6 MB
+    assert _process_pool_modules_after("import loggate.pipeline, loggate.cli") == "[]"
+
+
+def test_forked_lanes_load_no_process_pool():
+    assert _process_pool_modules_after(
+        "from loggate import pipeline; "
+        "assert pipeline._map_lanes([int, str], 2) == [0, '']") == "[]"
 
 
 @pytest.mark.parametrize("cpus", [2, 8])
@@ -1267,29 +1290,119 @@ def test_runs_sharing_preprocessing_differ_only_in_mode_epsilon_and_d_model(
 def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_path,
                                                              monkeypatch, no_lane_left):
     # Two lanes over 8 points: the child's lane holds points 1, 3, 5 and 7.
-    # Its runs are held back long enough for point 0 to fail in this
-    # process first; by then the pool has handed the child at most three
-    # runs, so point 7 is still queued and must never start.
+    # Point 0 fails in this process once the child has started point 1:
+    # point 1 finishes, and points 3, 5 and 7 must never start.
     _use_cpus(monkeypatch, 2)
     parent, fit, forward = os.getpid(), pipeline._fit, fusion.batch_forward
+    started = tmp_path / "point 1 started"
 
     def slow_child_fit(config, *args):
         if os.getpid() != parent:
+            started.touch()
             time.sleep(0.5)
         return fit(config, *args)
 
     def diverging(model, ids, mask, stat_rows):
         if model.epsilon == 0.0:
+            deadline = time.monotonic() + 10.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
             return np.full((len(ids), model.n_labels), np.nan), {}
         return forward(model, ids, mask, stat_rows)
 
     monkeypatch.setattr(pipeline, "_fit", slow_child_fit)
     monkeypatch.setattr(fusion, "batch_forward", diverging)
     grid = [round(0.05 * i, 2) for i in range(8)]
+    out = tmp_path / "sweep"
     with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss"):
-        run_sweep(base_config, "epsilon", grid, tmp_path)
-    assert not (tmp_path / f"epsilon={grid[7]}").exists()
-    assert not (tmp_path / "sweep.tsv").exists()
+        run_sweep(base_config, "epsilon", grid, out)
+    assert (out / f"epsilon={grid[1]}" / "model.ckpt").exists()
+    for point in (3, 5, 7):
+        assert not (out / f"epsilon={grid[point]}").exists(), point
+    assert not (out / "sweep.tsv").exists()
+
+
+# -- the lane runner ---------------------------------------------------------------
+
+
+def _lane_calls(fail_at=None) -> list:
+    """Seven calls whose results outgrow a pipe's buffer; call `fail_at` raises."""
+    def call(i):
+        if i == fail_at:
+            raise StageError("lane-test", f"call {i} failed")
+        return np.full(100_000, float(i)), sum(range(20_000 * i))
+
+    return [partial(call, i) for i in range(7)]
+
+
+@pytest.fixture
+def ticking():
+    """A no-op SIGALRM handler runs every millisecond in this process."""
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def deadline():
+    """A TimeoutError is raised here if the test takes more than 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the test took more than 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0.0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("lanes", [2, 3])
+def test_lane_results_and_failures_hold_under_a_timer_signal(ticking, no_lane_left,
+                                                             lanes):
+    # the benchmark's clock interrupts this process every 20 ms
+    expected = pipeline._map_lanes(_lane_calls(), 1)
+    results = pipeline._map_lanes(_lane_calls(), lanes)
+    assert len(results) == len(expected)
+    for (array, total), (want_array, want_total) in zip(results, expected):
+        np.testing.assert_array_equal(array, want_array)
+        assert total == want_total
+    for fail_at in (0, 1, 5):
+        with pytest.raises(StageError, match=rf"^\[lane-test\] call {fail_at} failed$"):
+            pipeline._map_lanes(_lane_calls(fail_at), lanes)
+
+
+def test_a_child_that_exits_without_a_result_fails_naming_its_lane(deadline,
+                                                                   no_lane_left):
+    calls = [partial(int, 0), partial(os._exit, 3), partial(int, 2), partial(int, 3)]
+    with pytest.raises(RuntimeError,
+                       match=r"^lane 1 \(exit code 3\) returned no result for call 1$"):
+        pipeline._map_lanes(calls, 2)
+
+
+class _NeedsTwoArguments(Exception):
+    """Pickles, but does not unpickle: pickle calls the class with the message alone."""
+
+    def __init__(self, what: str, where: str):
+        super().__init__(f"{what} {where}")
+
+
+def test_a_failure_that_cannot_be_pickled_still_reaches_the_caller(deadline,
+                                                                   no_lane_left):
+    class LocalError(Exception):  # pickle finds no class by this name
+        pass
+
+    def raising(exc):
+        raise exc
+
+    for exc, name in ((LocalError("lane fault"), "LocalError"),
+                      (_NeedsTwoArguments("lane", "fault"), "_NeedsTwoArguments")):
+        with pytest.raises(RuntimeError, match=rf"^lane 1: {name}: lane fault$"):
+            pipeline._map_lanes([partial(int, 0), partial(raising, exc)], 2)
+    # a result that cannot be pickled fails its call
+    with pytest.raises(Exception, match=r"(?i)pickle"):
+        pipeline._map_lanes([partial(int, 0), lambda: lambda: 0], 2)
 
 
 # -- scoring lanes -----------------------------------------------------------------
@@ -1326,7 +1439,11 @@ def _lane_ranges(ranges, n_rows: int, lanes: int) -> None:
     ranges = sorted(ranges, key=lambda r: (r[2], r[3], r[1] != os.getpid()))
     assert [r[2] for r in ranges[1:]] == [r[3] for r in ranges[:-1]]
     assert ranges[0][2] == 0 and ranges[-1][3] == n_rows
-    assert all(r[2] % pipeline.EVAL_CHUNK == 0 for r in ranges)
+    # only a lane past the split's last chunk may start off a chunk boundary
+    assert all(r[2] % pipeline.EVAL_CHUNK == 0 or r[2] == r[3] == n_rows
+               for r in ranges)
+    # lane 0's range is empty only when the split is
+    assert ranges[0][3] > 0 or n_rows == 0
     here = [pid == os.getpid() for _, pid, _, _ in ranges]
     assert here == [True] + [False] * (lanes - 1)
 
@@ -1378,7 +1495,7 @@ def test_scoring_forks_lanes_only_from_the_threshold(trained, monkeypatch,
 
 def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkeypatch,
                                                    no_lane_left, fit_pids, score_pids,
-                                                   pools):
+                                                   forks):
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
     run_ablation(base_config, tmp_path / "ablation")
@@ -1394,9 +1511,9 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     # this process, which trains semantic_only beside pretraining, and the
     # child forked for the later runs
     assert len(set(fitted.values())) == 2
-    # one pool pretrains the VAE and one trains the later runs: no lane
+    # one child pretrains the VAE and one trains the later runs: no lane
     # forks scoring lanes
-    assert pools() == 2
+    assert forks() == 2
 
 
 @pytest.mark.parametrize("cpus, lanes", [(2, 2), (None, 1)])
@@ -1423,6 +1540,8 @@ def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatc
 
 def test_a_failing_scoring_lane_raises_its_stage_error(base_config, trained, tmp_path,
                                                        monkeypatch, no_lane_left):
+    # the 6 test rows fill 3 chunks of 2, so the child scores at least one
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 2)
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
     parent, forward = os.getpid(), fusion.batch_forward
@@ -1455,7 +1574,7 @@ def test_a_failing_parent_scoring_lane_raises_its_stage_error(base_config, tmp_p
     def failing_here(model, ids, mask, stat_rows):
         if os.getpid() == parent:
             # the child lane is forked before this process scores its own range
-            assert multiprocessing.active_children(), "scoring did not fork"
+            assert _has_child(), "scoring did not fork"
             raise FloatingPointError("lane fault")
         return forward(model, ids, mask, stat_rows)
 
@@ -1465,6 +1584,79 @@ def test_a_failing_parent_scoring_lane_raises_its_stage_error(base_config, tmp_p
             run()
         assert caught.value.stage == "evaluate-test"
     assert not (tmp_path / "metrics.tsv").exists()
+
+
+def test_lane_zero_always_scores_a_chunk():
+    chunk = pipeline.EVAL_CHUNK
+    rng = np.random.default_rng(0)
+    splits = [np.sort(rng.integers(1, 17, n)) for n in (1, 63, 64, 65, 129, 200, 2000)]
+    # two chunks, the first with more tokens than an eighth of the split's
+    splits.append(np.full(2 * chunk, 16))
+    for slots in splits:
+        n_rows = len(slots)
+        starts = np.arange(0, n_rows, chunk)
+        tokens = (np.minimum(starts + chunk, n_rows) - starts) * \
+            slots[np.minimum(starts + chunk, n_rows) - 1]
+        for lanes in range(1, 9):
+            bounds = pipeline._lane_bounds(slots, lanes)
+            assert len(bounds) == lanes + 1 and bounds == sorted(bounds), bounds
+            assert bounds[0] == 0 < bounds[1] and bounds[-1] == n_rows, bounds
+            assert all(b % chunk == 0 for b in bounds if b < n_rows), bounds
+            if len(starts) >= lanes:
+                # each lane within one chunk's tokens of an even share
+                shares = [tokens[a // chunk:-(-b // chunk)].sum()
+                          for a, b in zip(bounds, bounds[1:])]
+                assert max(abs(np.array(shares) - tokens.sum() / lanes)) <= tokens.max()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_permuting_the_records_permutes_the_logits(scored_runs, monkeypatch,
+                                                   no_lane_left, cpus):
+    # messages of 5 to 7 tokens: padding a row wider changes none of its bits
+    model, dataset, embeddings = scored_runs["full"]
+    rows = np.tile(np.arange(len(dataset.table)), 3)
+    assert len(np.unique(dataset.table.pad(rows, model.m_fixed)[1])) == 3
+    order = np.random.default_rng(cpus).permutation(len(rows))
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    _use_cpus(monkeypatch, cpus)
+    for gap in (pipeline.TIE_GAP, np.inf):  # np.inf scores every row again in float64
+        monkeypatch.setattr(pipeline, "TIE_GAP", gap)
+        logits = collect_logits(model, dataset.table, rows, embeddings)
+        np.testing.assert_array_equal(
+            collect_logits(model, dataset.table, rows[order], embeddings), logits[order])
+
+
+@pytest.fixture(scope="module")
+def wide_runs(tmp_path_factory):
+    """Every mode trained at m_fixed=16 on messages of 3 to 20 tokens."""
+    bank = word_bank(40, "pipe-wide")
+    pools = {"ka": bank[:5], "kb": bank[5:10], "shared": bank[10:25], "extra": bank[25:]}
+    labels = [LabelSpec(name, [f"{{{key}}} {{shared}} {{{key}}}",
+                               " ".join([f"{{{key}}} {{shared}}"] * 6)],
+                        [Injection("extra", rate=0.9, min_count=1, max_count=8)])
+              for name, key in (("la", "ka"), ("lb", "kb"))]
+    out = tmp_path_factory.mktemp("wide")
+    generate_synthetic(SynthSpec("wide", 40, pools, labels), 5, out / "corpus.tsv")
+    run_ablation(RunConfig(dataset=str(out / "corpus.tsv"), m_fixed=16, d_model=16,
+                           latent_dim=4, vae_epochs=3, classifier_epochs=3, seed=7), out)
+    return {mode: _scoring_inputs(out / mode) for mode in MODES}
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_scoring_messages_wider_than_8_keeps_the_float64_argmax(wide_runs, monkeypatch,
+                                                                no_lane_left, cpus):
+    # From 8 key positions numpy sums a row pairwise, so the width a row is
+    # padded to may move its float32 logits by an ulp.
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    _use_cpus(monkeypatch, cpus)
+    for mode, (model, dataset, embeddings) in wide_runs.items():
+        records = dataset.records * 3
+        widths = dataset.table.pad(_ids(records), model.m_fixed)[1]
+        assert widths.min() < 8 and widths.max() == 16
+        reference = _float64_logits(model, dataset, records, embeddings)
+        logits = collect_logits(model, dataset.table, _ids(records), embeddings)
+        np.testing.assert_array_equal(logits.argmax(axis=1), reference.argmax(axis=1),
+                                      mode)
 
 
 # -- forked ingest -----------------------------------------------------------------
@@ -1500,18 +1692,15 @@ def pretrain_pids(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Counts the lane pools made; call it for the count so far."""
-    import concurrent.futures
+def forks(monkeypatch):
+    """Counts the lane children forked in this process; call it for the count so far."""
+    made, fork = [], os.fork
 
-    made = []
+    def counted():
+        made.append(None)
+        return fork()
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(os, "fork", counted)
     return lambda: len(made)
 
 
@@ -1549,23 +1738,23 @@ def test_forked_ingest_leaves_the_serial_bytes_at_every_cpu_count(
 
 
 def test_ingest_forks_from_the_threshold_or_beside_a_run_and_never_inside_a_lane(
-        base_config, tmp_path, monkeypatch, no_lane_left, pretrain_pids, pools):
+        base_config, tmp_path, monkeypatch, no_lane_left, pretrain_pids, forks):
     _use_cpus(monkeypatch, 2)
     dataset = load_dataset(MINI_CORPUS)
     outside_train = len(dataset.records) - len(dataset.split_records("train"))
     for min_rows, forked in ((outside_train + 1, 0), (outside_train, 1)):
         monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
         preprocess(_ingest_config(), tmp_path / f"min{min_rows}")
-        assert pools() == forked, min_rows
+        assert forks() == forked, min_rows
         assert (pretrain_pids() != [os.getpid()]) == bool(forked), min_rows
     # An ablation forks pretraining at any size, to train semantic_only
-    # beside it, and one more pool for the later runs. No lane forks: with
+    # beside it, and one more child for the later runs. No lane forks: with
     # the threshold at 1 every scoring outside a lane would.
     for min_rows in (10 ** 9, 1):
         monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
-        forked = pools()
+        forked = forks()
         run_ablation(base_config, tmp_path / f"ablation{min_rows}")
-        assert pools() - forked == 2, min_rows
+        assert forks() - forked == 2, min_rows
         assert pretrain_pids() not in ([], [os.getpid()]), min_rows
 
 
@@ -1625,7 +1814,7 @@ def test_a_fit_diverging_beside_pretraining_stops_the_ablation(
 
 
 def test_a_malformed_test_split_line_fails_before_ingest_forks(tmp_path, monkeypatch,
-                                                               no_lane_left, pools):
+                                                               no_lane_left, forks):
     # no blank lines: message id i sits on line i + 1
     lineno = load_dataset(MINI_CORPUS).split_records("test")[-1].message_id + 1
     path = _mini_corpus_with(tmp_path, {lineno: "junk-no-tabs"})
@@ -1639,7 +1828,7 @@ def test_a_malformed_test_split_line_fails_before_ingest_forks(tmp_path, monkeyp
     with pytest.raises(StageError, match=rf"^\[load-dataset\] {re.escape(str(path))}:"
                                          rf"{lineno}: expected <label>"):
         preprocess(_ingest_config(path), tmp_path / "run")
-    assert pools() == 0
+    assert forks() == 0
 
 
 def test_forked_ingest_warns_on_every_empty_message(tmp_path, monkeypatch,

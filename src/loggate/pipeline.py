@@ -221,7 +221,7 @@ def _stage(name: str):
     except StageError:
         raise
     except Exception as exc:
-        raise StageError(name, str(exc)) from exc
+        raise StageError(name, str(exc) or type(exc).__name__) from exc
 
 
 def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
@@ -693,12 +693,16 @@ def _map_lanes(calls, lanes: int) -> list:
     process's own, else the earliest child call's) is re-raised here; a
     child that exits without a result fails at its first missing call,
     with an error naming its lane. No child outlives the call.
+
+    The children's pipes are read in lane order once lane 0 is done. So
+    with 3 or more lanes, a child that dies without sending a result is
+    noticed only once the lanes before it are read, and until then those
+    lanes may still start their queued calls.
     """
     if lanes == 1:
         return [call() for call in calls]
     global _in_lanes
-    # imported here, as in `_join_lanes`, so a run that never forks never loads them
-    import mmap
+    import mmap  # here, so a run that never forks never loads it
 
     failed = mmap.mmap(-1, 1)  # shared; byte 0 is set once a call fails
     children, results = {}, {}
@@ -707,11 +711,16 @@ def _map_lanes(calls, lanes: int) -> list:
     try:
         for lane in range(1, lanes):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_end)
+                os.close(write_end)
+                raise
             if not pid:
                 _serve_lane(calls, lane, lanes, write_end, failed)
             os.close(write_end)
-            children[read_end] = lane, pid
+            children[open(read_end, "rb")] = lane, pid
         for index in range(0, len(calls), lanes):
             if failed[0]:
                 break
@@ -772,51 +781,40 @@ def _failure_frame(index: int, lane: int, exc: BaseException) -> bytes:
 def _join_lanes(children, calls, lanes: int, failed) -> tuple[dict, dict]:
     """Read every child's frames, reap it, and return `(results, failures)` by call.
 
-    `children` maps each child's pipe to its lane and pid; the pipes are
-    read as data arrives, so no child blocks on a full one. A child that
-    returned nothing for a call that no failure cancelled fails at that
-    call and sets `failed`. If this wait is interrupted, every child not
-    yet reaped is killed and reaped.
+    `children` maps each child's pipe, opened for reading, to its lane and
+    pid, in lane order. Each pipe is read to its end in that order; a
+    child blocks only on its own pipe, so one whose pipe fills waits for
+    its turn. A child that returned nothing for a call that no failure
+    cancelled fails at that call and sets `failed`. If this wait is
+    interrupted, every child not yet reaped is killed and reaped.
     """
-    import select
-
-    received = {fd: bytearray() for fd in children}
     results, failures = {}, {}
-    ready = select.poll()
-    for fd in children:
-        ready.register(fd, select.POLLIN)
+    unreaped = dict(children)
     try:
-        while received:
-            for fd, _ in ready.poll():
-                data = os.read(fd, 1 << 16)
-                if data:
-                    received[fd] += data
-                    continue
-                ready.unregister(fd)
-                lane, pid = children[fd]
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                data = received.pop(fd)
-                os.close(fd)
-                stream = io.BytesIO(data)
-                # a frame cut short by a child that died writing it ends the stream
-                with contextlib.suppress(Exception):
-                    while stream.tell() < len(data):
-                        index, ok, value = pickle.load(stream)
-                        (results if ok else failures)[index] = value
-                lost = [i for i in range(lane, len(calls), lanes)
-                        if i not in results and i not in failures]
-                if lost and (code or not failed[0]):
-                    failed[0] = 1
-                    failures[lost[0]] = RuntimeError(
-                        f"lane {lane} (exit code {code}) returned no result for "
-                        f"call {lost[0]}")
+        for pipe, (lane, pid) in children.items():
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del unreaped[pipe]
+            stream = io.BytesIO(data)
+            # a frame cut short by a child that died writing it ends the stream
+            with contextlib.suppress(Exception):
+                while stream.tell() < len(data):
+                    index, ok, value = pickle.load(stream)
+                    (results if ok else failures)[index] = value
+            lost = [i for i in range(lane, len(calls), lanes)
+                    if i not in results and i not in failures]
+            if lost and (code or not failed[0]):
+                failed[0] = 1
+                failures[lost[0]] = RuntimeError(
+                    f"lane {lane} (exit code {code}) returned no result for "
+                    f"call {lost[0]}")
         return results, failures
     finally:
-        for fd in received:
-            pid = children[fd][1]
+        for pipe, (_, pid) in unreaped.items():
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(fd)
 
 
 def _flush_std_streams() -> None:

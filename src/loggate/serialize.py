@@ -9,6 +9,7 @@ arrays twice produces byte-identical files.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,8 +82,7 @@ def load_table(path: str | Path) -> tuple[dict[str, np.ndarray], dict[str, str]]
                     f"{path}: tensor {name!r} has a negative dimension in {dims!r}")
             if code not in _DTYPES:
                 raise TableFormatError(f"{path}: unknown dtype code {code!r}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            nbytes = count * 8
+            nbytes = math.prod(shape) * 8  # Python ints: no wrap on huge dims
             if len(raw) - pos < nbytes:
                 raise TableFormatError(f"{path}: truncated tensor {name!r}")
             data = np.frombuffer(raw[pos:pos + nbytes], dtype=_DTYPES[code])

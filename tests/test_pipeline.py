@@ -1,5 +1,6 @@
 """Config handling and the staged train/evaluate/ablation/sweep pipeline."""
 
+import errno
 import math
 import os
 import pickle
@@ -1235,6 +1236,19 @@ def test_a_failing_vae_pretrain_stops_the_run_while_semantic_only_trains_beside_
     assert not (tmp_path / "ablation.tsv").exists()
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failure_without_a_message_is_named_by_its_type(base_config, tmp_path,
+                                                          monkeypatch, no_lane_left, cpus):
+    _use_cpus(monkeypatch, cpus)
+
+    def failing(vectors, config):
+        raise MemoryError()
+
+    monkeypatch.setattr(statvae, "pretrain", failing)
+    with pytest.raises(StageError, match=r"^\[vae-pretrain\] MemoryError$"):
+        train(base_config, tmp_path)
+
+
 def _trained_entries(config: RunConfig) -> int:
     dataset = load_dataset(config.dataset, pipeline._split_spec(config))
     model = fusion.build_model(corpus.FIRST_WORD_ID + len(dataset.vocab),
@@ -1379,6 +1393,50 @@ def test_a_child_that_exits_without_a_result_fails_naming_its_lane(deadline,
     with pytest.raises(RuntimeError,
                        match=r"^lane 1 \(exit code 3\) returned no result for call 1$"):
         pipeline._map_lanes(calls, 2)
+
+
+def _sleepy_or_large(i: int) -> np.ndarray:
+    """Call i of six in three lanes: lane 1 sleeps 0.15 s, lane 2 returns 2 MB at once."""
+    if i % 3 == 1:
+        time.sleep(0.15)
+    return np.full(1 << 18 if i % 3 == 2 else 4, float(i))
+
+
+def test_a_lane_read_late_may_outgrow_its_pipe(deadline, no_lane_left):
+    # lane 2's pipe fills while this process waits on the sleeping lane 1
+    calls = [partial(_sleepy_or_large, i) for i in range(6)]
+    expected = pipeline._map_lanes(calls, 1)
+    for got, want in zip(pipeline._map_lanes(calls, 3), expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_a_lane_read_late_that_exits_without_a_result_fails_naming_its_lane(
+        deadline, no_lane_left):
+    calls = [partial(int, 0), partial(_sleepy_or_large, 1), partial(os._exit, 3),
+             partial(int, 3), partial(int, 4), partial(int, 5)]
+    with pytest.raises(RuntimeError,
+                       match=r"^lane 2 \(exit code 3\) returned no result for call 2$"):
+        pipeline._map_lanes(calls, 3)
+
+
+def test_a_failed_fork_closes_its_pipe_and_leaves_no_lane(monkeypatch, no_lane_left):
+    open_fds = Path("/proc/self/fd")
+    if not open_fds.is_dir():
+        pytest.skip("no /proc/self/fd to count open descriptors")
+    made, fork = [], os.fork
+
+    def second_fails():
+        made.append(None)
+        if len(made) == 2:
+            raise BlockingIOError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    before = len(os.listdir(open_fds))
+    with pytest.raises(BlockingIOError, match="fork refused"):
+        pipeline._map_lanes([partial(int, i) for i in range(6)], 3)
+    assert len(made) == 2
+    assert len(os.listdir(open_fds)) == before
 
 
 class _NeedsTwoArguments(Exception):

@@ -157,6 +157,15 @@ def test_negative_dimension_rejected(tmp_path, dims):
         load_table(path)
 
 
+@pytest.mark.parametrize("dims", ["4294967296,4294967296", "3037000500,3037000500",
+                                  "65536,65536,65536,65536,2"])
+def test_dims_past_int64_name_the_file(tmp_path, dims):
+    # the element count outgrows int64; an int64 product wraps to 0 or below
+    path = _raw_table(tmp_path / "o.tbl", f"tensor b f8 {dims}")
+    with pytest.raises(TableFormatError, match="o.tbl.*truncated tensor 'b'"):
+        load_table(path)
+
+
 def test_undecodable_header_rejected(tmp_path):
     path = tmp_path / "u.tbl"
     path.write_bytes(MAGIC + b"tensor \xff f8 1\n" + np.ones(1).tobytes())

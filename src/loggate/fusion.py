@@ -449,18 +449,25 @@ def save_model(model: DiagnosisModel, path: str | Path,
 
 
 def load_model(path: str | Path) -> tuple[DiagnosisModel, dict[str, str]]:
+    """The model a checkpoint holds, and its meta. A meta value that is missing
+    or cannot build a model fails naming the file and the key."""
     arrays, meta = load_table(path)
     shape = {}
-    for key, cast in (("vocab_size", int), ("n_labels", int), ("d_model", int),
-                      ("latent_dim", int), ("m_fixed", int), ("epsilon", float),
-                      ("mode", str)):
+    size = (int, lambda value: value >= 1, "a positive int")
+    for key, (cast, fits, wanted) in (
+            ("vocab_size", size), ("n_labels", size), ("d_model", size),
+            ("latent_dim", size), ("m_fixed", size),
+            ("epsilon", (float, lambda value: 0.0 <= value <= 0.5, "in [0, 0.5]")),
+            ("mode", (str, MODES.__contains__, f"one of {MODES}"))):
         if key not in meta:
             raise FusionError(f"{path}: checkpoint has no {key!r} meta key")
         try:
             shape[key] = cast(meta[key])
+            if not fits(shape[key]):
+                raise ValueError
         except ValueError:
             raise FusionError(f"{path}: checkpoint meta key {key!r} holds "
-                              f"{meta[key]!r}, not a {cast.__name__}") from None
+                              f"{meta[key]!r}, not {wanted}") from None
     model = build_model(**shape, rng=np.random.Generator(np.random.PCG64(0)))
     params = model.parameters()
     missing = sorted(set(params) ^ set(arrays))

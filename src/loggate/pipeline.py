@@ -356,6 +356,10 @@ _SHARED_ARTIFACTS = ("stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
 # corpus file's digest and the dictionary file's.
 _SPLIT_KEYS = ("train_ratio", "dev_ratio", "test_ratio", "seed")
 _TOKENS_META = ("corpus_sha256", "dict_hash") + _SPLIT_KEYS
+# Every other setting but the corpus path; `model.ckpt` records them and
+# `evaluate` refuses a `run.cfg` that differs in any.
+_CHECKPOINT_KEYS = tuple(f.name for f in fields(RunConfig)
+                         if f.name not in ("dataset", *_SPLIT_KEYS))
 
 
 def _open_run(config: RunConfig, out_dir: str | Path, shared: Path | None = None) -> Path:
@@ -388,20 +392,19 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     stops the run before the VAE checkpoint or the embedding cache is
     written. `_preprocess` says which process runs each stage.
     """
-    return _preprocess(config, _open_run(config, out_dir), None, 0.0)[0]
+    return _preprocess(config, _open_run(config, out_dir), None)[0]
 
 
-def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None,
-                started: float):
+def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None):
     """`preprocess` into `run_dir`, and `_fit` of `beside`, if given, with no embeddings.
 
     This process parses every line, tokenizes the train split, builds the
     dictionary and pools the train rows. Then lane 1 runs `_pretrain_vae`
-    while this process runs `_finish_ingest` and fits `beside`, whose
-    clock starts at `started`. Lane 1 forks only if at least
-    LANE_MIN_ROWS records lie outside the train split or `beside` is
-    given; else this process makes every call, in that order. Returns
-    the `PreprocessResult` and a list of the fit's unsaved result, if any.
+    while this process runs `_finish_ingest` and fits `beside`. Lane 1
+    forks only if at least LANE_MIN_ROWS records lie outside the train
+    split or `beside` is given; else this process makes every call, in
+    that order. Returns the `PreprocessResult` and a list of the fit's
+    `(model, log_rows)`, if any, which nothing has saved or scored yet.
     """
     with _stage("load-dataset"):
         dataset, rest = read_dataset(_dataset_path(config), _split_spec(config))
@@ -413,7 +416,7 @@ def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None,
     calls = [partial(_finish_ingest, config, run_dir, dataset, rest, stats),
              partial(_pretrain_vae, config, train_vectors)]
     if beside is not None:
-        calls.append(partial(_fit, beside, dataset, None, started))
+        calls.append(partial(_fit, beside, dataset, None))
     (all_vectors, dict_hash), (vae, curve), *fit = _map_lanes(
         calls, _lane_count(1 + (beside is not None or len(rest) >= LANE_MIN_ROWS)))
 
@@ -469,64 +472,52 @@ def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
     """
     started = time.perf_counter()
     pre = preprocess(config, out_dir)
-    model, _, report = _fit(config, pre.dataset, pre.embeddings, started, pre.run_dir)
+    model, log_rows = _fit(config, pre.dataset, pre.embeddings)
+    report = _finish(config, pre, pre.run_dir, model, log_rows, started)
     return TrainResult(model, report, pre.dataset, pre.embeddings, pre.run_dir)
 
 
-def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None,
-         started: float, run_dir: Path | None = None
-         ) -> tuple[DiagnosisModel, list, MetricsReport]:
-    """Train the classifier and score the test split: `(model, log_rows, report)`.
+def _finish(config: RunConfig, pre: PreprocessResult, run_dir: Path,
+            model: DiagnosisModel, log_rows, started: float) -> MetricsReport:
+    """Save a trained run into `run_dir`, score the test split, save the metrics.
 
-    With a `run_dir`, the checkpoint and train log are saved there before
-    scoring and the metrics after. `embeddings` may be None in a mode
-    that reads none. An empty test split fails before the classifier
-    trains. The report's wall clock runs from `started`.
+    The train log and the checkpoint are written before scoring; the
+    checkpoint binds `run_dir`'s embedding cache and token table and
+    `config`'s `_CHECKPOINT_KEYS`, whose model settings rewrite the
+    model's own with equal values. The report's wall clock runs from
+    `started` to the end of scoring.
     """
-    test_rows = _rows_to_score(dataset.table, "test")
-    with _stage("train-classifier"):
-        model, log_rows = _train_classifier(config, dataset, embeddings)
-    if run_dir:
-        _save_classifier(run_dir, config, model, log_rows)
-    with _stage("evaluate-test"):
-        report = _split_report(model, dataset.table, test_rows, embeddings,
-                               dataset.label_vocab.labels, config, started)
-    if run_dir:
-        _save_report(run_dir, report)
-    return model, log_rows, report
-
-
-def _save_classifier(run_dir: Path, config: RunConfig, model: DiagnosisModel,
-                     log_rows) -> None:
-    """Write the train log and the checkpoint, bound to `run_dir`'s embedding cache
-    and token table and to `config`'s training-only settings."""
     with _stage("train-classifier"):
         _write_rows(run_dir / "train_log.tsv",
                     ("epoch", "mean_loss", "dev_macro_f1", "selected"), log_rows)
         fusion.save_model(model, run_dir / "model.ckpt", extra_meta={
             "embeddings_hash": _file_digest(run_dir / "embeddings.tbl"),
             "tokens_hash": _file_digest(run_dir / "tokens.tbl"),
-            **{key: str(getattr(config, key)) for key in
-               ("learning_rate", "batch_size", "vae_epochs", "classifier_epochs")}})
-
-
-def _save_report(run_dir: Path, report: MetricsReport) -> None:
+            **{key: str(getattr(config, key)) for key in _CHECKPOINT_KEYS}})
+    table = pre.dataset.table
     with _stage("evaluate-test"):
+        report = _split_report(model, table, table.split_rows("test"), pre.embeddings,
+                               pre.dataset.label_vocab.labels, config, started)
         write_metrics(report, run_dir / "metrics.tsv")
         (run_dir / "metrics.txt").write_text(format_metrics(report) + "\n",
                                              encoding="utf-8")
+    return report
 
 
-def _train_classifier(config: RunConfig, dataset: LogDataset,
-                      embeddings: np.ndarray | None):
-    """Train with best-dev selection; Adam holds only the mode's trained parameters.
+@_stage("train-classifier")
+def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None):
+    """Train with best-dev selection and return `(model, log_rows)`; writes nothing.
 
-    Every other parameter keeps its initial value. An epoch is selected
-    only if its dev macro-F1 is strictly above the best so far, so after
-    an epoch that scores exactly 1.0 none can be: training stops there,
-    and the log ends at that epoch. Without a dev split every epoch is
-    selected and every epoch trains.
+    An empty test split fails first, so no classifier trains for a run
+    that cannot be scored. `embeddings` may be None in a mode that reads
+    none. Adam holds only the mode's trained parameters; every other
+    parameter keeps its initial value. An epoch is selected only if its
+    dev macro-F1 is strictly above the best so far, so after an epoch
+    that scores exactly 1.0 none can be: training stops there, and the
+    log ends at that epoch. Without a dev split every epoch is selected
+    and every epoch trains.
     """
+    _rows_to_score(dataset.table, "test")
     model = fusion.build_model(
         FIRST_WORD_ID + len(dataset.vocab), dataset.label_vocab.size,
         config.d_model, config.latent_dim, config.m_fixed, config.epsilon,
@@ -616,8 +607,7 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
         if meta.get("embeddings_hash") != _file_digest(run_dir / "embeddings.tbl"):
             raise ValueError("checkpoint was trained on a different embedding cache, "
                              "or records none; retrain")
-        for key in ("m_fixed", "epsilon", "mode", "d_model", "latent_dim",
-                    "learning_rate", "batch_size", "vae_epochs", "classifier_epochs"):
+        for key in _CHECKPOINT_KEYS:
             if key not in meta:
                 raise ValueError(f"checkpoint records no {key}; retrain")
             if getattr(config, key) != _cast_field(key, meta[key]):
@@ -830,11 +820,12 @@ def _run_dir(runs, pre: PreprocessResult, index: int) -> Path:
 
 
 def _fit_run(runs, pre: PreprocessResult, index: int, started: float) -> MetricsReport:
-    """Train and save run `index` of `runs` on the preprocessing `pre` left in run 0."""
+    """Train, save and score run `index` of `runs` on the preprocessing in run 0."""
     if index:
         started = time.perf_counter()
-    run_dir = _run_dir(runs, pre, index)
-    return _fit(runs[index][0], pre.dataset, pre.embeddings, started, run_dir)[2]
+    config, run_dir = runs[index][0], _run_dir(runs, pre, index)
+    return _finish(config, pre, run_dir, *_fit(config, pre.dataset, pre.embeddings),
+                   started)
 
 
 def _train_sharing_preprocess(runs) -> list[MetricsReport]:
@@ -849,17 +840,18 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     `train` alone would leave.
 
     The first run whose mode reads no statistics embedding trains beside
-    VAE pretraining (`_preprocess`) and is saved once the embedding
-    cache, which its checkpoint binds, exists. One `_map_lanes` call then
-    trains every other run in ascending order of the parameter groups
-    its mode trains and then `d_model`, which orders them by trained
-    entries (ties in run order), so this process starts with the
-    smallest. Each fit depends only on its config and the shared
-    preprocessing, so no artifact depends on the lane count.
+    VAE pretraining (`_preprocess`). Once the embedding cache, which its
+    checkpoint binds, exists, this process saves that run and scores its
+    test split, outside any lane. One `_map_lanes` call then trains every
+    other run in ascending order of the parameter groups its mode trains
+    and then `d_model`, which orders them by trained entries (ties in run
+    order), so this process starts with the smallest. Each fit depends
+    only on its config and the shared preprocessing, so no artifact
+    depends on the lane count.
 
     Every wall clock ends with its run's test scoring. Run 0's and the
-    beside run's start with this call; any other run's covers copying
-    the artifacts and its classifier.
+    beside run's start with this call, so they cover preprocessing; any
+    other run's covers copying the artifacts and its classifier.
     """
     first = runs[0][0]
     for config, _ in runs:
@@ -874,13 +866,9 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     beside = next((i for i, (config, _) in enumerate(runs)
                    if "stats" not in fusion.TRAINED_GROUPS[config.mode]), None)
     pre, fits = _preprocess(first, _open_run(*runs[0]),
-                            None if beside is None else runs[beside][0], started)
-    reports = {}
-    for model, log_rows, report in fits:
-        run_dir = _run_dir(runs, pre, beside)
-        _save_classifier(run_dir, runs[beside][0], model, log_rows)
-        _save_report(run_dir, report)
-        reports[beside] = report
+                            None if beside is None else runs[beside][0])
+    reports = {beside: _finish(runs[beside][0], pre, _run_dir(runs, pre, beside), *fit,
+                               started) for fit in fits}
     later = sorted((i for i in range(len(runs)) if i != beside),
                    key=lambda i: (len(fusion.TRAINED_GROUPS[runs[i][0].mode]),
                                   runs[i][0].d_model))

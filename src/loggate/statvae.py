@@ -298,4 +298,6 @@ def load_embedding_cache(path: str | Path) -> tuple[np.ndarray, str]:
         raise VaeError(f"{path}: embedding cache has no {exc.args[0]!r} tensor") from None
     if not np.array_equal(ids, np.arange(len(vecs))):
         raise VaeError(f"{path}: message ids are not 0..{len(vecs) - 1} in order")
-    return vecs, meta.get("dict_hash", "")
+    if "dict_hash" not in meta:
+        raise VaeError(f"{path}: embedding cache has no 'dict_hash' meta entry")
+    return vecs, meta["dict_hash"]

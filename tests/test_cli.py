@@ -1,11 +1,15 @@
 """CLI argument handling, exit codes and delegation onto the pipeline."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from loggate import cli
 from loggate.cli import main
 from loggate.synth import LabelSpec, SynthSpec, generate_synthetic, word_bank
 
@@ -255,3 +259,22 @@ def test_sweep_subcommand(config_args, tmp_path, capsys):
     assert "epsilon=0.0" in stdout and "epsilon=0.2" in stdout
     assert (tmp_path / "sweep.tsv").exists()
     assert (tmp_path / "epsilon=0.0" / "model.ckpt").exists()
+
+
+def test_train_writes_the_same_bytes_at_one_and_two_blas_threads(tmp_path):
+    corpus = Path(__file__).resolve().parent / "data" / "mini_corpus.tsv"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])),
+               **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                "MKL_NUM_THREADS"), threads)}
+        subprocess.run([sys.executable, "-m", "loggate.cli", "train",
+                        "--set", f"dataset={corpus}", "--set", "vae_epochs=3",
+                        "--set", "classifier_epochs=3",
+                        "--out-dir", str(tmp_path / threads)],
+                       env=env, capture_output=True, check=True, timeout=120)
+    for name in ("vae.ckpt", "embeddings.tbl", "model.ckpt", "train_log.tsv",
+                 "metrics.tsv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes(), name

@@ -761,6 +761,7 @@ def test_adam_holds_only_the_parameters_a_mode_reads(base_config, tmp_path,
 @pytest.mark.parametrize("name, key, error", [
     ("model.ckpt", "vocab_size", fusion.FusionError),
     ("embeddings.tbl", "message_ids", statvae.VaeError),
+    ("embeddings.tbl", "dict_hash", statvae.VaeError),
     ("tokens.tbl", "offsets", CorpusError),
     ("tokens.tbl", "corpus_sha256", CorpusError)])
 def test_evaluate_names_the_file_and_key_a_damaged_artifact_lacks(
@@ -806,7 +807,9 @@ def test_evaluate_names_the_file_of_an_out_of_range_token_table_value(
                       CorpusError if stage == "load-artifacts" else ValueError)
 
 
-@pytest.mark.parametrize("key, value", [("vocab_size", "abc"), ("epsilon", "x")])
+@pytest.mark.parametrize("key, value", [
+    ("vocab_size", "abc"), ("epsilon", "x"), ("d_model", "-3"), ("vocab_size", "-1"),
+    ("n_labels", "-2"), ("epsilon", "0.9"), ("mode", "bogus"), ("m_fixed", "0")])
 def test_evaluate_names_the_file_and_key_of_a_damaged_checkpoint_value(
         trained, tmp_path, key, value):
     run_dir = tmp_path / "run"
@@ -1560,18 +1563,24 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     fitted = fit_pids()
     scored = score_pids()
     # dev scoring every logged epoch plus the test split, one range each; a
-    # run stops early after a dev macro-F1 of 1.0
+    # run stops early after a dev macro-F1 of 1.0. semantic_only, trained
+    # beside pretraining, scores its test split here after preprocessing,
+    # outside any lane: in two ranges, the second in a child of its own.
     epochs = [len((tmp_path / "ablation" / mode / "train_log.tsv")
                   .read_text(encoding="utf-8").splitlines()) - 1 for mode in MODES]
-    assert len(scored) == sum(epochs) + len(MODES)
-    for mode, pid, _, _ in scored:
-        assert pid == fitted[mode], mode
+    assert len(scored) == sum(epochs) + len(MODES) + 1
+    elsewhere = [row for row in scored if row[1] != fitted[row[0]]]
+    assert [mode for mode, *_ in elsewhere] == ["semantic_only"]
+    here = [row for row in scored if row[:2] == ("semantic_only", os.getpid())]
+    test_rows = load_dataset(base_config.dataset, pipeline._split_spec(base_config)) \
+        .table.split_rows("test")
+    _lane_ranges([here[-1], *elsewhere], test_rows.size, 2)
     # this process, which trains semantic_only beside pretraining, and the
     # child forked for the later runs
     assert len(set(fitted.values())) == 2
-    # one child pretrains the VAE and one trains the later runs: no lane
-    # forks scoring lanes
-    assert forks() == 2
+    # one child pretrains the VAE, one scores part of semantic_only's test
+    # split and one trains the later runs: no lane forks scoring lanes
+    assert forks() == 3
 
 
 @pytest.mark.parametrize("cpus, lanes", [(2, 2), (None, 1)])
@@ -1806,13 +1815,14 @@ def test_ingest_forks_from_the_threshold_or_beside_a_run_and_never_inside_a_lane
         assert forks() == forked, min_rows
         assert (pretrain_pids() != [os.getpid()]) == bool(forked), min_rows
     # An ablation forks pretraining at any size, to train semantic_only
-    # beside it, and one more child for the later runs. No lane forks: with
-    # the threshold at 1 every scoring outside a lane would.
-    for min_rows in (10 ** 9, 1):
+    # beside it, and one more child for the later runs. With the threshold
+    # at 1, every scoring outside a lane forks: only semantic_only's test
+    # scoring, which runs here after preprocessing, adds a child.
+    for min_rows, children in ((10 ** 9, 2), (1, 3)):
         monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
         forked = forks()
         run_ablation(base_config, tmp_path / f"ablation{min_rows}")
-        assert forks() - forked == 2, min_rows
+        assert forks() - forked == children, min_rows
         assert pretrain_pids() not in ([], [os.getpid()]), min_rows
 
 

@@ -41,7 +41,7 @@ def tokenize(line: str) -> list[str]:
     return out
 
 
-@dataclass
+@dataclass(slots=True)
 class LogRecord:
     message_id: int
     task_id: str
@@ -146,23 +146,32 @@ class TokenTable:
         in_split = np.repeat(self.splits == SPLIT_NAMES.index(split), lengths)
         return rows, self.labels[rows], lengths[rows], self.ids[in_split]
 
+    def widths(self, rows, m_fixed: int) -> np.ndarray:
+        """Key slot counts of records `rows` padded to `m_fixed`: each length,
+        at most `m_fixed` and at least 1, as `semantic.pad_tokens` marks keys."""
+        if m_fixed < 1:
+            raise CorpusError(f"m_fixed must be >= 1, got {m_fixed}")
+        rows = np.asarray(rows, dtype=np.int64)
+        return np.clip(self.offsets[rows + 1] - self.offsets[rows], 1, m_fixed)
+
     def pad(self, rows, m_fixed: int) -> tuple[np.ndarray, np.ndarray]:
         """Padded token ids and key slot counts of records `rows`.
 
         Row i of the (len(rows), m_fixed) id matrix is `semantic.pad_tokens`'s
         padding of record `rows[i]`'s ids, and its first `slots[i]`
-        positions are the ones that padding marks as keys. The ids are
-        int32: the matrix holds a whole split.
+        positions are the ones that padding marks as keys; `slots` is
+        `widths(rows, m_fixed)`. The ids are int32: the matrix holds a
+        whole split.
         """
-        if m_fixed < 1:
-            raise CorpusError(f"m_fixed must be >= 1, got {m_fixed}")
+        slots = self.widths(rows, m_fixed)
         rows = np.asarray(rows, dtype=np.int64)
-        starts = self.offsets[rows]
-        lengths = np.minimum(self.offsets[rows + 1] - starts, m_fixed)
+        starts, ends = self.offsets[rows], self.offsets[rows + 1]
         ids = np.full((len(rows), m_fixed), PAD_ID, dtype=np.int32)
-        kept = np.arange(m_fixed) < lengths[:, None]
-        ids[kept] = self.ids[(starts[:, None] + np.arange(m_fixed))[kept]]
-        return ids, np.maximum(lengths, 1)
+        for column in range(m_fixed):
+            at = starts + column
+            kept = at < ends
+            ids[kept, column] = self.ids[at[kept]]
+        return ids, slots
 
 
 @dataclass
@@ -244,17 +253,37 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
     label and task id but no message text are kept (empty token list)
     with a warning; blank lines are skipped. The dataset's `table` holds
     every record's token ids and split: `read_dataset`, then `tokenize_rest`.
+    Every occurrence of a word in the records is one `str` object, the
+    one in the load's `PendingRecords.words`.
     """
     return tokenize_rest(path, *read_dataset(path, split_spec, known_labels))
 
 
+@dataclass
+class PendingRecords:
+    """The records `read_dataset` left for `tokenize_rest`, and the load's words.
+
+    `entries` holds the `(record, line number, message)` of each record
+    not yet tokenized. `words` maps each word tokenized so far to the one
+    `str` object every record holds for it. It is local to one load, not
+    `sys.intern`: an interned string is immortal on Python 3.12.
+    """
+
+    entries: list
+    words: dict[str, str]
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
 def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
-                 known_labels: list[str] | None = None) -> tuple[LogDataset, list]:
+                 known_labels: list[str] | None = None
+                 ) -> tuple[LogDataset, PendingRecords]:
     """`load_dataset`'s first half: every line parsed and checked, train tokenized.
 
     Returns the dataset, whose other records hold no tokens yet (nor ids
-    in its table, which holds every record's split), and the `(record,
-    line number, message)` of each of those, for `tokenize_rest`.
+    in its table, which holds every record's split), and those records
+    with the load's word table, for `tokenize_rest`.
     """
     path = Path(path)
     records: list[LogRecord] = []
@@ -287,28 +316,33 @@ def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
             pending.append((records[-1], lineno, message))
     codes = _cut_splits(len(records), split_spec or SplitSpec())
     in_train = (codes == 0).tolist()
-    _tokenize(path, [entry for entry, train in zip(pending, in_train) if train])
-    rest = [entry for entry, train in zip(pending, in_train) if not train]
-    train_words = sorted({t for rec, train in zip(records, in_train) if train
-                          for t in rec.tokens})
-    vocab = {word: FIRST_WORD_ID + i for i, word in enumerate(train_words)}
+    words: dict[str, str] = {}
+    _tokenize(path, [entry for entry, train in zip(pending, in_train) if train], words)
+    rest = PendingRecords([entry for entry, train in zip(pending, in_train)
+                           if not train], words)
+    vocab = {word: FIRST_WORD_ID + i for i, word in enumerate(sorted(words))}
     return LogDataset(records, LabelVocab(labels_seen), vocab,
                       TokenTable.build(vocab, records, codes)), rest
 
 
-def tokenize_rest(path: str | Path, dataset: LogDataset, rest: list) -> LogDataset:
+def tokenize_rest(path: str | Path, dataset: LogDataset,
+                  rest: PendingRecords) -> LogDataset:
     """`load_dataset`'s second half: tokenize `rest`, then rebuild the table's ids."""
-    _tokenize(Path(path), rest)
+    _tokenize(Path(path), rest.entries, rest.words)
     dataset.table = TokenTable.build(dataset.vocab, dataset.records,
                                      dataset.table.splits)
     return dataset
 
 
-def _tokenize(path: Path, pending: list) -> None:
-    """Tokenize each `(record, line number, message)`, dropping the text once done."""
+def _tokenize(path: Path, pending: list, words: dict[str, str]) -> None:
+    """Tokenize each `(record, line number, message)`, dropping the text once done.
+
+    Each token is replaced by `words`' object for its word, which the
+    first occurrence adds.
+    """
     for i, (rec, lineno, message) in enumerate(pending):
         pending[i] = None
-        rec.tokens = tokenize(message)
+        rec.tokens = [words.setdefault(t, t) for t in tokenize(message)]
         if not rec.tokens:
             warnings.warn(f"{path}:{lineno}: message has no tokens", stacklevel=4)
 

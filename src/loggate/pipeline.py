@@ -61,6 +61,9 @@ TIE_GAP = 1e-3
 # of them takes about 15 ms (18,000 in 0.13 s); a forked lane starts
 # about 2 ms after the call.
 LANE_MIN_ROWS = 2048
+# `_file_digest` reads a file in blocks of this many bytes, so hashing an
+# artifact holds one block, not the whole file, beside what `evaluate` loaded.
+DIGEST_BLOCK_BYTES = 1 << 16
 
 
 class StageError(RuntimeError):
@@ -194,7 +197,12 @@ def _config_snapshot(config: RunConfig) -> dict[str, str]:
 
 
 def _file_digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    """The sha256 of `path`'s bytes, read a block at a time."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for block in iter(partial(handle.read, DIGEST_BLOCK_BYTES), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 @dataclass
@@ -230,7 +238,8 @@ def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
 
     `records` holds the records' message ids, which index both the token
     table `dataset` (a `LogDataset.table` or a run's `tokens.tbl`) and
-    the rows of `embeddings`; `TokenTable.pad` pads them once.
+    the rows of `embeddings`; `TokenTable.pad` pads them once, in the
+    order scoring reads them.
 
     Scores a SCORE_DTYPE constant copy of `model`, so `model` keeps its
     float64 parameters; `fusion.batch_forward` casts the embedding rows
@@ -252,12 +261,12 @@ def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
     the lanes join, on the tied rows in the caller's order.
     """
     records = np.asarray(records, dtype=np.int64)
-    ids, slots = dataset.pad(records, model.m_fixed)
+    widths = dataset.widths(records, model.m_fixed)
     # numpy sorts keys of at most 16 bits stably by radix; its int64 sorts
     # paged in about 0.4 MB more code and raised a default train's peak RSS.
-    order = np.argsort(slots.astype(np.min_scalar_type(model.m_fixed)), kind="stable")
-    inputs = (ids[order], slots[order], records[order], embeddings)
-    del ids
+    order = np.argsort(widths.astype(np.min_scalar_type(model.m_fixed)), kind="stable")
+    sorted_records = records[order]
+    inputs = (*dataset.pad(sorted_records, model.m_fixed), sorted_records, embeddings)
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
     bounds = _lane_bounds(inputs[1], _lane_count(len(records) // LANE_MIN_ROWS))
     logits = np.empty((len(records), model.n_labels))

@@ -40,6 +40,15 @@ class VaeError(ValueError):
     pass
 
 
+# `embed_statistics` runs at most this many rows a product, so a whole
+# corpus is never one (rows, hidden_dim) float64 hidden layer: 20,000 rows
+# are 10 MB of it, 2,048 rows 1 MB. No block has one row unless the batch
+# does, because a one-row product is BLAS gemv and can round differently;
+# blocks of 2 to 4,096 rows kept the whole product's bits on every shape
+# tried.
+EMBED_BLOCK_ROWS = 2048
+
+
 @dataclass
 class VaeConfig:
     latent_dim: int = 16
@@ -260,14 +269,20 @@ def embed_statistics(vae: StatVae, x: np.ndarray) -> np.ndarray:
 
     Takes a (rows, n) batch and returns (rows, latent_dim) float64. Only
     the mean head runs; its hidden layer is the step's, ReLU included.
+    The rows run in `np.array_split` blocks of at most EMBED_BLOCK_ROWS,
+    each written into the result, with the bits of the whole batch at once.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != vae.input_dim:
         raise VaeError(f"expected a (rows, {vae.input_dim}) statistics batch, "
                        f"got shape {x.shape}")
     p = {name: t.values for name, t in vae.params.items()}
-    hidden = _relu(_affine(_standardize(vae, x), p["enc_w"], p["enc_b"]))
-    return _affine(hidden, p["mu_w"], p["mu_b"])
+    out = np.empty((len(x), vae.latent_dim))
+    blocks = max(1, -(-len(x) // EMBED_BLOCK_ROWS))
+    for rows, dest in zip(np.array_split(x, blocks), np.array_split(out, blocks)):
+        hidden = _relu(_affine(_standardize(vae, rows), p["enc_w"], p["enc_b"]))
+        _affine(hidden, p["mu_w"], p["mu_b"], dest)
+    return out
 
 
 def save_stat_vae(vae: StatVae, path: str | Path) -> None:

@@ -1,11 +1,13 @@
 """Tokenizer, dataset loading/splits, and the frequency profiler."""
 
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from loggate import synth
 from loggate.corpus import (CorpusError, CorpusProfile, LabelVocab, SplitSpec,
                             load_dataset, profile_corpus, read_dataset, tokenize,
                             train_split_hash, write_profile, NUM_TOKEN,
@@ -133,6 +135,22 @@ def test_load_dataset_basic(tmp_path):
     assert [r.label_id for r in ds.records] == [0, 1, 0]
     assert ds.records[2].task_id == "-"
     assert ds.records[2].tokens == ["retry", "send", NUM_TOKEN]
+
+
+def test_loaded_records_hold_one_object_per_word(tmp_path):
+    path = tmp_path / "synth.tsv"
+    synth.generate_synthetic(synth.make_default_spec(40), 3, path)
+    # train, dev and test are tokenized in two passes; both share the table
+    ds = load_dataset(path, SplitSpec(0.5, 0.25, 0.25, seed=3))
+    tokens = [t for r in ds.records for t in r.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens))
+    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
+    assert [r.tokens for r in ds.records] == [tokenize(line.split("\t", 2)[2])
+                                              for line in lines]
+    # sys.intern would make every word immortal on Python 3.12 (refcount
+    # 2**32 - 1); one-character strings are immortal there anyway.
+    words = [t for t in set(tokens) if len(t) > 1 and t != NUM_TOKEN]
+    assert words and all(sys.getrefcount(t) < 2 ** 30 for t in words)
 
 
 def test_load_dataset_split_sizes(tmp_path):

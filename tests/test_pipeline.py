@@ -876,6 +876,7 @@ def test_split_token_matrix_is_pad_tokens_row_for_row():
         every = rng.permutation(len(records))
         ids, slots = table.pad(every, m_fixed)
         assert ids.dtype == np.int32 and ids.shape == (len(records), m_fixed)
+        np.testing.assert_array_equal(slots, table.widths(every, m_fixed))
         for i, rec in enumerate(records[j] for j in every):
             want_ids, want_mask = pad_tokens(dataset.token_ids(rec.tokens), m_fixed)
             np.testing.assert_array_equal(ids[i], want_ids)
@@ -890,8 +891,9 @@ def test_split_token_matrix_is_pad_tokens_row_for_row():
                 np.testing.assert_array_equal(got_ids[row], want_ids)
                 np.testing.assert_array_equal(got_mask[row], want_mask)
     assert table.pad([], 4)[0].shape == (0, 4)
-    with pytest.raises(CorpusError, match="m_fixed must be >= 1, got 0"):
-        table.pad(np.arange(len(records)), 0)
+    for call in (table.pad, table.widths):
+        with pytest.raises(CorpusError, match="m_fixed must be >= 1, got 0"):
+            call(np.arange(len(records)), 0)
 
 
 # -- scoring -------------------------------------------------------------------

@@ -120,6 +120,21 @@ def test_unreadable_tensor_name_rejected_at_save(tmp_path, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("arrays", [
+    {"a": np.ones(2), "b c": np.ones(2)},
+    {"a": np.ones(2), "b": np.arange(3, dtype=np.int64), "c": np.ones(2, np.float32)},
+], ids=["name-of-second", "dtype-of-last"])
+def test_refused_save_leaves_path_as_it_was(tmp_path, arrays):
+    existing, absent = tmp_path / "old.tbl", tmp_path / "new.tbl"
+    save_table(existing, {"x": np.arange(4, dtype=np.int64)}, meta={"k": "v"})
+    before = existing.read_bytes()
+    for path in (existing, absent):
+        with pytest.raises(ValueError, match="tensor name|dtype"):
+            save_table(path, arrays, meta={"k": "w"})
+    assert existing.read_bytes() == before
+    assert not absent.exists()
+
+
 def _raw_table(path, *lines):
     """A table file from raw header lines, each tensor followed by one f8."""
     blob = bytearray(MAGIC)

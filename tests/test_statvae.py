@@ -10,9 +10,11 @@ from loggate import statvae
 from loggate.autodiff import Tensor
 from loggate.optim import Adam
 from loggate.serialize import load_table, save_table
-from loggate.statvae import (VaeConfig, VaeError, _elbo_step, embed_statistics,
-                             init_stat_vae, load_embedding_cache, pretrain,
-                             save_embedding_cache, save_stat_vae)
+from loggate.fusion import _relu
+from loggate.statvae import (EMBED_BLOCK_ROWS, VaeConfig, VaeError, _affine, _elbo_step,
+                             _standardize, embed_statistics, init_stat_vae,
+                             load_embedding_cache, pretrain, save_embedding_cache,
+                             save_stat_vae)
 
 from helpers import (LatentCode, check_gradients, elbo_loss, fresh_buffers,
                      graph_elbo, graph_elbo_step, graph_encode, kl_divergence,
@@ -430,6 +432,20 @@ def test_embed_is_posterior_mean_no_sampling():
     assert out.shape == (4, 3)
     np.testing.assert_array_equal(out, graph_encode(vae, x)[0].mu.values)
     np.testing.assert_array_equal(out, embed_statistics(vae, x))  # repeatable
+
+
+@pytest.mark.parametrize("rows", [1, 2, EMBED_BLOCK_ROWS - 1, EMBED_BLOCK_ROWS,
+                                  EMBED_BLOCK_ROWS + 1, 2 * EMBED_BLOCK_ROWS + 1])
+def test_blocked_embedding_has_the_whole_batch_bits(rows):
+    # A one-row block would be a gemv product, which rounds differently.
+    rng = np.random.Generator(np.random.PCG64(rows))
+    vae = init_stat_vae(6, VaeConfig(), rng)
+    vae.in_mean, vae.in_std = rng.standard_normal(6), rng.uniform(0.5, 2.0, 6)
+    x = rng.uniform(0.0, 4.0, (rows, 6))
+    p = {name: t.values for name, t in vae.params.items()}
+    hidden = _relu(_affine(_standardize(vae, x), p["enc_w"], p["enc_b"]))
+    np.testing.assert_array_equal(embed_statistics(vae, x),
+                                  _affine(hidden, p["mu_w"], p["mu_b"]))
 
 
 def test_embed_does_not_touch_weights():

@@ -251,14 +251,12 @@ def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
     that reads no statistics embedding.
 
     The rows are scored in a stable sort by padded width, so a chunk
-    pads little. A split of at least 2 * LANE_MIN_ROWS rows is scored on
-    `min(usable CPUs, N // LANE_MIN_ROWS)` lanes (`_lane_count`,
-    `_map_lanes`): lane i scores the i-th of the contiguous ranges of
-    sorted rows that `_lane_bounds` cuts, lane 0 in this process. Every
-    range starts on a multiple of EVAL_CHUNK, so each chunk holds the
-    rows, and is padded to the width, it has in one lane, and the logits
-    do not depend on the lane count. The float64 re-score runs here after
-    the lanes join, on the tied rows in the caller's order.
+    pads little. Sorted chunk i is `_map_lanes` call i, run in lane
+    `i % lanes` (lane 0 here) of `min(usable CPUs, N // LANE_MIN_ROWS)`
+    (`_lane_count`): two or more from 2 * LANE_MIN_ROWS rows. Each chunk
+    holds the same rows, padded to the same width, at every lane count,
+    so the logits do not depend on it. The float64 re-score runs here
+    after the lanes join, on the tied rows in sorted order.
     """
     records = np.asarray(records, dtype=np.int64)
     widths = dataset.widths(records, model.m_fixed)
@@ -268,40 +266,21 @@ def collect_logits(model: DiagnosisModel, dataset: TokenTable, records,
     sorted_records = records[order]
     inputs = (*dataset.pad(sorted_records, model.m_fixed), sorted_records, embeddings)
     scorer = fusion.constant_copy(model, SCORE_DTYPE)
-    bounds = _lane_bounds(inputs[1], _lane_count(len(records) // LANE_MIN_ROWS))
+    chunks = [slice(i, i + EVAL_CHUNK) for i in range(0, len(records), EVAL_CHUNK)]
+    parts = _map_lanes([partial(_chunk_logits, scorer, inputs, rows) for rows in chunks],
+                       _lane_count(len(records) // LANE_MIN_ROWS))
     logits = np.empty((len(records), model.n_labels))
-    logits[order] = np.concatenate(_map_lanes(
-        [partial(_score_range, scorer, inputs, *bound) for bound in zip(bounds, bounds[1:])],
-        len(bounds) - 1))
+    for rows, part in zip(chunks, parts):
+        logits[order[rows]] = part
+    del parts
     if model.n_labels < 2:
         return logits
     top2 = np.partition(logits, -2, axis=1)[:, -2:]
-    ties = np.flatnonzero(top2[:, 1] - top2[:, 0] <= TIE_GAP)
-    rank = np.empty_like(order)  # row i of the caller's order is row rank[i] of inputs
-    rank[order] = np.arange(len(order))
+    ties = np.flatnonzero((top2[:, 1] - top2[:, 0] <= TIE_GAP)[order])  # sorted places
     for start in range(0, ties.size, EVAL_CHUNK):
         rows = ties[start:start + EVAL_CHUNK]
-        logits[rows] = _forward(model, inputs, rank[rows])[0]
+        logits[order[rows]] = _chunk_logits(model, inputs, rows)
     return logits
-
-
-def _lane_bounds(slots: np.ndarray, lanes: int) -> list[int]:
-    """Row bounds of `lanes` ranges that split width-sorted rows by padded tokens.
-
-    `slots` holds the rows' widths in ascending order. Lane i scores rows
-    [bounds[i], bounds[i + 1]): whole chunks of EVAL_CHUNK rows but for
-    the split's last one, each padded to its last row's width. Each cut is
-    the chunk boundary nearest an even share of the padded tokens, so lane
-    0's range is empty only when the split is, and later lanes' ranges may
-    be empty only when there are fewer chunks than lanes.
-    """
-    n_rows = len(slots)
-    starts = np.arange(0, n_rows, EVAL_CHUNK)
-    stops = np.minimum(starts + EVAL_CHUNK, n_rows)
-    done = np.concatenate(([0], np.cumsum((stops - starts) * slots[stops - 1])))
-    cuts = np.abs(lanes * done[:, None] - done[-1] * np.arange(1, lanes)).argmin(axis=0)
-    cuts = np.maximum.accumulate(np.maximum(cuts, 1))
-    return [0, *np.minimum(EVAL_CHUNK * cuts, n_rows).tolist(), n_rows]
 
 
 def _forward(model: DiagnosisModel, inputs, rows):
@@ -317,15 +296,9 @@ def _forward(model: DiagnosisModel, inputs, rows):
                                 stat_rows)
 
 
-def _score_range(scorer: DiagnosisModel, inputs, start: int,
-                 stop: int) -> np.ndarray:
-    """Float64 logits of rows [start, stop), EVAL_CHUNK rows a pass from `start`."""
-    logits = np.zeros((stop - start, scorer.n_labels))
-    for first in range(start, stop, EVAL_CHUNK):
-        last = min(first + EVAL_CHUNK, stop)
-        logits[first - start:last - start] = _forward(scorer, inputs,
-                                                      slice(first, last))[0]
-    return logits
+def _chunk_logits(model: DiagnosisModel, inputs, rows) -> np.ndarray:
+    """`_forward`'s logits alone, in `model`'s dtype: what a scoring lane sends."""
+    return _forward(model, inputs, rows)[0]
 
 
 def _rows_to_score(table: TokenTable, split: str) -> np.ndarray:
@@ -685,13 +658,14 @@ def _map_lanes(calls, lanes: int) -> list:
 
     This process makes lane 0's calls in order. Each other lane is a
     child forked here at the start, which makes its calls from its copy
-    of this process's memory and pickles each result back through a pipe
-    of its own. Once a call fails, a flag in memory that every lane
-    shares stops each lane before its next call, so no queued call
-    starts and the started ones finish. The first failure read (this
-    process's own, else the earliest child call's) is re-raised here; a
-    child that exits without a result fails at its first missing call,
-    with an error naming its lane. No child outlives the call.
+    of this process's memory and, once its last call ends, sends every
+    result back pickled through a pipe of its own. Once a call fails, a
+    flag in memory that every lane shares stops each lane before its
+    next call, so no queued call starts and the started ones finish. The
+    first failure read (this process's own, else the earliest child
+    call's) is re-raised here. A child that exits before it sends its
+    results fails at its lane's first call, with an error naming its
+    lane. No child outlives the call.
 
     The children's pipes are read in lane order once lane 0 is done. So
     with 3 or more lanes, a child that dies without sending a result is
@@ -739,23 +713,24 @@ def _map_lanes(calls, lanes: int) -> list:
 def _serve_lane(calls, lane: int, lanes: int, fd: int, failed) -> None:
     """Make lane `lane`'s calls in this forked child, then exit; never returns.
 
-    Writes each call's `(index, ok, result or failure)` to pipe `fd`,
-    pickled, as soon as the call ends. A failure sets `failed`, and no
-    call starts once it is set.
+    Pickles each call's `(index, ok, result or failure)` as it ends and
+    writes them all to pipe `fd` in one write after the last call, so a
+    full pipe never stalls a call. A failure sets `failed`, and no call
+    starts once it is set.
     """
     code = 1
     try:
+        frames = []
+        for index in range(lane, len(calls), lanes):
+            if failed[0]:
+                break
+            try:
+                frames.append(pickle.dumps((index, True, calls[index]())))
+            except BaseException as exc:
+                failed[0] = 1
+                frames.append(_failure_frame(index, lane, exc))
         with open(fd, "wb") as out:
-            for index in range(lane, len(calls), lanes):
-                if failed[0]:
-                    break
-                try:
-                    frame = pickle.dumps((index, True, calls[index]()))
-                except BaseException as exc:
-                    failed[0] = 1
-                    frame = _failure_frame(index, lane, exc)
-                out.write(frame)
-                out.flush()
+            out.write(b"".join(frames))
         code = 0
     finally:
         _flush_std_streams()
@@ -782,10 +757,10 @@ def _join_lanes(children, calls, lanes: int, failed) -> tuple[dict, dict]:
 
     `children` maps each child's pipe, opened for reading, to its lane and
     pid, in lane order. Each pipe is read to its end in that order; a
-    child blocks only on its own pipe, so one whose pipe fills waits for
-    its turn. A child that returned nothing for a call that no failure
-    cancelled fails at that call and sets `failed`. If this wait is
-    interrupted, every child not yet reaped is killed and reaped.
+    child blocks only on its own pipe, so one whose results outgrow it
+    waits for its turn. A child that returned nothing for a call that
+    no failure cancelled fails at that call and sets `failed`. If this
+    wait is interrupted, every child not yet reaped is killed and reaped.
     """
     results, failures = {}, {}
     unreaped = dict(children)

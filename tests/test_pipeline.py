@@ -1415,6 +1415,25 @@ def test_a_lane_read_late_may_outgrow_its_pipe(deadline, no_lane_left):
         np.testing.assert_array_equal(got, want)
 
 
+def _stamped(i: int) -> tuple[np.ndarray, float]:
+    """Call i: a 1 KiB array and the time the call ends; call 0 sleeps 0.3 s first."""
+    if i == 0:
+        time.sleep(0.3)
+    return np.full(128, float(i)), time.monotonic()
+
+
+def test_a_child_lane_makes_every_call_before_it_sends_a_result(deadline,
+                                                                no_lane_left):
+    # lane 1's 256 results outgrow its pipe long before lane 0 wakes, so a
+    # child that wrote each as it ended would wait for this process
+    calls = [partial(_stamped, i) for i in range(512)]
+    expected = pipeline._map_lanes(calls, 1)
+    results = pipeline._map_lanes(calls, 2)
+    assert results[-1][1] < results[0][1]
+    for (got, _), (want, _) in zip(results, expected, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 def test_a_lane_read_late_that_exits_without_a_result_fails_naming_its_lane(
         deadline, no_lane_left):
     calls = [partial(int, 0), partial(_sleepy_or_large, 1), partial(os._exit, 3),
@@ -1473,42 +1492,64 @@ def test_a_failure_that_cannot_be_pickled_still_reaches_the_caller(deadline,
 
 @pytest.fixture
 def score_pids(tmp_path, monkeypatch):
-    """Records every scored row range; call it for (mode, pid, start, stop) rows."""
+    """Records every scored chunk; call it for (mode, dtype, pid, first row, rows) rows.
+
+    Rows count in the width-sorted split; the float64 chunks are
+    near-tie re-scores.
+    """
     log = tmp_path / "score-pids.tsv"
-    score_range = pipeline._score_range
+    chunk_logits = pipeline._chunk_logits
 
-    def recording(scorer, inputs, start, stop):
+    def recording(model, inputs, rows):
+        logits = chunk_logits(model, inputs, rows)
+        picked = np.arange(len(inputs[2]))[rows]
         with log.open("a", encoding="utf-8") as handle:
-            handle.write(f"{scorer.mode}\t{os.getpid()}\t{start}\t{stop}\n")
-        return score_range(scorer, inputs, start, stop)
+            handle.write(f"{model.mode}\t{logits.dtype}\t{os.getpid()}\t{picked[0]}\t"
+                         f"{len(picked)}\n")
+        return logits
 
-    monkeypatch.setattr(pipeline, "_score_range", recording)
+    monkeypatch.setattr(pipeline, "_chunk_logits", recording)
 
     def read():
         rows = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
         log.unlink(missing_ok=True)
-        return [(mode, int(pid), int(start), int(stop))
-                for mode, pid, start, stop in (row.split("\t") for row in rows)]
+        return [(mode, dtype, int(pid), int(first), int(count))
+                for mode, dtype, pid, first, count in (row.split("\t") for row in rows)]
     return read
 
 
-def _lane_ranges(ranges, n_rows: int, lanes: int) -> None:
-    """`ranges` cut [0, n_rows) into `lanes` chunk-aligned ones, lane 0 scored here.
+def _lane_ranges(chunks, widths: np.ndarray, lanes: int) -> None:
+    """`chunks` tile the width-sorted split of `widths`, chunk k in lane `k % lanes`.
 
-    A child may score more than one lane's range.
+    Lane 0 is this process, which also makes every float64 re-score. A
+    lane may have no chunk; once there are at least as many chunks as
+    lanes, each lane's padded tokens lie within one chunk's of an even
+    share.
     """
-    assert len(ranges) == lanes
-    # lane 0 first, also where it and the next lanes have no row
-    ranges = sorted(ranges, key=lambda r: (r[2], r[3], r[1] != os.getpid()))
-    assert [r[2] for r in ranges[1:]] == [r[3] for r in ranges[:-1]]
-    assert ranges[0][2] == 0 and ranges[-1][3] == n_rows
-    # only a lane past the split's last chunk may start off a chunk boundary
-    assert all(r[2] % pipeline.EVAL_CHUNK == 0 or r[2] == r[3] == n_rows
-               for r in ranges)
-    # lane 0's range is empty only when the split is
-    assert ranges[0][3] > 0 or n_rows == 0
-    here = [pid == os.getpid() for _, pid, _, _ in ranges]
-    assert here == [True] + [False] * (lanes - 1)
+    here, size = os.getpid(), pipeline.EVAL_CHUNK
+    rescored = [(pid, first) for _, dtype, pid, first, _ in chunks if dtype == "float64"]
+    assert all(pid == here for pid, _ in rescored)
+    assert rescored == sorted(rescored)  # in sorted order
+    chunks = sorted((c for c in chunks if c[1] == "float32"), key=lambda c: c[3])
+    assert [c[3:] for c in chunks] == [(first, min(size, len(widths) - first))
+                                       for first in range(0, len(widths), size)]
+    lane_pids = {}
+    for k, (_, _, pid, _, _) in enumerate(chunks):
+        assert lane_pids.setdefault(k % lanes, pid) == pid, k
+    assert lane_pids.get(0, here) == here
+    assert len(set(lane_pids.values())) == len(lane_pids)
+    if len(chunks) >= lanes:
+        slots = np.sort(widths)
+        tokens = np.array([count * slots[first + count - 1]
+                           for *_, first, count in chunks])
+        shares = np.bincount(np.arange(len(tokens)) % lanes, weights=tokens)
+        assert np.abs(shares - tokens.sum() / lanes).max() <= tokens.max()
+
+
+def _all_widths(trained) -> np.ndarray:
+    """The padded widths of every record of a `train` result's dataset."""
+    table = trained.dataset.table
+    return table.widths(np.arange(len(table)), trained.model.m_fixed)
 
 
 def test_scoring_lanes_give_the_one_lane_logits(ablated, monkeypatch, no_lane_left,
@@ -1531,18 +1572,20 @@ def test_scoring_lanes_give_the_one_lane_logits(ablated, monkeypatch, no_lane_le
         for n_rows in sizes:
             _use_cpus(monkeypatch, 1)
             one_lane = collect_logits(model, dataset.table, rows[:n_rows], embeddings)
-            _lane_ranges(score_pids(), n_rows, 1)
+            widths = dataset.table.widths(rows[:n_rows], model.m_fixed)
+            _lane_ranges(score_pids(), widths, 1)
             for cpus in (2, 8):
                 _use_cpus(monkeypatch, cpus)
                 logits = collect_logits(model, dataset.table, rows[:n_rows], embeddings)
                 np.testing.assert_array_equal(logits, one_lane, f"{cpus} {n_rows}")
-                _lane_ranges(score_pids(), n_rows, max(1, min(cpus, n_rows)))
+                _lane_ranges(score_pids(), widths, max(1, min(cpus, n_rows)))
     assert not np.array_equal(one_lane, float32)
 
 
 def test_scoring_forks_lanes_only_from_the_threshold(trained, monkeypatch,
                                                      no_lane_left, score_pids):
     _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 8)
     rows = np.arange(len(trained.dataset.table))
     fork = os.fork
 
@@ -1553,7 +1596,7 @@ def test_scoring_forks_lanes_only_from_the_threshold(trained, monkeypatch,
         monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
         monkeypatch.setattr(os, "fork", no_fork if lanes == 1 else fork)
         collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)
-        _lane_ranges(score_pids(), len(rows), lanes)
+        _lane_ranges(score_pids(), _all_widths(trained), lanes)
 
 
 def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkeypatch,
@@ -1561,22 +1604,26 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
                                                    forks):
     _use_cpus(monkeypatch, 2)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 2)
     run_ablation(base_config, tmp_path / "ablation")
     fitted = fit_pids()
-    scored = score_pids()
-    # dev scoring every logged epoch plus the test split, one range each; a
-    # run stops early after a dev macro-F1 of 1.0. semantic_only, trained
-    # beside pretraining, scores its test split here after preprocessing,
-    # outside any lane: in two ranges, the second in a child of its own.
+    scored = [row for row in score_pids() if row[1] == "float32"]
+    # dev scoring every logged epoch plus the test split, in chunks of 2
+    # rows; a run stops early after a dev macro-F1 of 1.0. semantic_only,
+    # trained beside pretraining, scores its test split here after
+    # preprocessing, outside any lane: on two lanes, the second a child of
+    # its own.
+    table = load_dataset(base_config.dataset, pipeline._split_spec(base_config)).table
+    dev_chunks, test_chunks = (-(-table.split_rows(split).size // 2)
+                               for split in ("dev", "test"))
     epochs = [len((tmp_path / "ablation" / mode / "train_log.tsv")
                   .read_text(encoding="utf-8").splitlines()) - 1 for mode in MODES]
-    assert len(scored) == sum(epochs) + len(MODES) + 1
-    elsewhere = [row for row in scored if row[1] != fitted[row[0]]]
-    assert [mode for mode, *_ in elsewhere] == ["semantic_only"]
-    here = [row for row in scored if row[:2] == ("semantic_only", os.getpid())]
-    test_rows = load_dataset(base_config.dataset, pipeline._split_spec(base_config)) \
-        .table.split_rows("test")
-    _lane_ranges([here[-1], *elsewhere], test_rows.size, 2)
+    assert len(scored) == sum(epochs) * dev_chunks + len(MODES) * test_chunks
+    assert {mode for mode, _, pid, *_ in scored if pid != fitted[mode]} == \
+        {"semantic_only"}
+    # its dev chunks were all scored before its test split's
+    _lane_ranges([row for row in scored if row[0] == "semantic_only"][-test_chunks:],
+                 table.widths(table.split_rows("test"), base_config.m_fixed), 2)
     # this process, which trains semantic_only beside pretraining, and the
     # child forked for the later runs
     assert len(set(fitted.values())) == 2
@@ -1592,9 +1639,10 @@ def test_scoring_lanes_count_cpus_without_sched_getaffinity(trained, monkeypatch
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 8)
     rows = np.arange(len(trained.dataset.table))
     collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)
-    _lane_ranges(score_pids(), len(rows), lanes)
+    _lane_ranges(score_pids(), _all_widths(trained), lanes)
 
 
 def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatch,
@@ -1602,9 +1650,10 @@ def test_every_row_scores_here_where_fork_is_no_start_method(trained, monkeypatc
     _use_cpus(monkeypatch, 4)
     monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 8)
     rows = np.arange(len(trained.dataset.table))
     collect_logits(trained.model, trained.dataset.table, rows, trained.embeddings)
-    _lane_ranges(score_pids(), len(rows), 1)
+    _lane_ranges(score_pids(), _all_widths(trained), 1)
 
 
 def test_a_failing_scoring_lane_raises_its_stage_error(base_config, trained, tmp_path,
@@ -1655,29 +1704,6 @@ def test_a_failing_parent_scoring_lane_raises_its_stage_error(base_config, tmp_p
     assert not (tmp_path / "metrics.tsv").exists()
 
 
-def test_lane_zero_always_scores_a_chunk():
-    chunk = pipeline.EVAL_CHUNK
-    rng = np.random.default_rng(0)
-    splits = [np.sort(rng.integers(1, 17, n)) for n in (1, 63, 64, 65, 129, 200, 2000)]
-    # two chunks, the first with more tokens than an eighth of the split's
-    splits.append(np.full(2 * chunk, 16))
-    for slots in splits:
-        n_rows = len(slots)
-        starts = np.arange(0, n_rows, chunk)
-        tokens = (np.minimum(starts + chunk, n_rows) - starts) * \
-            slots[np.minimum(starts + chunk, n_rows) - 1]
-        for lanes in range(1, 9):
-            bounds = pipeline._lane_bounds(slots, lanes)
-            assert len(bounds) == lanes + 1 and bounds == sorted(bounds), bounds
-            assert bounds[0] == 0 < bounds[1] and bounds[-1] == n_rows, bounds
-            assert all(b % chunk == 0 for b in bounds if b < n_rows), bounds
-            if len(starts) >= lanes:
-                # each lane within one chunk's tokens of an even share
-                shares = [tokens[a // chunk:-(-b // chunk)].sum()
-                          for a, b in zip(bounds, bounds[1:])]
-                assert max(abs(np.array(shares) - tokens.sum() / lanes)) <= tokens.max()
-
-
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_permuting_the_records_permutes_the_logits(scored_runs, monkeypatch,
                                                    no_lane_left, cpus):
@@ -1726,6 +1752,19 @@ def test_scoring_messages_wider_than_8_keeps_the_float64_argmax(wide_runs, monke
         logits = collect_logits(model, dataset.table, _ids(records), embeddings)
         np.testing.assert_array_equal(logits.argmax(axis=1), reference.argmax(axis=1),
                                       mode)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_scoring_lanes_share_the_padded_tokens(wide_runs, monkeypatch, no_lane_left,
+                                               score_pids, cpus):
+    # 60 chunks of 4 messages, 3 to 16 keys wide
+    model, dataset, embeddings = wide_runs["full"]
+    rows = np.tile(np.arange(len(dataset.table)), 3)
+    monkeypatch.setattr(pipeline, "EVAL_CHUNK", 4)
+    monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", 1)
+    _use_cpus(monkeypatch, cpus)
+    collect_logits(model, dataset.table, rows, embeddings)
+    _lane_ranges(score_pids(), dataset.table.widths(rows, model.m_fixed), cpus)
 
 
 # -- forked ingest -----------------------------------------------------------------

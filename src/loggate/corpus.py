@@ -253,37 +253,21 @@ def load_dataset(path: str | Path, split_spec: SplitSpec | None = None,
     label and task id but no message text are kept (empty token list)
     with a warning; blank lines are skipped. The dataset's `table` holds
     every record's token ids and split: `read_dataset`, then `tokenize_rest`.
-    Every occurrence of a word in the records is one `str` object, the
-    one in the load's `PendingRecords.words`.
+    Every occurrence of a word in the records is one `str` object; the
+    second half seeds its word table from the vocabulary's keys.
     """
     return tokenize_rest(path, *read_dataset(path, split_spec, known_labels))
 
 
-@dataclass
-class PendingRecords:
-    """The records `read_dataset` left for `tokenize_rest`, and the load's words.
-
-    `entries` holds the `(record, line number, message)` of each record
-    not yet tokenized. `words` maps each word tokenized so far to the one
-    `str` object every record holds for it. It is local to one load, not
-    `sys.intern`: an interned string is immortal on Python 3.12.
-    """
-
-    entries: list
-    words: dict[str, str]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
                  known_labels: list[str] | None = None
-                 ) -> tuple[LogDataset, PendingRecords]:
+                 ) -> tuple[LogDataset, list]:
     """`load_dataset`'s first half: every line parsed and checked, train tokenized.
 
     Returns the dataset, whose other records hold no tokens yet (nor ids
-    in its table, which holds every record's split), and those records
-    with the load's word table, for `tokenize_rest`.
+    in its table, which holds every record's split), and the
+    `(record, line number, message)` of each of those records, for
+    `tokenize_rest`. The vocabulary's keys are the train words' objects.
     """
     path = Path(path)
     records: list[LogRecord] = []
@@ -318,17 +302,15 @@ def read_dataset(path: str | Path, split_spec: SplitSpec | None = None,
     in_train = (codes == 0).tolist()
     words: dict[str, str] = {}
     _tokenize(path, [entry for entry, train in zip(pending, in_train) if train], words)
-    rest = PendingRecords([entry for entry, train in zip(pending, in_train)
-                           if not train], words)
+    rest = [entry for entry, train in zip(pending, in_train) if not train]
     vocab = {word: FIRST_WORD_ID + i for i, word in enumerate(sorted(words))}
     return LogDataset(records, LabelVocab(labels_seen), vocab,
                       TokenTable.build(vocab, records, codes)), rest
 
 
-def tokenize_rest(path: str | Path, dataset: LogDataset,
-                  rest: PendingRecords) -> LogDataset:
+def tokenize_rest(path: str | Path, dataset: LogDataset, rest: list) -> LogDataset:
     """`load_dataset`'s second half: tokenize `rest`, then rebuild the table's ids."""
-    _tokenize(Path(path), rest.entries, rest.words)
+    _tokenize(Path(path), rest, dict(zip(dataset.vocab, dataset.vocab)))
     dataset.table = TokenTable.build(dataset.vocab, dataset.records,
                                      dataset.table.splits)
     return dataset
@@ -338,7 +320,8 @@ def _tokenize(path: Path, pending: list, words: dict[str, str]) -> None:
     """Tokenize each `(record, line number, message)`, dropping the text once done.
 
     Each token is replaced by `words`' object for its word, which the
-    first occurrence adds.
+    first occurrence adds. The table is local to one load, not
+    `sys.intern`: an interned string is immortal on Python 3.12.
     """
     for i, (rec, lineno, message) in enumerate(pending):
         pending[i] = None

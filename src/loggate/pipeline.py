@@ -213,12 +213,9 @@ class PreprocessResult:
 
 
 @dataclass
-class TrainResult:
+class TrainResult(PreprocessResult):
     model: DiagnosisModel
     report: MetricsReport
-    dataset: LogDataset
-    embeddings: np.ndarray
-    run_dir: Path
 
 
 @contextlib.contextmanager
@@ -356,10 +353,10 @@ def _open_run(config: RunConfig, out_dir: str | Path, shared: Path | None = None
 
 
 def build_stats(config: RunConfig, out_dir: str | Path) -> Path:
-    """Load the dataset and persist its statistics dictionary only."""
+    """Persist the statistics dictionary of `read_dataset`'s train split only."""
     dict_path = _open_run(config, out_dir) / "stat_dict.tsv"
     with _stage("load-dataset"):
-        dataset = load_dataset(_dataset_path(config), _split_spec(config))
+        dataset = read_dataset(_dataset_path(config), _split_spec(config))[0]
     with _stage("stat-dictionary"):
         save_stat_dictionary(build_stat_dictionary(dataset), dict_path)
     return dict_path
@@ -456,7 +453,7 @@ def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
     pre = preprocess(config, out_dir)
     model, log_rows = _fit(config, pre.dataset, pre.embeddings)
     report = _finish(config, pre, pre.run_dir, model, log_rows, started)
-    return TrainResult(model, report, pre.dataset, pre.embeddings, pre.run_dir)
+    return TrainResult(**vars(pre), model=model, report=report)
 
 
 def _finish(config: RunConfig, pre: PreprocessResult, run_dir: Path,

@@ -140,10 +140,13 @@ def test_load_dataset_basic(tmp_path):
 def test_loaded_records_hold_one_object_per_word(tmp_path):
     path = tmp_path / "synth.tsv"
     synth.generate_synthetic(synth.make_default_spec(40), 3, path)
-    # train, dev and test are tokenized in two passes; both share the table
+    # train, dev and test are tokenized in two passes; the second seeds its
+    # word table from the vocabulary
     ds = load_dataset(path, SplitSpec(0.5, 0.25, 0.25, seed=3))
     tokens = [t for r in ds.records for t in r.tokens]
     assert len({id(t) for t in tokens}) == len(set(tokens))
+    keys = dict(zip(ds.vocab, ds.vocab))
+    assert all(keys.get(t, t) is t for t in tokens)
     lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line]
     assert [r.tokens for r in ds.records] == [tokenize(line.split("\t", 2)[2])
                                               for line in lines]

@@ -223,6 +223,21 @@ def test_build_stats_leaves_the_run_cfg_and_dictionary_train_writes(
             (trained.run_dir / name).read_bytes(), name
 
 
+def test_build_stats_tokenizes_only_the_train_split(base_config, tmp_path, monkeypatch):
+    config = replace(base_config, dataset=str(MINI_CORPUS))
+    train_rows = len(load_dataset(MINI_CORPUS, pipeline._split_spec(config))
+                     .split_records("train"))
+    calls, tokenize = [], corpus.tokenize
+
+    def counting(line):
+        calls.append(line)
+        return tokenize(line)
+
+    monkeypatch.setattr(corpus, "tokenize", counting)
+    build_stats(config, tmp_path)
+    assert len(calls) == train_rows
+
+
 def test_preprocess_artifacts(base_config, tmp_path):
     result = preprocess(base_config, tmp_path)
     for name in ("run.cfg", "stat_dict.tsv", "vae.ckpt", "vae_log.tsv",

@@ -329,12 +329,14 @@ def _split_spec(config: RunConfig) -> SplitSpec:
                      config.seed)
 
 
+# The preprocessing files a shared run copies; `model.ckpt` records each
+# one's digest under `<name>_sha256`, and `evaluate` refuses any other bytes.
 _SHARED_ARTIFACTS = ("stat_dict.tsv", "tokens.tbl", "vae.ckpt", "vae_log.tsv",
                      "embeddings.tbl")
 # The settings that cut the splits; `tokens.tbl` records them with the
-# corpus file's digest and the dictionary file's.
+# corpus file's digest.
 _SPLIT_KEYS = ("train_ratio", "dev_ratio", "test_ratio", "seed")
-_TOKENS_META = ("corpus_sha256", "dict_hash") + _SPLIT_KEYS
+_TOKENS_META = ("corpus_sha256",) + _SPLIT_KEYS
 # Every other setting but the corpus path; `model.ckpt` records them and
 # `evaluate` refuses a `run.cfg` that differs in any.
 _CHECKPOINT_KEYS = tuple(f.name for f in fields(RunConfig)
@@ -366,10 +368,10 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     """Stages ahead of the classifier: dataset, dictionary, token table, VAE, cache.
 
     `tokens.tbl` saves the dataset's `TokenTable`, which `evaluate`
-    scores from, with the digests of the corpus file and the dictionary
-    file and the split settings. A non-finite VAE loss or embedding
-    stops the run before the VAE checkpoint or the embedding cache is
-    written. `_preprocess` says which process runs each stage.
+    scores from, with the corpus file's digest and the split settings. A
+    non-finite VAE loss or embedding stops the run before the VAE
+    checkpoint or the embedding cache is written. `_preprocess` says
+    which process runs each stage.
     """
     return _preprocess(config, _open_run(config, out_dir), None)[0]
 
@@ -396,7 +398,7 @@ def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None):
              partial(_pretrain_vae, config, train_vectors)]
     if beside is not None:
         calls.append(partial(_fit, beside, dataset, None))
-    (all_vectors, dict_hash), (vae, curve), *fit = _map_lanes(
+    all_vectors, (vae, curve), *fit = _map_lanes(
         calls, _lane_count(1 + (beside is not None or len(rest) >= LANE_MIN_ROWS)))
 
     with _stage("vae-pretrain"):
@@ -410,7 +412,7 @@ def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None):
         if bad:
             raise FloatingPointError(
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
-        statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings, dict_hash)
+        statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings)
     return PreprocessResult(dataset, embeddings, run_dir), fit
 
 
@@ -426,20 +428,19 @@ def _pretrain_vae(config: RunConfig, train_vectors: np.ndarray):
 def _finish_ingest(config: RunConfig, run_dir: Path, dataset: LogDataset, rest,
                    stats: StatDictionary):
     """Tokenize `rest`, save the dictionary and `tokens.tbl`, and return every
-    record's pooled statistics and the dictionary file's digest."""
+    record's pooled statistics. Neither file records a digest of another
+    artifact: the checkpoint `_finish` writes binds both by digest."""
     with _stage("load-dataset"):
         tokenize_rest(_dataset_path(config), dataset, rest)
     with _stage("stat-dictionary"):
         save_stat_dictionary(stats, run_dir / "stat_dict.tsv")
-    dict_hash = _file_digest(run_dir / "stat_dict.tsv")
     with _stage("token-table"):
         save_token_table(run_dir / "tokens.tbl", dataset.table, {
             "corpus_sha256": _file_digest(_dataset_path(config)),
-            "dict_hash": dict_hash,
             **{key: str(getattr(config, key)) for key in _SPLIT_KEYS}})
     with _stage("embed-statistics"):
         return pooled_stats(stats, dataset, np.arange(len(dataset.table)),
-                            config.m_fixed), dict_hash
+                            config.m_fixed)
 
 
 def train(config: RunConfig, out_dir: str | Path) -> TrainResult:
@@ -461,17 +462,17 @@ def _finish(config: RunConfig, pre: PreprocessResult, run_dir: Path,
     """Save a trained run into `run_dir`, score the test split, save the metrics.
 
     The train log and the checkpoint are written before scoring; the
-    checkpoint binds `run_dir`'s embedding cache and token table and
-    `config`'s `_CHECKPOINT_KEYS`, whose model settings rewrite the
-    model's own with equal values. The report's wall clock runs from
-    `started` to the end of scoring.
+    checkpoint records the digest of each of `run_dir`'s
+    `_SHARED_ARTIFACTS` and `config`'s `_CHECKPOINT_KEYS`, whose model
+    settings rewrite the model's own with equal values. The report's
+    wall clock runs from `started` to the end of scoring.
     """
     with _stage("train-classifier"):
         _write_rows(run_dir / "train_log.tsv",
                     ("epoch", "mean_loss", "dev_macro_f1", "selected"), log_rows)
         fusion.save_model(model, run_dir / "model.ckpt", extra_meta={
-            "embeddings_hash": _file_digest(run_dir / "embeddings.tbl"),
-            "tokens_hash": _file_digest(run_dir / "tokens.tbl"),
+            **{f"{name}_sha256": _file_digest(run_dir / name)
+               for name in _SHARED_ARTIFACTS},
             **{key: str(getattr(config, key)) for key in _CHECKPOINT_KEYS}})
     table = pre.dataset.table
     with _stage("evaluate-test"):
@@ -551,41 +552,29 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
     """Metrics for one split from a finished run's artifacts.
 
     The split's token ids and labels come from `tokens.tbl`, so the
-    corpus is read only to take its digest. Refuses stale artifacts: the
-    token table and the cache must record the dictionary file's digest,
-    the checkpoint the cache file's and the token table file's, `run.cfg`
-    must hold the model and training settings the checkpoint records, and
-    the table's token and label ids must lie below the checkpoint's
-    vocab_size and n_labels. A checkpoint that records no such digest or
-    setting is refused too. When the corpus file's digest or `run.cfg`'s
-    split settings are not the ones the table records, the corpus is
-    loaded and `_check_corpus` refuses it unless every split holds what
-    the table holds.
+    corpus is read only to take its digest. Refuses stale artifacts:
+    `run.cfg` must hold the model and training settings the checkpoint
+    records, the table's token and label ids must lie below the
+    checkpoint's vocab_size and n_labels, and each of `_SHARED_ARTIFACTS`
+    must have the digest the checkpoint records for it. A checkpoint that
+    records no such setting or digest is refused too. When the corpus
+    file's digest or `run.cfg`'s split settings are not the ones the
+    table records, the corpus is loaded and `_check_corpus` refuses it
+    unless every split holds what the table holds.
     """
     run_dir = Path(run_dir)
     with _stage("load-artifacts"):
         config = load_config(run_dir / "run.cfg")
         table, table_meta = load_token_table(run_dir / "tokens.tbl", _TOKENS_META)
         stats = load_stat_dictionary(run_dir / "stat_dict.tsv")
-        embeddings, cached_hash = statvae.load_embedding_cache(
-            run_dir / "embeddings.tbl")
+        embeddings = statvae.load_embedding_cache(run_dir / "embeddings.tbl")
         model, meta = fusion.load_model(run_dir / "model.ckpt")
         corpus_hash = _file_digest(_dataset_path(config))
 
     with _stage("staleness-check"):
-        dict_hash = _file_digest(run_dir / "stat_dict.tsv")
-        if table_meta["dict_hash"] != dict_hash:
-            raise ValueError("token table was built with a different statistics "
-                             "dictionary; rerun preprocessing")
         if table_meta["corpus_sha256"] != corpus_hash or any(
                 table_meta[key] != str(getattr(config, key)) for key in _SPLIT_KEYS):
             _check_corpus(config, table, stats)
-        if cached_hash != dict_hash:
-            raise ValueError("embedding cache was built from a different "
-                             "statistics dictionary; rerun preprocessing")
-        if meta.get("embeddings_hash") != _file_digest(run_dir / "embeddings.tbl"):
-            raise ValueError("checkpoint was trained on a different embedding cache, "
-                             "or records none; retrain")
         for key in _CHECKPOINT_KEYS:
             if key not in meta:
                 raise ValueError(f"checkpoint records no {key}; retrain")
@@ -599,9 +588,10 @@ def evaluate(run_dir: str | Path, split: str = "test") -> MetricsReport:
             if top >= size:
                 raise ValueError(f"{run_dir / 'tokens.tbl'}: {what} {top} is not below "
                                  f"the checkpoint's {key} {size}; rerun preprocessing")
-        if meta.get("tokens_hash") != _file_digest(run_dir / "tokens.tbl"):
-            raise ValueError(f"{run_dir / 'tokens.tbl'}: the checkpoint was trained on "
-                             "a different token table, or records none; retrain")
+        for name in _SHARED_ARTIFACTS:
+            if meta.get(f"{name}_sha256") != _file_digest(run_dir / name):
+                raise ValueError(f"{run_dir / name}: the checkpoint was trained after "
+                                 f"a different {name}, or records none; retrain")
 
     with _stage(f"evaluate-{split}"):
         return _split_report(model, table, _rows_to_score(table, split), embeddings,
@@ -821,7 +811,7 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     `train` alone would leave.
 
     The first run whose mode reads no statistics embedding trains beside
-    VAE pretraining (`_preprocess`). Once the embedding cache, which its
+    VAE pretraining (`_preprocess`). Once every shared artifact, which its
     checkpoint binds, exists, this process saves that run and scores its
     test split, outside any lane. One `_map_lanes` call then trains every
     other run in ascending order of the parameter groups its mode trains

@@ -295,27 +295,22 @@ def save_stat_vae(vae: StatVae, path: str | Path) -> None:
     save_table(path, arrays, meta={"latent_dim": str(vae.latent_dim)})
 
 
-def save_embedding_cache(path: str | Path, embeddings: np.ndarray,
-                         dict_hash: str) -> None:
-    """Per-message embedding table keyed by the dictionary digest.
-
-    Row i belongs to message id i; the ids are stored alongside.
-    """
+def save_embedding_cache(path: str | Path, embeddings: np.ndarray) -> None:
+    """Per-message embedding table; row i belongs to message id i, and the
+    ids are stored alongside. `model.ckpt` records the file's digest."""
     save_table(path, {
         "message_ids": np.arange(len(embeddings), dtype=np.int64),
         "embeddings": np.asarray(embeddings, dtype=np.float64),
-    }, meta={"dict_hash": dict_hash})
+    })
 
 
-def load_embedding_cache(path: str | Path) -> tuple[np.ndarray, str]:
-    """(N, latent_dim) embeddings indexed by message id, and the digest."""
-    arrays, meta = load_table(path)
+def load_embedding_cache(path: str | Path) -> np.ndarray:
+    """(N, latent_dim) embeddings indexed by message id."""
+    arrays = load_table(path)[0]
     try:
         ids, vecs = arrays["message_ids"], arrays["embeddings"]
     except KeyError as exc:
         raise VaeError(f"{path}: embedding cache has no {exc.args[0]!r} tensor") from None
     if not np.array_equal(ids, np.arange(len(vecs))):
         raise VaeError(f"{path}: message ids are not 0..{len(vecs) - 1} in order")
-    if "dict_hash" not in meta:
-        raise VaeError(f"{path}: embedding cache has no 'dict_hash' meta entry")
-    return vecs, meta["dict_hash"]
+    return vecs

@@ -411,7 +411,9 @@ def test_evaluate_rejects_stale_dictionary(base_config, tmp_path):
     dict_path = result.run_dir / "stat_dict.tsv"
     dict_path.write_text(dict_path.read_text(encoding="utf-8") + "zzz\t1,0\n",
                          encoding="utf-8")
-    with pytest.raises(StageError, match="different statistics dictionary"):
+    with pytest.raises(StageError, match=r"^\[staleness-check\] .*/stat_dict.tsv: the "
+                                         "checkpoint was trained after a different "
+                                         "stat_dict.tsv, or records none; retrain$"):
         evaluate(result.run_dir)
 
 
@@ -429,29 +431,32 @@ def test_evaluate_rejects_changed_train_split(base_config, tmp_path, corpus_path
 
 def test_evaluate_refuses_a_cache_pretrained_again_into_a_trained_run(
         trained, base_config, tmp_path):
-    # the dictionary is rebuilt byte for byte; only the cache changes
+    # the dictionary is rebuilt byte for byte; run.cfg records the new setting
     run_dir = tmp_path / "run"
     shutil.copytree(trained.run_dir, run_dir)
     preprocess(replace(base_config, vae_epochs=1), run_dir)
     assert (run_dir / "stat_dict.tsv").read_bytes() == \
         (trained.run_dir / "stat_dict.tsv").read_bytes()
-    with pytest.raises(StageError, match=r"^\[staleness-check\] checkpoint was "
-                                         "trained on a different embedding cache"):
+    with pytest.raises(StageError, match=rf"^\[staleness-check\] run.cfg sets "
+                                         rf"vae_epochs=1, the checkpoint "
+                                         rf"vae_epochs={base_config.vae_epochs}; "
+                                         "retrain$"):
         evaluate(run_dir)
 
 
 def test_evaluate_refuses_a_checkpoint_that_records_no_embedding_cache(
         trained, tmp_path):
-    # the meta a checkpoint carried before it recorded the cache's digest
+    # the meta a checkpoint carried before it recorded every shared file's digest
     run_dir = tmp_path / "run"
     shutil.copytree(trained.run_dir, run_dir)
     arrays, meta = load_table(run_dir / "model.ckpt")
-    del meta["embeddings_hash"]
-    meta["dict_hash"] = pipeline._file_digest(run_dir / "stat_dict.tsv")
-    meta["train_hash"] = load_stat_dictionary(run_dir / "stat_dict.tsv").built_from
+    for name in pipeline._SHARED_ARTIFACTS:
+        del meta[f"{name}_sha256"]
+    meta["embeddings_hash"] = pipeline._file_digest(run_dir / "embeddings.tbl")
+    meta["tokens_hash"] = pipeline._file_digest(run_dir / "tokens.tbl")
     save_table(run_dir / "model.ckpt", arrays, meta=meta)
-    with pytest.raises(StageError, match=r"^\[staleness-check\] .*records none; "
-                                         "retrain$"):
+    with pytest.raises(StageError, match=r"^\[staleness-check\] .*/stat_dict.tsv: .*"
+                                         "records none; retrain$"):
         evaluate(run_dir)
 
 
@@ -479,7 +484,7 @@ def test_evaluate_refuses_a_checkpoint_that_records_no_training_settings(
     shutil.copytree(trained.run_dir, run_dir)
     arrays, meta = load_table(run_dir / "model.ckpt")
     for key in ("learning_rate", "batch_size", "vae_epochs", "classifier_epochs",
-                "tokens_hash"):
+                "tokens.tbl_sha256"):
         del meta[key]
     save_table(run_dir / "model.ckpt", arrays, meta=meta)
     with pytest.raises(StageError, match=r"^\[staleness-check\] checkpoint records "
@@ -487,16 +492,44 @@ def test_evaluate_refuses_a_checkpoint_that_records_no_training_settings(
         evaluate(run_dir)
 
 
-def test_evaluate_refuses_a_token_table_edited_under_intact_meta(trained, tmp_path):
+def _edit_tensor(path: Path, name: str, edit) -> None:
+    """Rewrite tensor `name` of the table at `path` as `edit` of it, meta intact."""
+    arrays, meta = load_table(path)
+    arrays[name] = edit(arrays[name])
+    save_table(path, arrays, meta=meta)
+
+
+def _edit_loss(path: Path) -> None:
+    """Double the first loss of a `vae_log.tsv`."""
+    header, first, *rest = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    step, loss = first.split("\t")
+    path.write_text("".join([header, f"{step}\t{2 * float(loss)!r}\n", *rest]),
+                    encoding="utf-8")
+
+
+# One edit per shared preprocessing file, each one that file's own loader reads.
+_EDITS = {
     # every label moved to the next one: in range, but not what trained the model
+    "tokens.tbl": partial(_edit_tensor, name="labels",
+                          edit=lambda labels: (labels + 1) % (labels.max() + 1)),
+    "stat_dict.tsv": lambda path: path.write_text(
+        path.read_text(encoding="utf-8") + "zzz\t1,0\n", encoding="utf-8"),
+    "vae.ckpt": partial(_edit_tensor, name="enc_b", edit=lambda bias: bias + 1.0),
+    "vae_log.tsv": _edit_loss,
+    "embeddings.tbl": partial(_edit_tensor, name="embeddings",
+                              edit=lambda embeddings: embeddings + 1e-9)}
+
+
+@pytest.mark.parametrize("name", pipeline._SHARED_ARTIFACTS)
+def test_evaluate_refuses_a_shared_artifact_edited_under_intact_meta(trained, tmp_path,
+                                                                    name):
     run_dir = tmp_path / "run"
     shutil.copytree(trained.run_dir, run_dir)
-    arrays, meta = load_table(run_dir / "tokens.tbl")
-    arrays["labels"] = (arrays["labels"] + 1) % trained.model.n_labels
-    save_table(run_dir / "tokens.tbl", arrays, meta=meta)
-    with pytest.raises(StageError, match=r"^\[staleness-check\] .*/tokens.tbl: the "
-                                         "checkpoint was trained on a different "
-                                         "token table, or records none; retrain$"):
+    _EDITS[name](run_dir / name)
+    assert (run_dir / name).read_bytes() != (trained.run_dir / name).read_bytes()
+    with pytest.raises(StageError, match=rf"^\[staleness-check\] .*/{name}: the "
+                                         "checkpoint was trained after a different "
+                                         rf"{name}, or records none; retrain$"):
         evaluate(run_dir)
 
 
@@ -776,7 +809,6 @@ def test_adam_holds_only_the_parameters_a_mode_reads(base_config, tmp_path,
 @pytest.mark.parametrize("name, key, error", [
     ("model.ckpt", "vocab_size", fusion.FusionError),
     ("embeddings.tbl", "message_ids", statvae.VaeError),
-    ("embeddings.tbl", "dict_hash", statvae.VaeError),
     ("tokens.tbl", "offsets", CorpusError),
     ("tokens.tbl", "corpus_sha256", CorpusError)])
 def test_evaluate_names_the_file_and_key_a_damaged_artifact_lacks(
@@ -919,7 +951,7 @@ def _scoring_inputs(run_dir: Path):
     config = load_config(run_dir / "run.cfg")
     dataset = load_dataset(config.dataset, split_spec=SplitSpec(
         config.train_ratio, config.dev_ratio, config.test_ratio, config.seed))
-    embeddings, _ = statvae.load_embedding_cache(run_dir / "embeddings.tbl")
+    embeddings = statvae.load_embedding_cache(run_dir / "embeddings.tbl")
     return fusion.load_model(run_dir / "model.ckpt")[0], dataset, embeddings
 
 

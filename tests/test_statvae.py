@@ -483,18 +483,17 @@ def test_vae_save_byte_stable(tmp_path):
 def test_embedding_cache_roundtrip(tmp_path):
     vecs = np.arange(9, dtype=np.float64).reshape(3, 3)
     path = tmp_path / "cache.table"
-    save_embedding_cache(path, vecs, dict_hash="abc123")
-    arrays, _ = load_table(path)
+    save_embedding_cache(path, vecs)
+    arrays, meta = load_table(path)
     np.testing.assert_array_equal(arrays["message_ids"], [0, 1, 2])
-    table, digest = load_embedding_cache(path)
-    assert digest == "abc123"
-    np.testing.assert_array_equal(table, vecs)
+    assert meta == {}
+    np.testing.assert_array_equal(load_embedding_cache(path), vecs)
 
 
 @pytest.mark.parametrize("ids", [[3, 11, 7], [0, 2, 1], [0, 1]])
 def test_embedding_cache_refuses_ids_other_than_0_to_n(tmp_path, ids):
     path = tmp_path / "cache.table"
     save_table(path, {"message_ids": np.array(ids, dtype=np.int64),
-                      "embeddings": np.zeros((3, 2))}, meta={"dict_hash": "x"})
+                      "embeddings": np.zeros((3, 2))})
     with pytest.raises(VaeError, match="message ids"):
         load_embedding_cache(path)

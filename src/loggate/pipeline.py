@@ -373,20 +373,29 @@ def preprocess(config: RunConfig, out_dir: str | Path) -> PreprocessResult:
     checkpoint or the embedding cache is written. `_preprocess` says
     which process runs each stage.
     """
-    return _preprocess(config, _open_run(config, out_dir), None)[0]
+    return _preprocess(config, _open_run(config, out_dir))
 
 
-def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None):
-    """`preprocess` into `run_dir`, and `_fit` of `beside`, if given, with no embeddings.
+def _preprocess(config: RunConfig, run_dir: Path) -> PreprocessResult:
+    """`preprocess` into `run_dir`.
 
-    This process parses every line, tokenizes the train split, builds the
-    dictionary and pools the train rows. Then lane 1 runs `_pretrain_vae`
-    while this process runs `_finish_ingest` and fits `beside`. Lane 1
-    forks only if at least LANE_MIN_ROWS records lie outside the train
-    split or `beside` is given; else this process makes every call, in
-    that order. Returns the `PreprocessResult` and a list of the fit's
-    `(model, log_rows)`, if any, which nothing has saved or scored yet.
+    This process runs `_read_corpus`. Then lane 1 runs `_pretrain_vae`
+    while this process runs `_finish_ingest`. Lane 1 forks only if at
+    least LANE_MIN_ROWS records lie outside the train split; else this
+    process makes both calls, in that order. `_embed` runs here last.
     """
+    dataset, rest, stats, train_vectors = _read_corpus(config)
+    all_vectors, (vae, curve) = _map_lanes(
+        [partial(_finish_ingest, config, run_dir, dataset, rest, stats),
+         partial(_pretrain_vae, config, train_vectors)],
+        _lane_count(1 + (len(rest) >= LANE_MIN_ROWS)))
+    return _embed(config, run_dir, dataset, all_vectors, vae, curve)
+
+
+def _read_corpus(config: RunConfig):
+    """Parse every line, tokenize the train split, build the dictionary and pool
+    the train rows: `(dataset, rest, stats, train_vectors)`, where `rest` is
+    what `_finish_ingest` tokenizes."""
     with _stage("load-dataset"):
         dataset, rest = read_dataset(_dataset_path(config), _split_spec(config))
     with _stage("stat-dictionary"):
@@ -394,13 +403,13 @@ def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None):
     with _stage("vae-pretrain"):
         train_vectors = pooled_stats(stats, dataset, dataset.table.split_rows("train"),
                                      config.m_fixed)
-    calls = [partial(_finish_ingest, config, run_dir, dataset, rest, stats),
-             partial(_pretrain_vae, config, train_vectors)]
-    if beside is not None:
-        calls.append(partial(_fit, beside, dataset, None))
-    all_vectors, (vae, curve), *fit = _map_lanes(
-        calls, _lane_count(1 + (beside is not None or len(rest) >= LANE_MIN_ROWS)))
+    return dataset, rest, stats, train_vectors
 
+
+def _embed(config: RunConfig, run_dir: Path, dataset: LogDataset, all_vectors,
+           vae, curve) -> PreprocessResult:
+    """Save the pretrained `vae` and its loss `curve`, then embed every record's
+    pooled statistics `all_vectors` and save the cache."""
     with _stage("vae-pretrain"):
         statvae.save_stat_vae(vae, run_dir / "vae.ckpt")
         _write_rows(run_dir / "vae_log.tsv", ("step", "loss"),
@@ -413,7 +422,7 @@ def _preprocess(config: RunConfig, run_dir: Path, beside: RunConfig | None):
             raise FloatingPointError(
                 f"{bad} of {len(embeddings)} embeddings are non-finite")
         statvae.save_embedding_cache(run_dir / "embeddings.tbl", embeddings)
-    return PreprocessResult(dataset, embeddings, run_dir), fit
+    return PreprocessResult(dataset, embeddings, run_dir)
 
 
 def _pretrain_vae(config: RunConfig, train_vectors: np.ndarray):
@@ -617,11 +626,18 @@ def _check_corpus(config: RunConfig, table: TokenTable, stats: StatDictionary) -
                          "preprocessing; retrain")
 
 
-# True in a process that runs lanes: for the length of a `_map_lanes`
-# call that forked, and in each child it forks. While it is set,
-# `_lane_count` gives one lane, so no lane forks lanes of its own and
-# processes never outnumber CPUs.
-_in_lanes = False
+# The failure flag of the lanes this process runs: set for the length of
+# a `_map_lanes` call that forked, and in each child it forks. While it is
+# set, `_lane_count` gives one lane, so no lane forks lanes of its own by
+# that rule. Only a lane count worked out before a call forks inside it:
+# `_train_sharing_preprocess` forks the later fits' lanes from lane 0
+# while its embedding-free child still trains, so for that long up to
+# CPUs + 1 processes are busy. Otherwise processes never outnumber CPUs.
+_lanes_failed = None
+
+
+class _Cancelled(Exception):
+    """A `_map_lanes` call made in a lane stopped by a failure outside it."""
 
 
 def _lane_count(work: int) -> int:
@@ -629,13 +645,15 @@ def _lane_count(work: int) -> int:
 
     One lane, this process, when lanes already run here or where the OS
     cannot fork (Windows, where `os.fork` is missing): the lanes inherit
-    their work unpickled.
+    their work unpickled. So a lane forks lanes of its own only with a
+    count asked for before its lanes started, as `_train_sharing_preprocess`
+    does for the later fits.
     """
     # sched_getaffinity is missing on macOS and Windows
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     lanes = min(work, cpus)
-    if lanes > 1 and not _in_lanes and hasattr(os, "fork"):
+    if lanes > 1 and _lanes_failed is None and hasattr(os, "fork"):
         return lanes
     return 1
 
@@ -654,6 +672,11 @@ def _map_lanes(calls, lanes: int) -> list:
     results fails at its lane's first call, with an error naming its
     lane. No child outlives the call.
 
+    A call in lane 0 may make a `_map_lanes` call that forks, given a
+    lane count worked out before this one: the two share the flag. If
+    a failure outside the inner call stops it, it raises `_Cancelled`,
+    and this call re-raises the failure read from its own lanes.
+
     The children's pipes are read in lane order once lane 0 is done. So
     with 3 or more lanes, a child that dies without sending a result is
     noticed only once the lanes before it are read, and until then those
@@ -661,12 +684,14 @@ def _map_lanes(calls, lanes: int) -> list:
     """
     if lanes == 1:
         return [call() for call in calls]
-    global _in_lanes
+    global _lanes_failed
     import mmap  # here, so a run that never forks never loads it
 
-    failed = mmap.mmap(-1, 1)  # shared; byte 0 is set once a call fails
+    enclosing = _lanes_failed
+    # shared; byte 0 is set once a call fails
+    failed = mmap.mmap(-1, 1) if enclosing is None else enclosing
     children, results = {}, {}
-    _in_lanes = True
+    _lanes_failed = failed
     _flush_std_streams()  # else a child would write the buffered text again
     try:
         for lane in range(1, lanes):
@@ -685,15 +710,19 @@ def _map_lanes(calls, lanes: int) -> list:
             if failed[0]:
                 break
             results[index] = calls[index]()
+    except _Cancelled:
+        pass  # the flag is set: the failure is read below or in an enclosing call
     except BaseException:
         failed[0] = 1
         raise
     finally:
-        _in_lanes = False
+        _lanes_failed = enclosing
         joined, failures = _join_lanes(children, calls, lanes, failed)
     if failures:
         raise failures[min(failures)]
     results.update(joined)
+    if len(results) < len(calls):
+        raise _Cancelled  # a lane of an enclosing call failed
     return [results[i] for i in range(len(calls))]
 
 
@@ -799,6 +828,13 @@ def _fit_run(runs, pre: PreprocessResult, index: int, started: float) -> Metrics
                    started)
 
 
+def _fit_runs(runs, pre: PreprocessResult, order, started: float,
+              lanes: int) -> dict[int, MetricsReport]:
+    """`_fit_run` of each run index of `order`, on `lanes` lanes; reports by index."""
+    return dict(zip(order, _map_lanes([partial(_fit_run, runs, pre, i, started)
+                                       for i in order], lanes)))
+
+
 def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     """Train every `(config, run_dir)` pair on one preprocessing pass.
 
@@ -808,21 +844,28 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
     ConfigError naming it, before any work. The first run preprocesses
     into its own directory; each later run gets its own `run.cfg` and a
     byte copy of those artifacts, so every run directory equals what
-    `train` alone would leave.
+    `train` alone would leave. Each fit depends only on its config and
+    the shared preprocessing, so no artifact depends on the lane count.
 
-    The first run whose mode reads no statistics embedding trains beside
-    VAE pretraining (`_preprocess`). Once every shared artifact, which its
-    checkpoint binds, exists, this process saves that run and scores its
-    test split, outside any lane. One `_map_lanes` call then trains every
-    other run in ascending order of the parameter groups its mode trains
+    The runs train in this order: the first run whose mode reads no
+    statistics embedding (the embedding-free run), if any, then the
+    others in ascending order of the parameter groups their modes train
     and then `d_model`, which orders them by trained entries (ties in run
-    order), so this process starts with the smallest. Each fit depends
-    only on its config and the shared preprocessing, so no artifact
-    depends on the lane count.
+    order). With two or more lanes (`_lane_count` of the runs), the
+    embedding-free run trains in a child of its own, forked by
+    `_map_lanes` once ingest has finished here. Meanwhile this process
+    pretrains the VAE and saves it and the embedding cache, then trains
+    the other runs by the lane rule, so this process starts with the
+    smallest. The child is joined last; this process then saves the
+    embedding-free run, whose checkpoint binds the cache, and scores its
+    test split outside any lane. Otherwise `preprocess` runs first, then
+    every run trains by the lane rule.
 
-    Every wall clock ends with its run's test scoring. Run 0's and the
-    beside run's start with this call, so they cover preprocessing; any
-    other run's covers copying the artifacts and its classifier.
+    Every wall clock ends with its run's test scoring. Run 0's starts with
+    this call, and so does the embedding-free run's when it trains in its
+    own child: it then covers the whole call up to its test scoring,
+    which comes after every other run's. Any other run's covers copying
+    the artifacts and its classifier.
     """
     first = runs[0][0]
     for config, _ in runs:
@@ -834,17 +877,29 @@ def _train_sharing_preprocess(runs) -> list[MetricsReport]:
                     f"runs sharing preprocessing must agree on {f.name}, got "
                     f"{getattr(first, f.name)!r} and {getattr(config, f.name)!r}")
     started = time.perf_counter()
-    beside = next((i for i, (config, _) in enumerate(runs)
-                   if "stats" not in fusion.TRAINED_GROUPS[config.mode]), None)
-    pre, fits = _preprocess(first, _open_run(*runs[0]),
-                            None if beside is None else runs[beside][0])
-    reports = {beside: _finish(runs[beside][0], pre, _run_dir(runs, pre, beside), *fit,
-                               started) for fit in fits}
-    later = sorted((i for i in range(len(runs)) if i != beside),
-                   key=lambda i: (len(fusion.TRAINED_GROUPS[runs[i][0].mode]),
-                                  runs[i][0].d_model))
-    reports.update(zip(later, _map_lanes([partial(_fit_run, runs, pre, i, started)
-                                          for i in later], _lane_count(len(later)))))
+    run_dir = _open_run(*runs[0])
+    free = next((i for i, (config, _) in enumerate(runs)
+                 if "stats" not in fusion.TRAINED_GROUPS[config.mode]), None)
+    order = sorted(range(len(runs)), key=lambda i: (
+        i != free, len(fusion.TRAINED_GROUPS[runs[i][0].mode]), runs[i][0].d_model))
+    lanes = _lane_count(len(runs))
+    if free is None or lanes == 1:
+        reports = _fit_runs(runs, _preprocess(first, run_dir), order, started, lanes)
+    else:
+        dataset, rest, stats, train_vectors = _read_corpus(first)
+        all_vectors = _finish_ingest(first, run_dir, dataset, rest, stats)
+        later = order[1:]
+        later_lanes = _lane_count(len(later))
+
+        def pretrain_then_fit_later():
+            pre = _embed(first, run_dir, dataset, all_vectors,
+                         *_pretrain_vae(first, train_vectors))
+            return pre, _fit_runs(runs, pre, later, started, later_lanes)
+
+        (pre, reports), fit = _map_lanes(
+            [pretrain_then_fit_later, partial(_fit, runs[free][0], dataset, None)], 2)
+        reports[free] = _finish(runs[free][0], pre, _run_dir(runs, pre, free), *fit,
+                                started)
     return [reports[i] for i in range(len(runs))]
 
 
@@ -853,10 +908,10 @@ def run_ablation(config: RunConfig, out_dir: str | Path) -> dict[str, MetricsRep
 
     The modes share one preprocessing pass; `<out_dir>/<mode>` holds the
     files `train` would write there. `semantic_only` reads no statistics
-    embedding, so this process trains it while a forked lane pretrains
-    the VAE; the other three then train on parallel lanes, one per CPU
-    up to three. `_train_sharing_preprocess` says what each wall clock
-    covers.
+    embedding, so with two or more CPUs a forked child trains it from the
+    end of ingest while this process pretrains the VAE; the other three
+    then train on parallel lanes, one per CPU up to three, beside that
+    child. `_train_sharing_preprocess` says what each wall clock covers.
     """
     out_dir = Path(out_dir)
     reports = dict(zip(MODES, _train_sharing_preprocess(
@@ -877,9 +932,10 @@ def run_sweep(config: RunConfig, axis: str, grid,
     Every point is cast and validated, and duplicates are refused,
     before any work. The points share one preprocessing pass and train
     on parallel lanes, one per CPU up to one per point; in
-    `semantic_only` mode the first point trains while a forked lane
-    pretrains the VAE. `_train_sharing_preprocess` says what each wall
-    clock covers.
+    `semantic_only` mode, with two or more CPUs, a forked child trains
+    the first point from the end of ingest while this process pretrains
+    the VAE and then trains the others. `_train_sharing_preprocess` says
+    what each wall clock covers.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {sorted(SWEEP_AXES)}, got {axis!r}")

@@ -1179,30 +1179,50 @@ def _await_fit(fit_pids, mode: str, timeout: float = 10.0) -> bool:
 
 def test_later_runs_train_in_a_child_lane(base_config, tmp_path, monkeypatch,
                                           no_lane_left, fit_pids, pretrain_pids):
-    # semantic_only reads no statistics embedding, so this process trains
-    # it while a child pretrains the VAE, before the embeddings exist.
+    # semantic_only reads no statistics embedding, so a child of its own
+    # trains it, forked before this process pretrains the VAE.
     _use_cpus(monkeypatch, 2)
-    embed, embedded = statvae.embed_statistics, []
+    pretrain, forked = statvae.pretrain, []
 
-    def recording(vae, x):
-        embedded.append(time.perf_counter())
-        return embed(vae, x)
+    def recording(vectors, config):
+        forked.append(_has_child())
+        return pretrain(vectors, config)
 
-    monkeypatch.setattr(statvae, "embed_statistics", recording)
+    monkeypatch.setattr(statvae, "pretrain", recording)
     run_ablation(base_config, tmp_path / "ablation")
     pids = fit_pids()
     assert set(pids) == set(MODES)
-    assert pids["semantic_only"] == os.getpid()
-    assert pretrain_pids() not in ([], [os.getpid()])
-    assert fit_pids(started=True)["semantic_only"] < embedded[0]
+    assert pretrain_pids() == [os.getpid()]
+    assert forked == [True]
     # then the other three, fewest trained entries first: stats_only, then
-    # full and no_gate, which tie and keep their order, so a child trains full
+    # full and no_gate, which tie and keep their order, so a lane child
+    # trains full beside semantic_only's child
     in_parent = {mode for mode, pid in pids.items() if pid == os.getpid()}
-    assert in_parent == {"semantic_only", "stats_only", "no_gate"}
+    assert in_parent == {"stats_only", "no_gate"}
+    assert len({os.getpid(), pids["full"], pids["semantic_only"]}) == 3
+
+
+def test_a_later_fit_starts_before_the_embedding_free_fit_ends(
+        base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
+    # semantic_only's fit waits in its child until a later fit has started:
+    # the later lanes fork once the embedding cache exists, not once that
+    # fit ends
+    _use_cpus(monkeypatch, 2)
+    fit, overlapped = pipeline._fit, tmp_path / "overlapped"
+
+    def waiting(config, *args):
+        if config.mode == "semantic_only" and _await_fit(fit_pids, "stats_only"):
+            overlapped.touch()
+        return fit(config, *args)
+
+    monkeypatch.setattr(pipeline, "_fit", waiting)
+    run_ablation(base_config, tmp_path / "ablation")
+    assert overlapped.exists()
+    assert set(fit_pids()) == set(MODES)
 
 
 @pytest.mark.parametrize("cpus, in_parent", [
-    (2, {"semantic_only", "stats_only", "no_gate"}), (None, set(MODES))])
+    (2, {"stats_only", "no_gate"}), (None, set(MODES))])
 def test_lanes_count_cpus_without_sched_getaffinity(base_config, tmp_path, monkeypatch,
                                                     no_lane_left, fit_pids, cpus,
                                                     in_parent):
@@ -1222,6 +1242,10 @@ def test_every_run_trains_here_where_fork_is_no_start_method(base_config, tmp_pa
     monkeypatch.delattr(os, "fork")
     run_ablation(base_config, tmp_path / "ablation")
     assert fit_pids() == {mode: os.getpid() for mode in MODES}
+    # in the order one CPU gives them
+    started = fit_pids(started=True)
+    assert sorted(MODES, key=started.get) == \
+        ["semantic_only", "stats_only", "full", "no_gate"]
 
 
 def _process_pool_modules_after(code: str) -> str:
@@ -1274,7 +1298,7 @@ def test_a_failing_vae_pretrain_stops_the_run_while_semantic_only_trains_beside_
 
     def failing(vectors, config):
         # any other failure here fails the match below
-        assert os.getpid() != parent, "pretraining did not fork"
+        assert os.getpid() == parent, "pretraining forked"
         assert _await_fit(fit_pids, "semantic_only"), "semantic_only did not train"
         raise FloatingPointError("vae fault")
 
@@ -1282,7 +1306,8 @@ def test_a_failing_vae_pretrain_stops_the_run_while_semantic_only_trains_beside_
     with pytest.raises(StageError, match=r"^\[vae-pretrain\] vae fault$") as caught:
         run_ablation(base_config, tmp_path)
     assert caught.value.stage == "vae-pretrain"
-    assert fit_pids()["semantic_only"] == os.getpid()
+    assert set(fit_pids()) == {"semantic_only"}
+    assert fit_pids()["semantic_only"] != os.getpid()
     for name in ("train_log.tsv", "model.ckpt", "metrics.tsv", "metrics.txt"):
         assert not list(tmp_path.rglob(name)), name
     assert not (tmp_path / "ablation.tsv").exists()
@@ -1657,9 +1682,9 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     scored = [row for row in score_pids() if row[1] == "float32"]
     # dev scoring every logged epoch plus the test split, in chunks of 2
     # rows; a run stops early after a dev macro-F1 of 1.0. semantic_only,
-    # trained beside pretraining, scores its test split here after
-    # preprocessing, outside any lane: on two lanes, the second a child of
-    # its own.
+    # trained in a child of its own, scores its test split here once that
+    # child is joined, outside any lane: on two lanes, the second a child
+    # of its own.
     table = load_dataset(base_config.dataset, pipeline._split_spec(base_config)).table
     dev_chunks, test_chunks = (-(-table.split_rows(split).size // 2)
                                for split in ("dev", "test"))
@@ -1671,11 +1696,10 @@ def test_training_lanes_score_in_their_own_process(base_config, tmp_path, monkey
     # its dev chunks were all scored before its test split's
     _lane_ranges([row for row in scored if row[0] == "semantic_only"][-test_chunks:],
                  table.widths(table.split_rows("test"), base_config.m_fixed), 2)
-    # this process, which trains semantic_only beside pretraining, and the
-    # child forked for the later runs
-    assert len(set(fitted.values())) == 2
-    # one child pretrains the VAE, one scores part of semantic_only's test
-    # split and one trains the later runs: no lane forks scoring lanes
+    # semantic_only's child, and this process and a child for the later runs
+    assert len(set(fitted.values())) == 3
+    # one child trains semantic_only, one trains later runs and one scores
+    # part of semantic_only's test split: no lane forks scoring lanes
     assert forks() == 3
 
 
@@ -1902,16 +1926,17 @@ def test_ingest_forks_from_the_threshold_or_beside_a_run_and_never_inside_a_lane
         preprocess(_ingest_config(), tmp_path / f"min{min_rows}")
         assert forks() == forked, min_rows
         assert (pretrain_pids() != [os.getpid()]) == bool(forked), min_rows
-    # An ablation forks pretraining at any size, to train semantic_only
-    # beside it, and one more child for the later runs. With the threshold
-    # at 1, every scoring outside a lane forks: only semantic_only's test
-    # scoring, which runs here after preprocessing, adds a child.
+    # An ablation never forks ingest: at any size it forks a child to train
+    # semantic_only once ingest is done, pretrains here, then forks one more
+    # child for the later runs. With the threshold at 1, every scoring
+    # outside a lane forks: only semantic_only's test scoring, which runs
+    # here once its child is joined, adds a child.
     for min_rows, children in ((10 ** 9, 2), (1, 3)):
         monkeypatch.setattr(pipeline, "LANE_MIN_ROWS", min_rows)
         forked = forks()
         run_ablation(base_config, tmp_path / f"ablation{min_rows}")
         assert forks() - forked == children, min_rows
-        assert pretrain_pids() not in ([], [os.getpid()]), min_rows
+        assert pretrain_pids() == [os.getpid()], min_rows
 
 
 def test_a_failing_pretrain_lane_raises_its_stage_error(tmp_path, monkeypatch,
@@ -1947,11 +1972,33 @@ def test_an_ablation_forking_ingest_leaves_the_serial_bytes_at_every_cpu_count(
             (serial / "ablation.tsv").read_bytes()
 
 
+def _child_exited(pid: int = 0) -> bool:
+    """Whether child `pid` (with 0, any child) of this process has exited; reaps none."""
+    return os.waitid(os.P_PID if pid else os.P_ALL, pid,
+                     os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+
+def _await(condition, timeout: float = 10.0) -> bool:
+    """Whether `condition()` holds within `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_a_fit_diverging_beside_pretraining_stops_the_ablation(
         base_config, tmp_path, monkeypatch, no_lane_left, fit_pids, cpus):
     _use_cpus(monkeypatch, cpus)
-    forward = fusion.batch_forward
+    forward, pretrain = fusion.batch_forward, statvae.pretrain
+
+    def after_the_failure(vectors, config):
+        # on two or more CPUs semantic_only trains in a child forked before
+        # pretraining, which exits once it fails; one CPU trains it later
+        assert cpus == 1 or _await(_child_exited), "semantic_only's child is running"
+        return pretrain(vectors, config)
+
+    monkeypatch.setattr(statvae, "pretrain", after_the_failure)
 
     def diverging(model, ids, mask, stat_rows):
         if model.mode == "semantic_only":
@@ -1964,9 +2011,79 @@ def test_a_fit_diverging_beside_pretraining_stops_the_ablation(
         run_ablation(base_config, tmp_path)
     assert caught.value.stage == "train-classifier"
     # no later run started
-    assert fit_pids() == {"semantic_only": os.getpid()}
+    assert set(fit_pids()) == {"semantic_only"}
+    assert (fit_pids()["semantic_only"] == os.getpid()) == (cpus == 1)
     assert not list(tmp_path.rglob("model.ckpt"))
     assert not (tmp_path / "ablation.tsv").exists()
+
+
+def test_a_later_fit_diverging_while_semantic_only_trains_stops_the_ablation(
+        base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
+    # On two lanes stats_only trains here and full in a child. stats_only
+    # fails once full has started, while semantic_only's child waits for
+    # that failure: full and semantic_only finish, and only full is saved.
+    _use_cpus(monkeypatch, 2)
+    forward, fit, failed = fusion.batch_forward, pipeline._fit, tmp_path / "failed"
+
+    def diverging(model, ids, mask, stat_rows):
+        if model.mode == "stats_only":
+            assert _await_fit(fit_pids, "full"), "full did not start"
+            failed.touch()
+            raise FloatingPointError("stats_only fault")
+        return forward(model, ids, mask, stat_rows)
+
+    def waiting(config, *args):
+        if config.mode == "semantic_only":
+            assert _await(failed.exists), "stats_only did not fail"
+        return fit(config, *args)
+
+    monkeypatch.setattr(fusion, "batch_forward", diverging)
+    monkeypatch.setattr(pipeline, "_fit", waiting)
+    out = tmp_path / "ablation"
+    with pytest.raises(StageError, match=r"^\[train-classifier\] stats_only fault$") \
+            as caught:
+        run_ablation(base_config, out)
+    assert caught.value.stage == "train-classifier"
+    pids = fit_pids()
+    assert pids["stats_only"] == os.getpid() != pids["semantic_only"]
+    # no_gate, queued after stats_only here, never started
+    assert set(pids) == {"semantic_only", "stats_only", "full"}
+    assert sorted(path.parent.name for path in out.rglob("model.ckpt")) == ["full"]
+    assert not (out / "semantic_only" / "metrics.tsv").exists()
+    assert not (out / "ablation.tsv").exists()
+
+
+def test_semantic_only_diverging_after_the_later_lanes_start_stops_the_ablation(
+        base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
+    # semantic_only fails once full has started in a child lane, while
+    # stats_only trains here until semantic_only's child has exited: the
+    # started fits finish, and no_gate, queued after stats_only, never starts.
+    _use_cpus(monkeypatch, 2)
+    forward, fit = fusion.batch_forward, pipeline._fit
+
+    def diverging(model, ids, mask, stat_rows):
+        if model.mode == "semantic_only":
+            assert _await_fit(fit_pids, "full"), "full did not start"
+            raise FloatingPointError("semantic_only fault")
+        return forward(model, ids, mask, stat_rows)
+
+    def waiting(config, *args):
+        if config.mode == "stats_only":
+            assert _await(lambda: _child_exited(fit_pids()["semantic_only"])), \
+                "semantic_only's child is running"
+        return fit(config, *args)
+
+    monkeypatch.setattr(fusion, "batch_forward", diverging)
+    monkeypatch.setattr(pipeline, "_fit", waiting)
+    out = tmp_path / "ablation"
+    with pytest.raises(StageError,
+                       match=r"^\[train-classifier\] semantic_only fault$") as caught:
+        run_ablation(base_config, out)
+    assert caught.value.stage == "train-classifier"
+    assert set(fit_pids()) == {"semantic_only", "stats_only", "full"}
+    assert sorted(path.parent.name for path in out.rglob("model.ckpt")) == \
+        ["full", "stats_only"]
+    assert not (out / "ablation.tsv").exists()
 
 
 def test_a_malformed_test_split_line_fails_before_ingest_forks(tmp_path, monkeypatch,

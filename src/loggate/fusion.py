@@ -265,6 +265,33 @@ def _relu(a: np.ndarray) -> np.ndarray:
     return np.maximum(a, 0, out=a)
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """`ad.sigmoid(x)`'s values bit for bit, in x's float dtype.
+
+    The graph's `where(x >= 0, 1 / (1 + e), e / (1 + e))`, `e = exp(-|x|)`,
+    with one division and no select: `e + (x >= 0)` is `1 + e` where
+    `x >= 0`, which the minimum makes exactly 1, and `e` elsewhere.
+    """
+    e = np.exp(-np.abs(x))
+    out = np.minimum(e + (x >= 0), 1.0)
+    e += 1.0
+    out /= e
+    return out
+
+
+def _scatter_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """`np.add.at(table, ids, rows)` through one flat index, in place.
+
+    `table` is a C-contiguous (vocab, d) array and `rows` is
+    `ids.shape + (d,)`. Entry `(id, c)` of row j goes to flat index
+    `id * d + c`; `np.add.at` adds in index order, so each entry of
+    `table` takes the same sums in the same order as the 2-D form.
+    """
+    d = table.shape[1]
+    flat = ids.astype(np.intp)[..., None] * d + np.arange(d, dtype=np.intp)
+    np.add.at(table.reshape(-1), flat.reshape(-1), rows.reshape(-1))
+
+
 def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
                   stat_rows: np.ndarray) -> tuple[np.ndarray, dict]:
     """Logits (B, n_labels) of a padded batch, plus what `batch_backward` needs.
@@ -278,7 +305,8 @@ def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
     place into arrays this call made, and a sum may take its two
     operands in the other order; neither changes a bit. Every constant
     (positions, pool weights, statistics rows) takes the parameters'
-    dtype.
+    dtype. The gate's confidence is `_sigmoid`: the graph sigmoid's bits
+    from one division and no select.
 
     A ReLU here passes a NaN on where `ad.relu` zeroes it, so a NaN
     parameter makes the logits, and a training step's loss, NaN.
@@ -318,9 +346,7 @@ def batch_forward(model: DiagnosisModel, ids: np.ndarray, mask: np.ndarray,
         if model.mode == "no_gate":
             fused += stat
         elif model.mode == "full":
-            e = np.exp(-np.abs(info))
-            total = 1.0 + e
-            conf = np.where(info >= 0, 1.0 / total, e / total)
+            conf = _sigmoid(info)
             band = np.asarray(np.abs(conf - 0.5) <= model.epsilon, dtype=dtype)
             gated = conf * band
             fused += gated * stat
@@ -348,7 +374,10 @@ def _affine_grads(grads: dict, weight: str, bias: str, inputs: np.ndarray,
 
 
 def _softmax_grad(weights: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return weights * (g - (g * weights).sum(axis=-1, keepdims=True))
+    """`weights * (g - (g * weights).sum(-1))`, written over `g`."""
+    g -= (g * weights).sum(axis=-1, keepdims=True)
+    g *= weights
+    return g
 
 
 def _rows_times(g: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -366,6 +395,9 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
     is written over its array in place; any other array is left as it is.
     Each weight gradient is one GEMM over the batch's B * width rows, so
     the sums run in another order than the graph's per-message stack.
+    Residual and attention sums are written in place into arrays this
+    call made, with every operand order kept, and the embedding gradient
+    is one flat `np.add.at` (`_scatter_rows`) with the 2-D form's sums.
     """
     b = logits.shape[0]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -376,11 +408,13 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
         return loss
     p = {name: t.values for name, t in model.parameters().items()}
     s = saved
-    g = weights / norm
+    g = weights
+    g /= norm
     g[np.arange(b), labels] -= 1.0
     g /= b
     _affine_grads(grads, "head.w2", "head.b2", s["hidden"], g)
-    g = (g @ p["head.w2"].T) * (s["hidden"] > 0)
+    g = g @ p["head.w2"].T
+    g *= s["hidden"] > 0
     _affine_grads(grads, "head.w1", "head.b1", s["pooled"], g)
     g_pooled = g @ p["head.w1"].T
     if model.mode == "stats_only":
@@ -391,14 +425,19 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
         feats, fused, attention = s["feats"], s["fused"], s["global_weights"]
         g_scores = _softmax_grad(attention, np.matmul(g_attended, _swap(feats)))
         g_fused = np.matmul(g_scores, feats)
-        g_feats = (np.matmul(_swap(attention), g_attended)
-                   + np.matmul(_swap(g_scores), fused))
+        g_feats = np.matmul(_swap(attention), g_attended)
+        g_feats += np.matmul(_swap(g_scores), fused)
         # gate and information projection
         g_info = g_fused * (s["info"] > 0)
         if model.mode == "full":
             conf = s["conf"]
-            g_info = g_info + g_fused * s["stat"] * s["band"] * conf * (1.0 - conf)
-            g_stat = (g_fused * s["gated"]).sum(axis=1)
+            term = g_fused * s["stat"]
+            term *= s["band"]
+            term *= conf
+            term *= 1.0 - conf
+            g_info += term
+            g_fused *= s["gated"]
+            g_stat = g_fused.sum(axis=1)
         elif model.mode == "no_gate":
             g_stat = g_fused.sum(axis=1)
         g_rows = g_info.reshape(-1, g_info.shape[-1])
@@ -408,23 +447,25 @@ def batch_backward(model: DiagnosisModel, logits: np.ndarray, saved: dict,
         g_feats += _rows_times(g_info, p["info.weight"])
         # encoder: FFN block, then the self-attention block
         _affine_grads(grads, "sem.ffn_w2", "sem.ffn_b2", s["ffn"], g_feats)
-        g = _rows_times(g_feats, p["sem.ffn_w2"].T) * (s["ffn"] > 0)
+        g = _rows_times(g_feats, p["sem.ffn_w2"].T)
+        g *= s["ffn"] > 0
         _affine_grads(grads, "sem.ffn_w1", "sem.ffn_b1", s["x1"], g)
-        g_x1 = g_feats + _rows_times(g, p["sem.ffn_w1"].T)
+        g_x1 = g_feats
+        g_x1 += _rows_times(g, p["sem.ffn_w1"].T)
         _affine_grads(grads, "sem.wo", "sem.bo", s["mixed"], g_x1)
         g_mixed = _rows_times(g_x1, p["sem.wo"].T)
         attention, q, k, v = s["self_weights"], s["q"], s["k"], s["v"]
-        g_scores = _softmax_grad(attention, np.matmul(g_mixed, _swap(v))) * (
-            1.0 / np.sqrt(q.shape[-1]))
+        g_scores = _softmax_grad(attention, np.matmul(g_mixed, _swap(v)))
+        g_scores *= 1.0 / np.sqrt(q.shape[-1])
         g_x0 = g_x1
         for name, g in (("q", np.matmul(g_scores, k)),
                         ("k", np.matmul(_swap(g_scores), q)),
                         ("v", np.matmul(_swap(attention), g_mixed))):
             _affine_grads(grads, f"sem.w{name}", f"sem.b{name}", s["x0"], g)
-            g_x0 = g_x0 + _rows_times(g, p[f"sem.w{name}"].T)
+            g_x0 += _rows_times(g, p[f"sem.w{name}"].T)
         table = grads["sem.tok_emb"]
         table[...] = 0.0
-        np.add.at(table, s["ids"], g_x0)
+        _scatter_rows(table, s["ids"], g_x0)
     if model.mode != "semantic_only":
         _affine_grads(grads, "stats.weight", "stats.bias", s["stat_in"], g_stat)
     return loss

@@ -220,10 +220,13 @@ class TrainResult(PreprocessResult):
 
 @contextlib.contextmanager
 def _stage(name: str):
-    """Re-raise any failure inside the block as a StageError named `name`."""
+    """Re-raise any failure inside the block as a StageError named `name`.
+
+    A `_Cancelled` lane call is re-raised as it is: it is not a failure.
+    """
     try:
         yield
-    except StageError:
+    except (StageError, _Cancelled):
         raise
     except Exception as exc:
         raise StageError(name, str(exc) or type(exc).__name__) from exc
@@ -505,6 +508,9 @@ def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None):
     that scores exactly 1.0 none can be: training stops there, and the
     log ends at that epoch. Without a dev split every epoch is selected
     and every epoch trains.
+
+    In a lane, a failure in any lane stops the fit before its next
+    epoch with `_Cancelled`.
     """
     _rows_to_score(dataset.table, "test")
     model = fusion.build_model(
@@ -522,6 +528,8 @@ def _fit(config: RunConfig, dataset: LogDataset, embeddings: np.ndarray | None):
     best_f1 = -1.0
     log_rows = []
     for epoch in range(config.classifier_epochs):
+        if _lanes_failed is not None and _lanes_failed[0]:
+            raise _Cancelled
         order = shuffle_rng.permutation(len(train_rows))
         losses = []
         for step, start in enumerate(range(0, len(order), config.batch_size)):
@@ -637,7 +645,7 @@ _lanes_failed = None
 
 
 class _Cancelled(Exception):
-    """A `_map_lanes` call made in a lane stopped by a failure outside it."""
+    """A lane call stopped once a call in another lane failed."""
 
 
 def _lane_count(work: int) -> int:
@@ -666,11 +674,13 @@ def _map_lanes(calls, lanes: int) -> list:
     of this process's memory and, once its last call ends, sends every
     result back pickled through a pipe of its own. Once a call fails, a
     flag in memory that every lane shares stops each lane before its
-    next call, so no queued call starts and the started ones finish. The
-    first failure read (this process's own, else the earliest child
-    call's) is re-raised here. A child that exits before it sends its
-    results fails at its lane's first call, with an error naming its
-    lane. No child outlives the call.
+    next call, so no queued call starts, and a started call may stop
+    early by raising `_Cancelled` (`_fit` does before its next epoch),
+    which ends its lane as the flag does. The first failure read (this
+    process's own, else the earliest child call's) is re-raised here. A
+    child that exits before it sends its results fails at its lane's
+    first call, with an error naming its lane. No child outlives the
+    call.
 
     A call in lane 0 may make a `_map_lanes` call that forks, given a
     lane count worked out before this one: the two share the flag. If
@@ -742,6 +752,8 @@ def _serve_lane(calls, lane: int, lanes: int, fd: int, failed) -> None:
                 break
             try:
                 frames.append(pickle.dumps((index, True, calls[index]())))
+            except _Cancelled:
+                break  # the flag is set; the lane that failed reports it
             except BaseException as exc:
                 failed[0] = 1
                 frames.append(_failure_frame(index, lane, exc))

@@ -8,7 +8,7 @@ import pytest
 from loggate import autodiff as ad
 from loggate import fusion
 from loggate.autodiff import ShapeError, Tensor
-from loggate.corpus import UNK_ID
+from loggate.corpus import PAD_ID, UNK_ID
 from loggate.fusion import (MODES, ClassifierHead, DiagnosisModel, FusionError,
                             ada_sem_gate, batch_backward, batch_forward,
                             batch_rows, build_model, classify, constant_copy,
@@ -479,6 +479,72 @@ def test_closed_form_step_matches_the_graph():
             scale = largest if name == "sem.bk" else np.abs(grad).max()
             err = np.abs(got[name] - grad).max()
             assert err <= 1e-12 * scale, f"{case} {name}: {err:.2e} of {scale:.2e}"
+
+
+def _scatter_2d(shape, ids, rows) -> np.ndarray:
+    table = np.zeros(shape)
+    np.add.at(table, ids, rows)
+    return table
+
+
+def test_flat_scatter_is_the_2d_scatter_bit_for_bit():
+    # an id repeated 8 or more times tells a sequential sum from a
+    # pairwise one; -0.0 rows and pad ids ride along
+    rng = np.random.Generator(np.random.PCG64(81))
+    for width in (1, 7, 40):
+        ids = rng.integers(0, 6, size=(5, width), dtype=np.int32)
+        ids[:, width // 2:] = 0
+        rows = rng.standard_normal((5, width, 3)) * 10.0 ** rng.integers(-8, 9, (5, width, 1))
+        rows[rng.random((5, width)) < 0.2] = -0.0
+        table = np.zeros((6, 3))
+        fusion._scatter_rows(table, ids, rows)
+        assert table.tobytes() == _scatter_2d((6, 3), ids, rows).tobytes(), width
+
+
+def test_embedding_gradient_is_the_2d_scatter_bit_for_bit(monkeypatch):
+    scattered, scatter = [], fusion._scatter_rows
+
+    def recording(table, ids, rows):
+        # pad positions send zero rows; as -0.0 they check that the
+        # scatter adds into a +0.0 table
+        rows[rows == 0] = -0.0
+        scattered.append((ids.copy(), rows.copy()))
+        scatter(table, ids, rows)
+
+    monkeypatch.setattr(fusion, "_scatter_rows", recording)
+    padded = False
+    for model, batch, emb, labels in _closed_form_cases():
+        if model.mode == "stats_only":
+            continue
+        logits, saved = _closed_form_forward(model, batch, emb)
+        got = Adam(model.parameters()).grad_views
+        got["sem.tok_emb"][...] = np.nan  # the step must write every entry
+        batch_backward(model, logits, saved, labels, got)
+        ids, rows = scattered.pop()
+        assert ids.tobytes() == saved["ids"].tobytes()
+        want = _scatter_2d(got["sem.tok_emb"].shape, ids, rows)
+        assert got["sem.tok_emb"].tobytes() == want.tobytes(), \
+            f"{model.mode} batch {len(batch)}"
+        padded |= bool((ids == PAD_ID).any())
+    assert padded
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gate_confidence_is_the_graph_sigmoid_bit_for_bit(dtype):
+    info = np.finfo(dtype)
+    values = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 88.0, -88.0, 746.0,
+                       -746.0, info.smallest_subnormal, -info.smallest_subnormal,
+                       info.tiny / 4, -info.tiny / 4, info.tiny, -info.tiny,
+                       info.max, -info.max], dtype=dtype)
+    rng = np.random.Generator(np.random.PCG64(82))
+    spread = rng.standard_normal(200) * 10.0 ** rng.integers(-6, 3, 200)
+    # long enough for vector loops and their scalar tails
+    for x in (values, np.tile(values, 9).reshape(3, 3, 17),
+              np.concatenate([values, spread.astype(dtype)])):
+        got = fusion._sigmoid(x)
+        want = ad.sigmoid(Tensor(x)).values
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -1381,8 +1381,9 @@ def test_runs_sharing_preprocessing_differ_only_in_mode_epsilon_and_d_model(
 def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_path,
                                                              monkeypatch, no_lane_left):
     # Two lanes over 8 points: the child's lane holds points 1, 3, 5 and 7.
-    # Point 0 fails in this process once the child has started point 1:
-    # point 1 finishes, and points 3, 5 and 7 must never start.
+    # Point 0 fails in this process once the child has started point 1,
+    # which waits for that failure: point 1 stops before its first epoch,
+    # and points 3, 5 and 7 must never start.
     _use_cpus(monkeypatch, 2)
     parent, fit, forward = os.getpid(), pipeline._fit, fusion.batch_forward
     started = tmp_path / "point 1 started"
@@ -1390,7 +1391,7 @@ def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_pa
     def slow_child_fit(config, *args):
         if os.getpid() != parent:
             started.touch()
-            time.sleep(0.5)
+            assert _await(_lanes_failed), "point 0 did not fail"
         return fit(config, *args)
 
     def diverging(model, ids, mask, stat_rows):
@@ -1407,7 +1408,8 @@ def test_a_failing_parent_lane_cancels_the_queued_child_runs(base_config, tmp_pa
     out = tmp_path / "sweep"
     with pytest.raises(StageError, match=r"\[train-classifier\] non-finite loss"):
         run_sweep(base_config, "epsilon", grid, out)
-    assert (out / f"epsilon={grid[1]}" / "model.ckpt").exists()
+    assert (out / f"epsilon={grid[1]}").is_dir()
+    assert not (out / f"epsilon={grid[1]}" / "model.ckpt").exists()
     for point in (3, 5, 7):
         assert not (out / f"epsilon={grid[point]}").exists(), point
     assert not (out / "sweep.tsv").exists()
@@ -2017,24 +2019,34 @@ def test_a_fit_diverging_beside_pretraining_stops_the_ablation(
     assert not (tmp_path / "ablation.tsv").exists()
 
 
+def _lanes_failed() -> bool:
+    """Whether a lane of the `_map_lanes` calls this lane runs in has failed."""
+    return bool(pipeline._lanes_failed[0])
+
+
 def test_a_later_fit_diverging_while_semantic_only_trains_stops_the_ablation(
         base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
     # On two lanes stats_only trains here and full in a child. stats_only
     # fails once full has started, while semantic_only's child waits for
-    # that failure: full and semantic_only finish, and only full is saved.
+    # that failure and full's first step waits for it too: each then stops
+    # before its next epoch, so semantic_only trains none and none is saved.
     _use_cpus(monkeypatch, 2)
-    forward, fit, failed = fusion.batch_forward, pipeline._fit, tmp_path / "failed"
+    forward, fit = fusion.batch_forward, pipeline._fit
+    trained = tmp_path / "semantic_only_trained"
 
     def diverging(model, ids, mask, stat_rows):
         if model.mode == "stats_only":
             assert _await_fit(fit_pids, "full"), "full did not start"
-            failed.touch()
             raise FloatingPointError("stats_only fault")
+        if model.mode == "semantic_only":
+            trained.touch()
+        if model.mode == "full":
+            assert _await(_lanes_failed), "stats_only did not fail"
         return forward(model, ids, mask, stat_rows)
 
     def waiting(config, *args):
         if config.mode == "semantic_only":
-            assert _await(failed.exists), "stats_only did not fail"
+            assert _await(_lanes_failed), "stats_only did not fail"
         return fit(config, *args)
 
     monkeypatch.setattr(fusion, "batch_forward", diverging)
@@ -2048,7 +2060,9 @@ def test_a_later_fit_diverging_while_semantic_only_trains_stops_the_ablation(
     assert pids["stats_only"] == os.getpid() != pids["semantic_only"]
     # no_gate, queued after stats_only here, never started
     assert set(pids) == {"semantic_only", "stats_only", "full"}
-    assert sorted(path.parent.name for path in out.rglob("model.ckpt")) == ["full"]
+    # semantic_only trained no epoch after the failure, and full stopped
+    assert not trained.exists()
+    assert not list(out.rglob("model.ckpt"))
     assert not (out / "semantic_only" / "metrics.tsv").exists()
     assert not (out / "ablation.tsv").exists()
 
@@ -2056,8 +2070,10 @@ def test_a_later_fit_diverging_while_semantic_only_trains_stops_the_ablation(
 def test_semantic_only_diverging_after_the_later_lanes_start_stops_the_ablation(
         base_config, tmp_path, monkeypatch, no_lane_left, fit_pids):
     # semantic_only fails once full has started in a child lane, while
-    # stats_only trains here until semantic_only's child has exited: the
-    # started fits finish, and no_gate, queued after stats_only, never starts.
+    # stats_only waits here until semantic_only's child has exited and
+    # full's first step waits for the failure: both started fits stop
+    # before their next epoch, and no_gate, queued after stats_only, never
+    # starts.
     _use_cpus(monkeypatch, 2)
     forward, fit = fusion.batch_forward, pipeline._fit
 
@@ -2065,6 +2081,8 @@ def test_semantic_only_diverging_after_the_later_lanes_start_stops_the_ablation(
         if model.mode == "semantic_only":
             assert _await_fit(fit_pids, "full"), "full did not start"
             raise FloatingPointError("semantic_only fault")
+        if model.mode == "full":
+            assert _await(_lanes_failed), "semantic_only did not fail"
         return forward(model, ids, mask, stat_rows)
 
     def waiting(config, *args):
@@ -2081,8 +2099,7 @@ def test_semantic_only_diverging_after_the_later_lanes_start_stops_the_ablation(
         run_ablation(base_config, out)
     assert caught.value.stage == "train-classifier"
     assert set(fit_pids()) == {"semantic_only", "stats_only", "full"}
-    assert sorted(path.parent.name for path in out.rglob("model.ckpt")) == \
-        ["full", "stats_only"]
+    assert not list(out.rglob("model.ckpt"))
     assert not (out / "ablation.tsv").exists()
 
 
